@@ -3,14 +3,12 @@
 Backend selection: set ``NLHB_BACKEND=numpy`` in the environment to force the
 pure-numpy implementations; anything else (or unset) uses numba when it is
 importable.  Both implementations are kept importable under ``_numpy`` /
-``_numba`` suffixes so the parity tests and ``benchmarks/bench_kernels.py``
-can compare them directly.
+``_numba`` suffixes so the parity tests can compare them directly.
 
 One measured exception: the window map always routes to the numpy form.  Its
-sliced implementation runs on SIMD byte lanes and beats the compiled scalar
-loop ~5x on every benchmarked size, while the distance and transform kernels
-go the other way (5-7x in numba's favor).  Run the benchmark to re-check on
-new hardware before moving that routing.
+sliced implementation ran on SIMD byte lanes ~5x faster than the compiled
+scalar loop on every size measured, while the distance and transform kernels
+went the other way (5-7x in numba's favor).
 """
 
 from __future__ import annotations

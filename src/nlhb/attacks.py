@@ -30,12 +30,14 @@ from .gf2core import (
     ParameterError,
     RandomSource,
     SingularSystemError,
-    all_bit_vectors,
     as_bit_matrix,
     as_bits,
+    code_rows,
     gaussian_solve,
+    gf2_matmul,
     gf2_rank,
     hamming,
+    key_table,
     mat_vec_mul,
     row_codes,
 )
@@ -171,11 +173,11 @@ def majority_vote_attack(
             except SingularSystemError:
                 continue
         else:
-            images = apply_f_batch(params.spec, (all_bit_vectors(k) @ a) & 1)
+            images = apply_f_batch(params.spec, key_table(a))
             hits = np.flatnonzero(hamming_rows(images, denoised) == 0)
             if hits.shape[0] != 1:
                 continue
-            candidate = _bits_of(int(hits[0]), k)
+            candidate = code_rows(hits, k)[0]
         break
 
     stats = {
@@ -198,10 +200,6 @@ def majority_vote_attack(
 # ---------------------------------------------------------------------------
 # lf2 column merging (passive)
 # ---------------------------------------------------------------------------
-
-def _bits_of(value: int, width: int) -> np.ndarray:
-    return ((value >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-
 
 def _merge_pairs(a_cols, bucket_rows):
     """All column pairs agreeing on ``bucket_rows``; XORing each pair zeroes
@@ -276,16 +274,26 @@ def _pool_samples(transcripts):
 
 
 def _independent_columns(x, k, scan_limit=None):
+    """Indices of the first k columns of x, in scan order, that are linearly
+    independent of the columns picked before them; None if fewer exist.
+
+    One incremental elimination: each column, packed into an int, is reduced
+    against the basis by leading bit and joins it if anything is left.
+    """
     limit = x.shape[1] if scan_limit is None else min(scan_limit, x.shape[1])
-    span = np.zeros((0, k), dtype=np.uint8)
+    basis: dict[int, int] = {}
     picked = []
-    for j in range(limit):
-        grown = np.vstack([span, x[:, j]])
-        if gf2_rank(grown) > span.shape[0]:
-            span = grown
-            picked.append(j)
-            if len(picked) == k:
-                return np.array(picked)
+    for j, row in enumerate(np.packbits(x[:, :limit].T, axis=1)):
+        v = int.from_bytes(row.tobytes(), "big")
+        while v:
+            lead = v.bit_length()
+            if lead not in basis:
+                basis[lead] = v
+                picked.append(j)
+                if len(picked) == k:
+                    return np.array(picked)
+                break
+            v ^= basis[lead]
     return None
 
 
@@ -383,7 +391,7 @@ def lf2_attack(
                 kind = "merge"
             order = np.argsort(scores)
             best = int(order[-1])
-            bits = _bits_of(best, width)
+            bits = code_rows([best], width)[0]
             stats["rounds"].append(
                 {
                     "kind": kind,
@@ -470,12 +478,13 @@ def noise_free_selection_attack(
         if k > 16:
             stats["bruteforce"] = "skipped: 2^%d evaluations over desk budget" % k
             return AttackReport("noisefree", params, queries, False, None, stats)
-        candidates = all_bit_vectors(k)
         alive = np.arange(1 << k)
         used = 0
         for t in list(transcripts) + list(verify_transcripts):
+            # the first transcript filters all 2^k keys; only survivors go on
+            keyed = key_table(t.a) if used == 0 else gf2_matmul(code_rows(alive, k), t.a)
             used += 1
-            images = apply_f_batch(params.spec, (candidates[alive] @ t.a) & 1)
+            images = apply_f_batch(params.spec, keyed)
             alive = alive[hamming_rows(images, t.z) <= params.u]
             if alive.shape[0] <= 1:
                 break
@@ -484,7 +493,7 @@ def noise_free_selection_attack(
         if alive.shape[0] != 1:
             stats["bruteforce"] = "left %d consistent candidates" % alive.shape[0]
             return AttackReport("noisefree", params, queries, False, None, stats)
-        candidate = candidates[alive[0]].copy()
+        candidate = code_rows(alive, k)[0]
         accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
         stats["verify_accepts"] = accepts
         stats["verify_count"] = len(verify_transcripts)

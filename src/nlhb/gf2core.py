@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,13 +86,46 @@ def mat_vec_mul(s, a) -> np.ndarray:
         raise DimensionError(
             "vector length %d does not match matrix rows %d" % (s.shape[0], a.shape[0])
         )
-    # uint8 matmul wraps mod 256, which preserves parity, so `& 1` is exact.
-    return ((s @ a) & 1).astype(np.uint8)
+    return _mat_vec_mul(s, a)
+
+
+def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """:func:`mat_vec_mul` for operands already checked: XOR of the rows of A
+    that s selects."""
+    return np.bitwise_xor.reduce(a[s.view(bool)], axis=0)
 
 
 def gf2_matmul(a, b) -> np.ndarray:
-    """Matrix product over GF(2) for uint8 operands."""
-    return ((np.asarray(a, dtype=np.uint8) @ np.asarray(b, dtype=np.uint8)) & 1).astype(np.uint8)
+    """Matrix product over GF(2): row i of the result is a[i].B."""
+    a = as_bit_matrix(a)
+    b = as_bit_matrix(b)
+    if a.shape[1] != b.shape[0]:
+        raise DimensionError(
+            "inner dimensions differ: %d columns vs %d rows" % (a.shape[1], b.shape[0])
+        )
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for j in range(b.shape[0]):
+        np.bitwise_xor(out, b[j], out=out, where=a[:, j, None].astype(bool))
+    return out
+
+
+def key_table(a) -> np.ndarray:
+    """s.A for every key s, in :func:`all_bit_vectors` row order.
+
+    Equals ``gf2_matmul(all_bit_vectors(k), a)`` without materializing the
+    keys: the table doubles once per key bit, ``out[h:2h] = out[:h] ^ A[k-1-j]``
+    for h = 2**j (the 2**k-row table of the Method of Four Russians).  The
+    (2**k, n) result is the only allocation.
+    """
+    a = as_bit_matrix(a)
+    k = a.shape[0]
+    check_enumerable(k)
+    out = np.empty((1 << k, a.shape[1]), dtype=np.uint8)
+    out[0] = 0
+    for j in range(k):
+        h = 1 << j
+        np.bitwise_xor(out[:h], a[k - 1 - j], out=out[h : 2 * h])
+    return out
 
 
 def hamming(a, b) -> int:
@@ -187,17 +221,28 @@ def gaussian_solve(a, z) -> np.ndarray:
     return s
 
 
+def check_enumerable(k: int) -> None:
+    """Raise unless a 2**k-row enumeration of keys is in the supported range."""
+    if not 0 <= k <= 26:
+        raise ParameterError("k=%d out of supported range 0..26 for exhaustive enumeration" % k)
+
+
 def all_bit_vectors(k: int) -> np.ndarray:
     """All 2**k bit vectors of length k, one per row, in integer order.
 
     Row r spells the binary expansion of r with index 1 as the most
     significant bit, matching the serialization bit order.
     """
-    if not 0 <= k <= 26:
-        raise ParameterError("k=%d out of supported range 0..26 for exhaustive enumeration" % k)
-    ints = np.arange(1 << k, dtype=np.uint64)
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-    return ((ints[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    check_enumerable(k)
+    return code_rows(np.arange(1 << k), k)
+
+
+def code_rows(codes, width: int) -> np.ndarray:
+    """Bit rows of the given integer codes, inverse of :func:`row_codes`:
+    row r spells codes[r] in ``width`` bits, index 1 most significant."""
+    codes = np.asarray(codes, dtype=np.uint64)
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
 
 
 def row_codes(m) -> np.ndarray:
@@ -350,16 +395,12 @@ class RandomSource:
 
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:
         """Draw ``length`` i.i.d. Bernoulli(eps) bits for rational 0 < eps < 1/2."""
-        eps = Fraction(eps)
-        if not Fraction(0) < eps < Fraction(1, 2):
-            raise ParameterError("eps must satisfy 0 < eps < 1/2, got %s" % eps)
+        threshold, residual, den = _bernoulli_threshold(eps)
         if length < 0:
             raise ParameterError("length must be nonnegative")
-        num, den = eps.numerator, eps.denominator
-        threshold, residual = divmod(num << 64, den)
         u = self.u64(length)
-        bits = (u < np.uint64(threshold)).astype(np.uint8)
-        for idx in np.nonzero(u == np.uint64(threshold))[0]:
+        bits = (u < threshold).astype(np.uint8)
+        for idx in np.nonzero(u == threshold)[0]:
             bits[idx] = self._bernoulli_residual(residual, den)
         return bits
 
@@ -399,14 +440,21 @@ class RandomSource:
 
     def derive(self, label: str) -> "RandomSource":
         """Return an independent child source keyed by this seed and a label."""
-        digest = hashlib.blake2b(
-            self.seed.to_bytes(8, "big") + label.encode("utf-8"), digest_size=8
-        ).digest()
-        return RandomSource(int.from_bytes(digest, "big"))
+        return RandomSource(derive_seed(self.seed, label))
+
+
+@lru_cache(maxsize=64)
+def _bernoulli_threshold(eps):
+    """(floor(eps * 2**64) as a uint64, the remainder, eps's denominator)."""
+    eps = Fraction(eps)
+    if not 0 < eps < Fraction(1, 2):
+        raise ParameterError("eps must satisfy 0 < eps < 1/2, got %s" % eps)
+    threshold, residual = divmod(eps.numerator << 64, eps.denominator)
+    return np.uint64(threshold), residual, eps.denominator
 
 
 def derive_seed(seed: int, label: str) -> int:
-    """The 64-bit child seed :meth:`RandomSource.derive` would use."""
+    """The 64-bit child seed of ``seed`` for ``label`` (see :meth:`RandomSource.derive`)."""
     digest = hashlib.blake2b(
         int(seed).to_bytes(8, "big") + label.encode("utf-8"), digest_size=8
     ).digest()

@@ -138,8 +138,16 @@ def apply_f_batch(spec: NonlinearFunctionSpec, x) -> np.ndarray:
 
 def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     """Apply the response map to one n-bit vector, yielding n - p bits."""
-    x = as_bits(x)
-    return apply_f_batch(spec, x[None, :])[0]
+    x = np.ascontiguousarray(as_bits(x))
+    spec.output_length(x.shape[0])
+    return _apply_f(spec, x)
+
+
+def _apply_f(spec: NonlinearFunctionSpec, x: np.ndarray) -> np.ndarray:
+    """:func:`apply_f` for a contiguous bit vector already checked against
+    the spec's window."""
+    offs, degs = _encoded(spec)
+    return _kernels.apply_window_batch(x[None, :], offs, degs, x.shape[0] - spec.p)[0]
 
 
 # ---------------------------------------------------------------------------

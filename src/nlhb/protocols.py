@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -31,15 +32,14 @@ from .gf2core import (
     as_bits,
     dump_bits,
     dump_matrix,
-    hamming,
-    mat_vec_mul,
     parse_header,
+    _mat_vec_mul,
     _unpack_hex,
 )
 from .nlfunc import (
     IDENTITY_SPEC,
     NonlinearFunctionSpec,
-    apply_f,
+    _apply_f,
     format_spec,
     parse_spec,
 )
@@ -75,11 +75,11 @@ class ProtocolParams:
             raise ParameterError("linear protocols require the identity response map")
         self.spec.output_length(self.n)  # raises if the window leaves no output
 
-    @property
+    @cached_property
     def d(self) -> int:
         return self.n - self.spec.p
 
-    @property
+    @cached_property
     def u(self) -> int:
         return threshold_u(self.eps_prime, self.d)
 
@@ -149,21 +149,58 @@ def _check_challenge(params: ProtocolParams, a, name="challenge") -> np.ndarray:
     return a
 
 
-def expected_response(params: ProtocolParams, key: SecretKey, a, b=None) -> np.ndarray:
-    """The noise-free response image for a given challenge (and blinding)."""
+def _check_key_part(params: ProtocolParams, s) -> np.ndarray:
+    s = as_bits(s)
+    if s.shape[0] != params.k:
+        raise DimensionError(
+            "vector length %d does not match matrix rows %d" % (s.shape[0], params.k)
+        )
+    return s
+
+
+def _check_key(params: ProtocolParams, key: SecretKey) -> SecretKey:
+    if params.blinded and key.s2 is None:
+        raise ParameterError("%s requires a two-part key" % params.proto)
+    s1 = _check_key_part(params, key.s1)
+    return SecretKey(s1=s1, s2=_check_key_part(params, key.s2) if params.blinded else None)
+
+
+def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
+    """Validated (key, a, b) for one exchange; b is None when unblinded."""
     a = _check_challenge(params, a)
     if params.blinded:
         if b is None:
             raise ParameterError("%s requires a blinding matrix" % params.proto)
-        if key.s2 is None:
-            raise ParameterError("%s requires a two-part key" % params.proto)
         b = _check_challenge(params, b, name="blinding")
-        return apply_f(params.spec, mat_vec_mul(key.s1, b)) ^ apply_f(
-            params.spec, mat_vec_mul(key.s2, a)
-        )
-    if b is not None:
+    elif b is not None:
         raise ParameterError("%s has no blinding matrix" % params.proto)
-    return apply_f(params.spec, mat_vec_mul(key.s1, a))
+    return _check_key(params, key), a, b
+
+
+def _check_noise(params: ProtocolParams, noise) -> np.ndarray:
+    noise = as_bits(noise)
+    if noise.shape[0] != params.d:
+        raise DimensionError("noise length %d != D=%d" % (noise.shape[0], params.d))
+    return noise
+
+
+def _image(params: ProtocolParams, key: SecretKey, a, b) -> np.ndarray:
+    """Noise-free response image for checked operands."""
+    image = _apply_f(params.spec, _mat_vec_mul(key.s1, a if b is None else b))
+    if b is not None:
+        image ^= _apply_f(params.spec, _mat_vec_mul(key.s2, a))
+    return image
+
+
+def _decide(params: ProtocolParams, key: SecretKey, a, z, b) -> tuple[bool, int]:
+    """Verifier decision for checked operands."""
+    dist = int(np.count_nonzero(z != _image(params, key, a, b)))
+    return dist <= params.u, dist
+
+
+def expected_response(params: ProtocolParams, key: SecretKey, a, b=None) -> np.ndarray:
+    """The noise-free response image for a given challenge (and blinding)."""
+    return _image(params, *_check_exchange(params, key, a, b))
 
 
 def respond(
@@ -178,15 +215,14 @@ def respond(
 
     Pass ``noise`` explicitly (test hook) or an ``rng`` to draw it.
     """
-    image = expected_response(params, key, a, b)
+    key, a, b = _check_exchange(params, key, a, b)
     if noise is None:
         if rng is None:
             raise ParameterError("respond needs either an rng or an explicit noise vector")
         noise = rng.bernoulli_bits(params.d, params.eps)
-    noise = as_bits(noise)
-    if noise.shape[0] != params.d:
-        raise DimensionError("noise length %d != D=%d" % (noise.shape[0], params.d))
-    return image ^ noise
+    else:
+        noise = _check_noise(params, noise)
+    return _image(params, key, a, b) ^ noise
 
 
 def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, int]:
@@ -196,8 +232,8 @@ def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, 
         raise DimensionError(
             "response length %d does not match D=%d" % (z.shape[0], params.d)
         )
-    dist = hamming(z, expected_response(params, key, a, b))
-    return dist <= params.u, dist
+    key, a, b = _check_exchange(params, key, a, b)
+    return _decide(params, key, a, z, b)
 
 
 def hb_respond(params, key, a, rng=None, noise=None):
@@ -239,10 +275,15 @@ def run_session(
 ) -> SessionTranscript:
     """One honest exchange.  Draw order: prover B (blinded variants only),
     verifier A, prover noise."""
+    key = _check_key(params, key)
+    if noise is not None:
+        noise = _check_noise(params, noise)
     b = rng_prover.uniform_matrix(params.k, params.n) if params.blinded else None
     a = rng_verifier.uniform_matrix(params.k, params.n)
-    z = respond(params, key, a, b=b, rng=rng_prover, noise=noise)
-    accepted, dist = verify(params, key, a, z, b=b)
+    if noise is None:
+        noise = rng_prover.bernoulli_bits(params.d, params.eps)
+    z = _image(params, key, a, b) ^ noise
+    accepted, dist = _decide(params, key, a, z, b)
     return SessionTranscript(params=params, b=b, a=a, z=z, accepted=accepted, distance=dist)
 
 

@@ -33,10 +33,12 @@ from .gf2core import (
     DimensionError,
     ParameterError,
     RandomSource,
-    all_bit_vectors,
     as_bit_matrix,
     as_bits,
+    check_enumerable,
+    code_rows,
     hamming,
+    key_table,
     mat_vec_mul,
 )
 from ._kernels import hamming_rows
@@ -209,14 +211,16 @@ def brute_force_unld(instances, k: int, spec: NonlinearFunctionSpec):
     cost 2^k response-map evaluations per instance."""
     if not instances:
         raise ParameterError("need at least one instance")
-    candidates = all_bit_vectors(k)
+    check_enumerable(k)
     total = np.zeros(1 << k, dtype=np.int64)
     for a, y in instances:
         a = as_bit_matrix(a)
-        images = apply_f_batch(spec, (candidates @ a) & 1)
+        if a.shape[0] != k:
+            raise DimensionError("instance has %d key rows, expected k=%d" % (a.shape[0], k))
+        images = apply_f_batch(spec, key_table(a))
         total += hamming_rows(images, as_bits(y))
     best = int(np.argmin(total))
-    return candidates[best].copy(), int(total[best])
+    return code_rows([best], k)[0], int(total[best])
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +570,9 @@ class ExtractingActiveForger(ActiveForger):
         if count == 0:
             raise ParameterError("extraction needs at least one query round")
         image = (2 * self._state["votes"] > count).astype(np.uint8)
-        candidates = all_bit_vectors(self.params.k)
-        table = apply_f_batch(self.params.spec, (candidates @ self._state["a_star"]) & 1)
-        self._state["s2_hat"] = candidates[
-            int(np.argmin(hamming_rows(table, image)))
-        ].copy()
+        table = apply_f_batch(self.params.spec, key_table(self._state["a_star"]))
+        best = int(np.argmin(hamming_rows(table, image)))
+        self._state["s2_hat"] = code_rows([best], self.params.k)[0]
         return self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
 
     def snapshot(self) -> dict:

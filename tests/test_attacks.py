@@ -7,6 +7,7 @@ from support import measured_merge_distribution, total_variation
 
 from nlhb.attacks import (
     AttackReport,
+    _independent_columns,
     NeedMoreSamplesError,
     default_majority_reps,
     lf2_attack,
@@ -15,7 +16,7 @@ from nlhb.attacks import (
     make_prover_oracle,
     noise_free_selection_attack,
 )
-from nlhb.gf2core import ParameterError, RandomSource, hamming, mat_vec_mul
+from nlhb.gf2core import ParameterError, RandomSource, gf2_rank, hamming, mat_vec_mul
 from nlhb.nlfunc import DEFAULT_SPEC, merge_error_distribution
 from nlhb.protocols import (
     SecretKey,
@@ -117,6 +118,41 @@ def test_majority_reports_failure_on_garbage_oracle():
 
 
 # --- lf2 ----------------------------------------------------------------------
+
+def rank_scan_columns(x, k, scan_limit=None):
+    """Reference column selection: one rank computation per scanned column."""
+    limit = x.shape[1] if scan_limit is None else min(scan_limit, x.shape[1])
+    span = np.zeros((0, k), dtype=np.uint8)
+    picked = []
+    for j in range(limit):
+        grown = np.vstack([span, x[:, j]])
+        if gf2_rank(grown) > span.shape[0]:
+            span = grown
+            picked.append(j)
+            if len(picked) == k:
+                return np.array(picked)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_independent_columns_match_rank_scan(seed):
+    rng = RandomSource(700 + seed)
+    k = 1 + seed % 9
+    cols = 3 * k + seed
+    x = rng.uniform_matrix(k, cols)
+    if seed % 3 == 1:
+        x[:, 1::2] = x[:, 0:-1:2]  # repeated columns
+    if seed % 3 == 2:
+        x[-1, :] = x[0, :] if k > 1 else 0  # rank k-1: no selection exists
+    for limit in (None, k + 2, 2 * k):
+        want = rank_scan_columns(x, k, limit)
+        got = _independent_columns(x, k, limit)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+            assert gf2_rank(x[:, got]) == k
+
 
 def test_lf2_merge_conserves_planted_relation():
     rng = RandomSource(20)

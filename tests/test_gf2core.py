@@ -13,11 +13,14 @@ from nlhb.gf2core import (
     SingularSystemError,
     all_bit_vectors,
     as_bits,
+    code_rows,
     dump_bits,
     dump_matrix,
     gaussian_solve,
+    gf2_matmul,
     gf2_rank,
     hamming,
+    key_table,
     load_bits,
     load_matrix,
     mat_vec_mul,
@@ -40,6 +43,13 @@ def naive_mat_vec(s, a):
     return np.array(out, dtype=np.uint8)
 
 
+def naive_matmul(a, b):
+    """One naive row-vector product per row of a."""
+    return np.array([naive_mat_vec(row, b) for row in a], dtype=np.uint8).reshape(
+        a.shape[0], b.shape[1]
+    )
+
+
 def naive_hamming(x, y):
     return sum(1 for a, b in zip(x, y) if int(a) != int(b))
 
@@ -59,21 +69,110 @@ def test_mat_vec_mul_small_example():
     assert np.array_equal(mat_vec_mul(s, a), expected)
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 12), st.integers(1, 20), st.integers(0, 2**32 - 1))
-def test_mat_vec_matches_naive_oracle(k, n, seed):
-    rng = RandomSource(seed)
-    s = rng.uniform_bits(k)
-    a = rng.uniform_matrix(k, n)
-    assert np.array_equal(mat_vec_mul(s, a), naive_mat_vec(s, a))
-
-
 def test_mat_vec_parity_safe_for_large_k():
-    # k > 256 exercises uint8 accumulator wraparound; parity must survive.
+    # k > 256 selects hundreds of rows; parity must survive any accumulator width.
     rng = RandomSource(7)
     s = rng.uniform_bits(700)
     a = rng.uniform_matrix(700, 40)
     assert np.array_equal(mat_vec_mul(s, a), naive_mat_vec(s, a))
+
+
+def _operand(rng, rows, cols, layout):
+    """A (rows, cols) bit matrix in the requested memory layout."""
+    if layout == "transposed":
+        return rng.uniform_matrix(cols, rows).T
+    if layout == "strided":
+        return rng.uniform_matrix(rows, 2 * cols)[:, ::2]
+    return rng.uniform_matrix(rows, cols)
+
+
+layouts_st = st.sampled_from(["contiguous", "transposed", "strided"])
+fill_st = st.sampled_from(["random", "zeros", "ones"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12), st.integers(1, 20), layouts_st, fill_st, st.integers(0, 2**32 - 1))
+def test_mat_vec_matches_naive_oracle(k, n, layout, fill, seed):
+    rng = RandomSource(seed)
+    a = _operand(rng, k, n, layout)
+    s = {"random": rng.uniform_bits(k), "zeros": np.zeros(k, dtype=np.uint8),
+         "ones": np.ones(k, dtype=np.uint8)}[fill]
+    before = a.copy()
+    got = mat_vec_mul(s, a)
+    assert got.dtype == np.uint8 and got.shape == (n,)
+    assert np.array_equal(got, naive_mat_vec(s, a))
+    assert np.array_equal(a, before)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 8), st.integers(1, 12), layouts_st, layouts_st,
+       st.integers(0, 2**32 - 1))
+def test_gf2_matmul_property(m, k, n, layout_a, layout_b, seed):
+    rng = RandomSource(seed)
+    a = _operand(rng, m, k, layout_a)
+    b = _operand(rng, k, n, layout_b)
+    got = gf2_matmul(a, b)
+    assert got.dtype == np.uint8 and got.shape == (m, n)
+    assert np.array_equal(got, naive_matmul(a, b))
+
+
+def test_gf2_matmul_checks_operands():
+    with pytest.raises(DimensionError):
+        gf2_matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((4, 2), dtype=np.uint8))
+    with pytest.raises(ParameterError):
+        gf2_matmul(np.full((2, 2), 2, dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 7), st.integers(1, 12), layouts_st, st.integers(0, 2**32 - 1))
+def test_key_table_matches_naive_products(k, n, layout, seed):
+    rng = RandomSource(seed)
+    a = _operand(rng, k, n, layout)
+    keys = all_bit_vectors(k)
+    table = key_table(a)
+    assert table.dtype == np.uint8 and table.shape == (1 << k, n)
+    assert np.array_equal(table, naive_matmul(keys, a))
+    assert np.array_equal(table, gf2_matmul(keys, a))
+
+
+def test_key_table_edges():
+    assert np.array_equal(key_table(np.zeros((0, 3), dtype=np.uint8)), np.zeros((1, 3)))
+    ones = np.ones((3, 1), dtype=np.uint8)
+    # with one column of ones the table is the parity of each key
+    assert list(key_table(ones)[:, 0]) == [0, 1, 1, 0, 1, 0, 0, 1]
+    with pytest.raises(ParameterError):
+        key_table(np.zeros((27, 1), dtype=np.uint8))
+    with pytest.raises(ParameterError):
+        key_table([[0, 2]])
+    with pytest.raises(DimensionError):
+        key_table([0, 1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 20), st.lists(st.integers(0, 2**20 - 1), max_size=20))
+def test_code_rows_inverts_row_codes(width, values):
+    codes = np.array([v % (1 << width) for v in values], dtype=np.uint64)
+    rows = code_rows(codes, width)
+    assert rows.shape == (len(values), width)
+    assert np.array_equal(row_codes(rows), codes)
+
+
+@pytest.mark.parametrize("s, a, error", [
+    ([[1, 0]], np.zeros((2, 3), dtype=np.uint8), DimensionError),
+    ([1, 0], np.zeros(3, dtype=np.uint8), DimensionError),
+    ([1, 2], np.zeros((2, 3), dtype=np.uint8), ParameterError),
+    ([1, 0], np.full((2, 3), 3, dtype=np.uint8), ParameterError),
+])
+def test_mat_vec_rejects_bad_operands(s, a, error):
+    with pytest.raises(error):
+        mat_vec_mul(s, a)
+
+
+def test_hamming_rejects_bad_operands():
+    with pytest.raises(DimensionError):
+        hamming([[1, 0]], [[1, 0]])
+    with pytest.raises(ParameterError):
+        hamming([1, 2], [1, 0])
 
 
 def test_mat_vec_shape_mismatch():

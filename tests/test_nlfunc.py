@@ -127,6 +127,18 @@ def test_apply_f_requires_room_for_window():
         apply_f(DEFAULT_SPEC, [1, 0, 1])  # n == p leaves no outputs
 
 
+def test_apply_f_rejects_bad_input():
+    with pytest.raises(DimensionError):
+        apply_f(DEFAULT_SPEC, np.zeros((2, 8), dtype=np.uint8))  # not a vector
+    with pytest.raises(ParameterError):
+        apply_f(DEFAULT_SPEC, [1, 0, 2, 0, 1, 1])
+
+
+def test_apply_f_strided_input_matches_contiguous():
+    x = RandomSource(5).uniform_bits(40)
+    assert np.array_equal(apply_f(DEFAULT_SPEC, x[::2]), apply_f(DEFAULT_SPEC, x[::2].copy()))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(4, 30))
 def test_apply_f_batch_matches_slow_oracle(seed, n):

@@ -107,6 +107,79 @@ def test_verify_rejects_malformed_length():
         nlhb_verify(p, key, a, np.zeros(p.d + 1, dtype=np.uint8))
 
 
+def _bad_exchanges(p, key):
+    """(description, key, a, z, b, expected error) for malformed inputs."""
+    rng = RandomSource(9)
+    a = rng.uniform_matrix(p.k, p.n)
+    z = np.zeros(p.d, dtype=np.uint8)
+    two = a.copy()
+    two[0, 0] = 2
+    short = SecretKey(s1=key.s1[:-1], s2=None if key.s2 is None else key.s2)
+    nonbit = SecretKey(s1=np.full(p.k, 2, dtype=np.uint8), s2=key.s2)
+    b = rng.uniform_matrix(p.k, p.n) if p.blinded else None
+    cases = [
+        ("challenge shape", key, a[:, :-1], z, b, DimensionError),
+        ("challenge not 2-D", key, a.reshape(-1), z, b, DimensionError),
+        ("challenge entry 2", key, two, z, b, ParameterError),
+        ("key length", short, a, z, b, DimensionError),
+        ("key entry 2", nonbit, a, z, b, ParameterError),
+    ]
+    if p.blinded:
+        cases += [
+            ("blinding shape", key, a, z, b[:-1], DimensionError),
+            ("blinding entry 2", key, a, z, two, ParameterError),
+            ("missing s2", SecretKey(s1=key.s1), a, z, b, ParameterError),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("blinded", [False, True])
+def test_respond_verify_reject_malformed_inputs(blinded):
+    p = nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=blinded)
+    key = generate_key(p, RandomSource(2))
+    for what, k, a, z, b, error in _bad_exchanges(p, key):
+        with pytest.raises(error):
+            respond(p, k, a, b=b, rng=RandomSource(0))
+        with pytest.raises(error):
+            verify(p, k, a, z, b=b)
+        with pytest.raises(error):
+            expected_response(p, k, a, b=b)
+    a = RandomSource(3).uniform_matrix(p.k, p.n)
+    b = RandomSource(4).uniform_matrix(p.k, p.n) if blinded else None
+    with pytest.raises(ParameterError):
+        verify(p, key, a, np.full(p.d, 3, dtype=np.uint8), b=b)
+    with pytest.raises(DimensionError):
+        respond(p, key, a, b=b, noise=np.zeros(p.d - 1, dtype=np.uint8))
+    with pytest.raises(ParameterError):
+        respond(p, key, a, b=b, noise=np.full(p.d, 2, dtype=np.uint8))
+
+
+def test_run_session_checks_key_and_noise():
+    p = small_nlhb()
+    key = generate_key(p, RandomSource(2))
+    with pytest.raises(DimensionError):
+        run_session(p, SecretKey(s1=key.s1[:-1]), RandomSource(0), RandomSource(1))
+    with pytest.raises(ParameterError):
+        run_session(p, SecretKey(s1=key.s1 + 2), RandomSource(0), RandomSource(1))
+    with pytest.raises(DimensionError):
+        run_session(p, key, RandomSource(0), RandomSource(1), noise=np.zeros(3, dtype=np.uint8))
+    plus = nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True)
+    with pytest.raises(ParameterError):
+        run_session(plus, SecretKey(s1=key.s1), RandomSource(0), RandomSource(1))
+
+
+def test_session_matches_public_respond_and_verify():
+    for p in (small_nlhb(), nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True)):
+        key = generate_key(p, RandomSource(2))
+        t = run_session(p, key, RandomSource(3), RandomSource(4))
+        prover = RandomSource(3)
+        b = prover.uniform_matrix(p.k, p.n) if p.blinded else None
+        a = RandomSource(4).uniform_matrix(p.k, p.n)
+        z = respond(p, key, a, b=b, rng=prover)
+        assert np.array_equal(t.a, a) and np.array_equal(t.z, z)
+        assert (t.accepted, t.distance) == verify(p, key, a, z, b=b)
+
+
 def test_respond_needs_noise_or_rng():
     p = small_nlhb()
     key = generate_key(p, RandomSource(2))
