@@ -114,7 +114,7 @@ def _bad_exchanges(p, key):
     z = np.zeros(p.d, dtype=np.uint8)
     two = a.copy()
     two[0, 0] = 2
-    short = SecretKey(s1=key.s1[:-1], s2=None if key.s2 is None else key.s2)
+    short = SecretKey(s1=key.s1[:-1], s2=key.s2)
     nonbit = SecretKey(s1=np.full(p.k, 2, dtype=np.uint8), s2=key.s2)
     b = rng.uniform_matrix(p.k, p.n) if p.blinded else None
     cases = [
@@ -137,7 +137,7 @@ def _bad_exchanges(p, key):
 def test_respond_verify_reject_malformed_inputs(blinded):
     p = nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=blinded)
     key = generate_key(p, RandomSource(2))
-    for what, k, a, z, b, error in _bad_exchanges(p, key):
+    for _what, k, a, z, b, error in _bad_exchanges(p, key):
         with pytest.raises(error):
             respond(p, k, a, b=b, rng=RandomSource(0))
         with pytest.raises(error):
