@@ -37,11 +37,10 @@ from .gf2core import (
     gf2_matmul,
     gf2_rank,
     hamming,
-    key_table,
     mat_vec_mul,
     row_codes,
 )
-from .nlfunc import apply_f_batch
+from .nlfunc import apply_f_batch, key_distances
 from .protocols import ProtocolParams, SecretKey, expected_response, respond
 
 DESK_SCALE_K = 24
@@ -136,8 +135,9 @@ def majority_vote_attack(
     verify_count: int = 100,
 ) -> AttackReport:
     """Denoise f(s.A) by bitwise majority over repeated identical challenges,
-    then solve for s (hb) or exhaust the key space (nlhb, k <= 24 only via
-    batch evaluation, practical to ~20).
+    then solve for s (hb) or exhaust the key space (nlhb, streamed through
+    :func:`~nlhb.nlfunc.key_distances`: at n=259 it peaks at ~8 MB for k=18
+    and ~40 MB for k=22, and its time doubles with each key bit).
 
     A challenge matrix of rank < k, an inconsistent denoised system, or an
     ambiguous nonlinear match each burn one of ``max_rounds`` retries.
@@ -173,8 +173,7 @@ def majority_vote_attack(
             except SingularSystemError:
                 continue
         else:
-            images = apply_f_batch(params.spec, key_table(a))
-            hits = np.flatnonzero(hamming_rows(images, denoised) == 0)
+            hits = np.flatnonzero(key_distances(params.spec, a, denoised) == 0)
             if hits.shape[0] != 1:
                 continue
             candidate = code_rows(hits, k)[0]
@@ -201,29 +200,20 @@ def majority_vote_attack(
 # lf2 column merging (passive)
 # ---------------------------------------------------------------------------
 
-def _merge_pairs(a_cols, bucket_rows):
-    """All column pairs agreeing on ``bucket_rows``; XORing each pair zeroes
-    those rows.  Returns (pair_left, pair_right, nonempty_buckets)."""
+def _buckets(a_cols, bucket_rows):
+    """The columns of ``a_cols`` grouped by their bits on ``bucket_rows``, one
+    index array per nonempty bucket, in code order; XORing two columns of a
+    bucket zeroes those rows."""
     codes = row_codes(a_cols[bucket_rows, :].T)
     order = np.argsort(codes, kind="stable")
     sorted_codes = codes[order]
-    starts = np.flatnonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])
-    ends = np.r_[starts[1:], sorted_codes.shape[0]]
-    lefts, rights = [], []
-    nonempty = 0
-    for s, e in zip(starts, ends):
-        m = e - s
-        nonempty += 1
-        if m < 2:
-            continue
-        li, ri = np.triu_indices(m, 1)
-        bucket = order[s:e]
-        lefts.append(bucket[li])
-        rights.append(bucket[ri])
-    if not lefts:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, nonempty
-    return np.concatenate(lefts), np.concatenate(rights), nonempty
+    return np.split(order, np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1)
+
+
+def _pairs(bucket):
+    """All (left, right) column pairs of one bucket, left before right."""
+    li, ri = np.triu_indices(bucket.shape[0], 1)
+    return bucket[li], bucket[ri]
 
 
 def lf2_merge(a_cols, z, b: int):
@@ -240,7 +230,8 @@ def lf2_merge(a_cols, z, b: int):
         raise DimensionError("z length %d != sample count %d" % (z.shape[0], n_samples))
     if not 0 < b < k:
         raise ParameterError("need 0 < b < k")
-    left, right, _ = _merge_pairs(a_cols, np.arange(b, k))
+    pairs = [_pairs(bucket) for bucket in _buckets(a_cols, np.arange(b, k))]
+    left, right = (np.concatenate(side) for side in zip(*pairs))
     merged = a_cols[:, left] ^ a_cols[:, right]
     merged_z = z[left] ^ z[right]
     return merged, merged_z, list(zip(left.tolist(), right.tolist()))
@@ -254,6 +245,28 @@ def _score_block(rows_matrix, y):
     agree = np.bincount(codes[y == 0], minlength=1 << b)
     disagree = np.bincount(codes[y == 1], minlength=1 << b)
     return fwht((agree - disagree).astype(np.int64))
+
+
+def _merge_scores(x, y, rows, bucket_rows):
+    """:func:`_score_block` of ``rows`` over every merged pair that
+    :func:`lf2_merge` forms on ``bucket_rows``, counted one bucket at a time
+    so the pairs are never materialized.
+
+    Each sample is tagged ``2 * code + y`` with the b-bit code of its column
+    on ``rows``; the XOR of two tags is the tag of the merged sample.  Returns
+    (scores, merged sample count, nonempty buckets).
+    """
+    b = rows.shape[0]
+    tags = (row_codes(x[rows].T).astype(np.int64) << 1) | y
+    counts = np.zeros(2 << b, dtype=np.int64)
+    buckets = _buckets(x, bucket_rows)
+    total = 0
+    for bucket in buckets:
+        if bucket.shape[0] > 1:
+            left, right = _pairs(bucket)
+            counts += np.bincount(tags[left] ^ tags[right], minlength=2 << b)
+            total += left.shape[0]
+    return fwht(counts[0::2] - counts[1::2]), total, len(buckets)
 
 
 def _needed_samples(width: int, bias: float) -> int:
@@ -380,14 +393,10 @@ def lf2_attack(
                 kind = "direct"
             else:
                 width = b
-                left, right, nonempty = _merge_pairs(x, remaining[b:])
-                merged_rows = x[remaining[:b]][:, left] ^ x[remaining[:b]][:, right]
-                merged_y = y_work[left] ^ y_work[right]
-                total = merged_y.shape[0]
+                scores, total, nonempty = _merge_scores(x, y_work, remaining[:b], remaining[b:])
                 need = _needed_samples(width, (1.0 - 2.0 * eps) ** 2)
                 if total < need:
                     raise NeedMoreSamplesError(total, need, "merge round")
-                scores = _score_block(merged_rows, merged_y)
                 kind = "merge"
             order = np.argsort(scores)
             best = int(order[-1])
@@ -478,16 +487,16 @@ def noise_free_selection_attack(
         if k > 16:
             stats["bruteforce"] = "skipped: 2^%d evaluations over desk budget" % k
             return AttackReport("noisefree", params, queries, False, None, stats)
-        alive = np.arange(1 << k)
-        used = 0
-        for t in list(transcripts) + list(verify_transcripts):
-            # the first transcript filters all 2^k keys; only survivors go on
-            keyed = key_table(t.a) if used == 0 else gf2_matmul(code_rows(alive, k), t.a)
-            used += 1
-            images = apply_f_batch(params.spec, keyed)
-            alive = alive[hamming_rows(images, t.z) <= params.u]
+        # the first transcript filters all 2^k keys; only survivors go on
+        pool = list(transcripts) + list(verify_transcripts)
+        alive = np.flatnonzero(key_distances(params.spec, pool[0].a, pool[0].z) <= params.u)
+        used = 1
+        for t in pool[1:]:
             if alive.shape[0] <= 1:
                 break
+            images = apply_f_batch(params.spec, gf2_matmul(code_rows(alive, k), t.a))
+            alive = alive[hamming_rows(images, t.z) <= params.u]
+            used += 1
         stats["bruteforce_evaluations"] = 1 << k
         stats["bruteforce_transcripts_used"] = used
         if alive.shape[0] != 1:

@@ -220,7 +220,8 @@ class AuthService:
     Each connection runs one handshake on its own RandomSource derived from
     the service seed and a session counter, so transcripts reproduce exactly
     under an injected seed.  Accepted and rejected sessions append to the
-    transcript log; aborted handshakes log nothing.
+    transcript log at ``log_path``, if any, and count in ``logged``; aborted
+    handshakes log nothing.  The service keeps no transcript in memory.
     """
 
     def __init__(
@@ -235,7 +236,7 @@ class AuthService:
         self.keystore = dict(keystore)
         self.mute_decisions = mute_decisions
         self.log_path = log_path
-        self.transcripts: list[SessionTranscript] = []
+        self.logged = 0
         self._root = RandomSource(seed)
         self._counter = 0
         self._lock = threading.Lock()
@@ -279,12 +280,12 @@ class AuthService:
 
     def _log(self, transcript: SessionTranscript) -> None:
         with self._lock:
-            self.transcripts.append(transcript)
             if self.log_path is not None:
                 with open(self.log_path, "a", encoding="utf-8") as fp:
-                    if transcript is not self.transcripts[0]:
+                    if self.logged:
                         fp.write("\n")
                     fp.write(format_transcript(transcript))
+            self.logged += 1
 
     def _handle(self, sock: socket.socket) -> None:
         try:

@@ -386,8 +386,7 @@ class RandomSource:
         if length == 0:
             return np.zeros(0, dtype=np.uint8)
         words = self.u64((length + 63) // 64)
-        stream = np.unpackbits(np.frombuffer(words.astype(">u8").tobytes(), dtype=np.uint8))
-        return stream[:length].copy()
+        return np.unpackbits(words.astype(">u8").view(np.uint8), count=length)
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Draw a uniform bit matrix of shape (rows, cols)."""

@@ -31,6 +31,8 @@ from .gf2core import (
     all_bit_vectors,
     as_bit_matrix,
     as_bits,
+    check_enumerable,
+    key_table,
 )
 
 
@@ -134,6 +136,37 @@ def apply_f_batch(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     d = spec.output_length(x.shape[1])
     offs, degs = _encoded(spec)
     return _kernels.apply_window_batch(np.ascontiguousarray(x), offs, degs, d)
+
+
+# key bits enumerated inside one chunk of :func:`key_distances`: a chunk is
+# 2**12 rows of s.A, ~1 MB per 256 columns, whatever k is
+_CHUNK_BITS = 12
+
+
+def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
+    """Distance from f(s.A) to ``target`` for every key s, in
+    :func:`all_bit_vectors` row order.
+
+    Streams the 2**k keys in chunks of 2**12 rows: chunk h is the table of
+    the last 12 key rows XORed with row h of the table of the first k - 12,
+    evaluated and scored in one reused buffer.  The int64 result is the only
+    allocation with 2**k entries.
+    """
+    a = as_bit_matrix(a)
+    target = as_bits(target)
+    k, n = a.shape
+    check_enumerable(k)
+    d = spec.output_length(n)
+    if target.shape[0] != d:
+        raise DimensionError("target length %d != n - p = %d" % (target.shape[0], d))
+    low = min(k, _CHUNK_BITS)
+    inner = key_table(a[k - low :])
+    chunk = np.empty_like(inner)
+    out = np.empty(1 << k, dtype=np.int64)
+    for h, row in enumerate(key_table(a[: k - low])):
+        np.bitwise_xor(inner, row, out=chunk)
+        out[h << low : (h + 1) << low] = _kernels.hamming_rows(apply_f_batch(spec, chunk), target)
+    return out
 
 
 def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:

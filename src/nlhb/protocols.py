@@ -421,6 +421,7 @@ def read_transcripts(fp) -> list[SessionTranscript]:
             return read_transcripts(handle)
     reader = _LineReader(fp)
     records = []
+    parsed = {}  # each distinct (proto, params line) is parsed once
     while True:
         first, line = reader.next_content()
         if first is None:
@@ -431,7 +432,9 @@ def read_transcripts(fp) -> list[SessionTranscript]:
         params_text, pline = reader.next_content()
         if params_text is None:
             raise FormatError("missing params line", pline)
-        params = _parse_params(proto, params_text, pline)
+        params = parsed.get((proto, params_text))
+        if params is None:
+            params = parsed[proto, params_text] = _parse_params(proto, params_text, pline)
         b = None
         if params.blinded:
             b = _read_block(reader, "mat", params.k, params.n)

@@ -38,11 +38,9 @@ from .gf2core import (
     check_enumerable,
     code_rows,
     hamming,
-    key_table,
     mat_vec_mul,
 )
-from ._kernels import hamming_rows
-from .nlfunc import NonlinearFunctionSpec, apply_f, apply_f_batch
+from .nlfunc import NonlinearFunctionSpec, apply_f, key_distances
 from .protocols import ProtocolParams, SecretKey, expected_response
 
 # ---------------------------------------------------------------------------
@@ -217,8 +215,7 @@ def brute_force_unld(instances, k: int, spec: NonlinearFunctionSpec):
         a = as_bit_matrix(a)
         if a.shape[0] != k:
             raise DimensionError("instance has %d key rows, expected k=%d" % (a.shape[0], k))
-        images = apply_f_batch(spec, key_table(a))
-        total += hamming_rows(images, as_bits(y))
+        total += key_distances(spec, a, y)
     best = int(np.argmin(total))
     return code_rows([best], k)[0], int(total[best])
 
@@ -570,8 +567,7 @@ class ExtractingActiveForger(ActiveForger):
         if count == 0:
             raise ParameterError("extraction needs at least one query round")
         image = (2 * self._state["votes"] > count).astype(np.uint8)
-        table = apply_f_batch(self.params.spec, key_table(self._state["a_star"]))
-        best = int(np.argmin(hamming_rows(table, image)))
+        best = int(np.argmin(key_distances(self.params.spec, self._state["a_star"], image)))
         self._state["s2_hat"] = code_rows([best], self.params.k)[0]
         return self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
 

@@ -1,12 +1,25 @@
-"""Measurement helpers shared by the unit and acceptance suites.
+"""Measurement and operand helpers shared by the unit and acceptance suites.
 
 These deliberately sit outside the package: they peek at planted secrets to
 strip noise, which no attack or protocol code is allowed to do.
 """
 
 import numpy as np
+from hypothesis import strategies as st
 
 from nlhb.nlfunc import DEFAULT_SPEC, apply_f_batch
+
+
+def operand(rng, rows, cols, layout):
+    """A (rows, cols) bit matrix in the requested memory layout."""
+    if layout == "transposed":
+        return rng.uniform_matrix(cols, rows).T
+    if layout == "strided":
+        return rng.uniform_matrix(rows, 2 * cols)[:, ::2]
+    return rng.uniform_matrix(rows, cols)
+
+
+layouts_st = st.sampled_from(["contiguous", "transposed", "strided"])
 
 
 def measured_merge_distribution(spec, rng, samples, k=6, n=None, j=None):

@@ -1,13 +1,18 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from support import measured_merge_distribution, total_variation
 
 from nlhb.attacks import (
     AttackReport,
     _independent_columns,
+    _merge_scores,
+    _pool_samples,
+    _score_block,
     NeedMoreSamplesError,
     default_majority_reps,
     lf2_attack,
@@ -184,6 +189,39 @@ def test_lf2_merge_validation():
         lf2_merge(a, z, 0)
     with pytest.raises(ParameterError):
         lf2_merge(a, z, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 300), st.data(), st.integers(0, 2**32 - 1))
+def test_streamed_merge_scores_match_materialized_pairs(k, n_samples, data, seed):
+    # lf2_merge materializes the pairs and stays the reference; the rows are
+    # taken in a drawn order, as lf2_attack does once key bits are stripped
+    b = data.draw(st.integers(1, k - 1))
+    perm = np.array(data.draw(st.permutations(range(k))))
+    rng = RandomSource(seed)
+    x = rng.uniform_matrix(k, n_samples)
+    y = rng.uniform_bits(n_samples)
+    merged, merged_y, log = lf2_merge(x[perm], y, b)
+    scores, total, nonempty = _merge_scores(x, y, perm[:b], perm[b:])
+    assert np.array_equal(scores, _score_block(merged[:b], merged_y))
+    assert total == len(log)
+    assert nonempty == max(1, len({col.tobytes() for col in x[perm[b:]].T}))
+
+
+def test_lf2_merge_round_memory_is_bounded():
+    # the merge round of the k=16 lf2 benchmark job: materializing its pairs
+    # as bytes and then as uint64 codes peaked at 109 MB
+    hb = hb_params(16, 256, Fraction(1, 8), Fraction(1, 4))
+    key = generate_key(hb, RandomSource(11))
+    x, y = _pool_samples(transcript_sampler(hb, key, RandomSource(12), 96))
+    tracemalloc.start()
+    try:
+        _, total, _ = _merge_scores(x, y, np.arange(8), np.arange(8, 16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total > 10**6
+    assert peak < 8 * 2**20
 
 
 def test_lf2_merge_apparent_noise_rate():

@@ -30,12 +30,21 @@ def _blinded_params():
 
 
 @pytest.fixture()
-def service():
+def service(tmp_path):
     params = _params()
     key = generate_key(params, RandomSource(1))
     entry = svc.KeystoreEntry("tag-01", params, key)
-    with svc.AuthService(("127.0.0.1", 0), {"tag-01": entry}, seed=42) as running:
+    with svc.AuthService(
+        ("127.0.0.1", 0), {"tag-01": entry}, seed=42, log_path=tmp_path / "sessions.log"
+    ) as running:
         yield running, entry
+
+
+def _logged(running):
+    """The transcripts the service has appended to its log."""
+    if not running.log_path.exists():
+        return []
+    return read_transcripts(str(running.log_path))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +175,7 @@ def test_transcript_byte_identical_to_in_process_session(service):
     a = RandomSource(42).derive("session-0").uniform_matrix(params.k, params.n)
     z = expected_response(params, entry.key, a) ^ client.bernoulli_bits(params.d, params.eps)
     local = SessionTranscript(params, None, a, z, accepted, distance)
-    assert format_transcript(local) == format_transcript(running.transcripts[0])
+    assert running.log_path.read_text(encoding="utf-8") == format_transcript(local)
 
 
 def test_blinded_handshake_and_transcript(tmp_path):
@@ -186,7 +195,7 @@ def test_blinded_handshake_and_transcript(tmp_path):
         a = RandomSource(5).derive("session-0").uniform_matrix(params.k, params.n)
         z = expected_response(params, key, a, b=b) ^ client.bernoulli_bits(params.d, params.eps)
         local = SessionTranscript(params, b, a, z, accepted, distance)
-        assert format_transcript(local) == format_transcript(running.transcripts[0])
+        assert log_path.read_text(encoding="utf-8") == format_transcript(local)
     with open(log_path, "r", encoding="utf-8") as fp:
         logged = read_transcripts(fp)
     assert len(logged) == 1 and logged[0].accepted
@@ -201,7 +210,7 @@ def test_muted_service_returns_no_decision(service_factory=None):
     ) as running:
         out = svc.authenticate(running.address, "tag-01", key, params, rng=RandomSource(18))
         assert out == (None, None)
-        assert len(running.transcripts) == 1  # still verified and logged
+        assert running.logged == 1  # still verified and logged
 
 
 def test_truncated_frame_gets_error_and_no_log(service):
@@ -215,7 +224,7 @@ def test_truncated_frame_gets_error_and_no_log(service):
         tag, payload = svc.read_frame(sock)
         assert tag == svc.ERROR
         assert b"mid-frame" in payload
-    assert running.transcripts == []
+    assert running.logged == 0 and _logged(running) == []
 
 
 def test_oversize_declaration_drops_connection_silently(service):
@@ -225,7 +234,7 @@ def test_oversize_declaration_drops_connection_silently(service):
         sock.shutdown(socket.SHUT_WR)
         with pytest.raises(svc.FramingError, match="closed"):
             svc.read_frame(sock)
-    assert running.transcripts == []
+    assert running.logged == 0 and _logged(running) == []
 
 
 def test_unknown_leading_frame_rejected(service):
@@ -248,7 +257,7 @@ def test_wrong_response_length_rejected(service):
         sock.sendall(svc.encode_frame(svc.RESPONSE, bad.encode()))
         tag, payload = svc.read_frame(sock)
         assert tag == svc.ERROR and b"length" in payload
-    assert running.transcripts == []
+    assert running.logged == 0 and _logged(running) == []
 
 
 def test_concurrent_sessions(service):
@@ -265,4 +274,8 @@ def test_concurrent_sessions(service):
     for t in threads:
         t.join()
     assert all(acc is True for acc, _ in results)
-    assert len(running.transcripts) == 8
+    assert running.logged == 8
+    # one blank line between records, none before the first or after the last
+    logged = _logged(running)
+    assert len(logged) == 8
+    assert running.log_path.read_text(encoding="utf-8") == "\n".join(map(format_transcript, logged))

@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+from support import layouts_st, operand
 
 from nlhb import gf2core
 from nlhb.gf2core import (
@@ -77,16 +78,6 @@ def test_mat_vec_parity_safe_for_large_k():
     assert np.array_equal(mat_vec_mul(s, a), naive_mat_vec(s, a))
 
 
-def _operand(rng, rows, cols, layout):
-    """A (rows, cols) bit matrix in the requested memory layout."""
-    if layout == "transposed":
-        return rng.uniform_matrix(cols, rows).T
-    if layout == "strided":
-        return rng.uniform_matrix(rows, 2 * cols)[:, ::2]
-    return rng.uniform_matrix(rows, cols)
-
-
-layouts_st = st.sampled_from(["contiguous", "transposed", "strided"])
 fill_st = st.sampled_from(["random", "zeros", "ones"])
 
 
@@ -94,7 +85,7 @@ fill_st = st.sampled_from(["random", "zeros", "ones"])
 @given(st.integers(0, 12), st.integers(1, 20), layouts_st, fill_st, st.integers(0, 2**32 - 1))
 def test_mat_vec_matches_naive_oracle(k, n, layout, fill, seed):
     rng = RandomSource(seed)
-    a = _operand(rng, k, n, layout)
+    a = operand(rng, k, n, layout)
     s = {"random": rng.uniform_bits(k), "zeros": np.zeros(k, dtype=np.uint8),
          "ones": np.ones(k, dtype=np.uint8)}[fill]
     before = a.copy()
@@ -109,8 +100,8 @@ def test_mat_vec_matches_naive_oracle(k, n, layout, fill, seed):
        st.integers(0, 2**32 - 1))
 def test_gf2_matmul_property(m, k, n, layout_a, layout_b, seed):
     rng = RandomSource(seed)
-    a = _operand(rng, m, k, layout_a)
-    b = _operand(rng, k, n, layout_b)
+    a = operand(rng, m, k, layout_a)
+    b = operand(rng, k, n, layout_b)
     got = gf2_matmul(a, b)
     assert got.dtype == np.uint8 and got.shape == (m, n)
     assert np.array_equal(got, naive_matmul(a, b))
@@ -127,7 +118,7 @@ def test_gf2_matmul_checks_operands():
 @given(st.integers(0, 7), st.integers(1, 12), layouts_st, st.integers(0, 2**32 - 1))
 def test_key_table_matches_naive_products(k, n, layout, seed):
     rng = RandomSource(seed)
-    a = _operand(rng, k, n, layout)
+    a = operand(rng, k, n, layout)
     keys = all_bit_vectors(k)
     table = key_table(a)
     assert table.dtype == np.uint8 and table.shape == (1 << k, n)

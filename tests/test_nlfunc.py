@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from support import layouts_st, operand
 
-from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource
+from nlhb._kernels import hamming_rows
+from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource, key_table
 from nlhb.nlfunc import (
     DEFAULT_SPEC,
     IDENTITY_SPEC,
@@ -14,6 +17,7 @@ from nlhb.nlfunc import (
     balance_check,
     enumerate_functions,
     format_spec,
+    key_distances,
     max_entropy_functions,
     merge_error_distribution,
     parse_spec,
@@ -147,6 +151,55 @@ def test_apply_f_batch_matches_slow_oracle(seed, n):
     got = apply_f_batch(DEFAULT_SPEC, x)
     for row_in, row_out in zip(x, got):
         assert list(row_out) == slow_f(DEFAULT_SPEC, row_in)
+
+
+# --- exhaustive key distances ------------------------------------------------
+
+# k from 0 to 15 lands below, at and above the 12 key bits of one chunk
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 15),
+    st.sampled_from([DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec(4, ((1, 4), (2, 3, 4)))]),
+    st.integers(1, 6),
+    layouts_st,
+    st.integers(0, 2**32 - 1),
+)
+@example(12, DEFAULT_SPEC, 1, "transposed", 0)
+@example(13, IDENTITY_SPEC, 3, "strided", 1)
+def test_key_distances_match_full_table(k, spec, d, layout, seed):
+    rng = RandomSource(seed)
+    a = operand(rng, k, spec.p + d, layout)
+    target = rng.uniform_bits(d)
+    got = key_distances(spec, a, target)
+    assert got.dtype == np.int64 and got.shape == (1 << k,)
+    assert np.array_equal(got, hamming_rows(apply_f_batch(spec, key_table(a)), target))
+
+
+def test_key_distances_typed_errors():
+    with pytest.raises(ParameterError, match="0..26"):
+        key_distances(DEFAULT_SPEC, np.zeros((27, 8), dtype=np.uint8), np.zeros(5, dtype=np.uint8))
+    for length in (4, 6):
+        with pytest.raises(DimensionError, match="target length"):
+            key_distances(DEFAULT_SPEC, np.zeros((3, 8), dtype=np.uint8), np.zeros(length, dtype=np.uint8))
+    with pytest.raises(DimensionError):
+        key_distances(DEFAULT_SPEC, np.zeros((3, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
+    with pytest.raises(ParameterError):
+        key_distances(DEFAULT_SPEC, np.zeros((3, 8), dtype=np.uint8), np.full(5, 2, dtype=np.uint8))
+
+
+def test_key_distances_memory_is_bounded():
+    # the full k=18 table and its window-map temporaries peaked at 256.8 MB;
+    # streamed, the 2 MB distance vector and one 4096-row chunk remain
+    rng = RandomSource(3)
+    a = rng.uniform_matrix(18, 259)
+    target = rng.uniform_bits(256)
+    tracemalloc.start()
+    try:
+        key_distances(DEFAULT_SPEC, a, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # --- balance -----------------------------------------------------------------

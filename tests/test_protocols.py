@@ -288,6 +288,18 @@ def test_transcript_text_round_trip():
         assert parsed.params == p
 
 
+def test_transcript_mixed_params_round_trip():
+    # hb and hb+ records share one params line and differ only in proto
+    hb, plus = hb_params(6, 15, EPS, EPSP), hb_params(6, 15, EPS, EPSP, blinded=True)
+    ts = []
+    for i, p in enumerate((hb, plus, hb, small_nlhb(), plus)):
+        ts += transcript_sampler(p, generate_key(p, RandomSource(70 + i)), RandomSource(80 + i), 1)
+    text = transcripts_to_text(ts)
+    back = transcripts_from_text(text)
+    assert [t.params for t in back] == [t.params for t in ts]
+    assert transcripts_to_text(back) == text
+
+
 def test_transcript_blinded_round_trip():
     plus = nlhb_params(6, 15, EPS, EPSP, DEFAULT_SPEC, blinded=True)
     key = generate_key(plus, RandomSource(62))
@@ -339,6 +351,12 @@ def test_transcript_parse_errors_carry_line_numbers():
 
     with pytest.raises(FormatError):
         transcripts_from_text("proto=nlhb\n")  # truncated record
+
+    # after a good record, a different params line is still checked
+    second = "\n".join([lines[0], lines[1].replace("u=5", "u=6")] + lines[2:])
+    with pytest.raises(FormatError) as err:
+        transcripts_from_text(good + "\n" + second)
+    assert err.value.line == len(lines) + 3
 
 
 def test_transcript_writer_accepts_path(tmp_path):
