@@ -18,6 +18,7 @@ correlations instead of a key.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,13 @@ from .gf2core import (
     gaussian_solve,
     gf2_matmul,
     gf2_rank,
-    hamming,
     mat_vec_mul,
     row_codes,
+    _packed_rows,
+    _xor_basis,
 )
 from .nlfunc import apply_f_batch, key_distances
-from .protocols import ProtocolParams, SecretKey, expected_response, respond
+from .protocols import ProtocolParams, SecretKey, respond, verify
 
 DESK_SCALE_K = 24
 
@@ -118,9 +120,7 @@ def _verify_against_oracle(params, candidate, prover_oracle, rng, count):
     accepts = 0
     for _ in range(count):
         a = rng.uniform_matrix(params.k, params.n)
-        z = prover_oracle(a)
-        if hamming(z, expected_response(params, key, a)) <= params.u:
-            accepts += 1
+        accepts += verify(params, key, a, prover_oracle(a))[0]
     return accepts
 
 
@@ -290,33 +290,18 @@ def _independent_columns(x, k, scan_limit=None):
     """Indices of the first k columns of x, in scan order, that are linearly
     independent of the columns picked before them; None if fewer exist.
 
-    One incremental elimination: each column, packed into an int, is reduced
-    against the basis by leading bit and joins it if anything is left.
+    The columns go through :func:`~nlhb.gf2core._xor_basis` one at a time,
+    and the scan stops at the k-th pick.
     """
     limit = x.shape[1] if scan_limit is None else min(scan_limit, x.shape[1])
-    basis: dict[int, int] = {}
-    picked = []
-    for j, row in enumerate(np.packbits(x[:, :limit].T, axis=1)):
-        v = int.from_bytes(row.tobytes(), "big")
-        while v:
-            lead = v.bit_length()
-            if lead not in basis:
-                basis[lead] = v
-                picked.append(j)
-                if len(picked) == k:
-                    return np.array(picked)
-                break
-            v ^= basis[lead]
-    return None
+    joined = (j for j, v in _xor_basis(_packed_rows(x[:, :limit].T)) if v)
+    picked = list(itertools.islice(joined, k))
+    return np.array(picked) if len(picked) == k else None
 
 
 def _verify_against_transcripts(params, candidate, transcripts):
     key = SecretKey(s1=candidate)
-    accepts = 0
-    for t in transcripts:
-        if hamming(t.z, expected_response(params, key, t.a)) <= params.u:
-            accepts += 1
-    return accepts
+    return sum(verify(params, key, t.a, t.z)[0] for t in transcripts)
 
 
 def lf2_attack(

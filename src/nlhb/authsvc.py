@@ -17,8 +17,7 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .gf2core import (
     DimensionError,
@@ -30,6 +29,8 @@ from .gf2core import (
     dump_matrix,
     load_bits,
     load_matrix,
+    _pack_hex,
+    _unpack_hex,
 )
 from .nlfunc import format_spec, parse_spec
 from .protocols import (
@@ -98,6 +99,14 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
     return tag, _recv_exact(sock, length)
 
 
+def _text(payload: bytes) -> str:
+    """The UTF-8 text of a frame payload; other bytes are malformed input."""
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("payload is not UTF-8 text: %s" % exc) from None
+
+
 def _send(sock: socket.socket, tag: int, payload: bytes, log=None) -> None:
     sock.sendall(encode_frame(tag, payload))
     if log is not None:
@@ -128,23 +137,6 @@ class KeystoreEntry:
     key: SecretKey
 
 
-def _key_to_hex(bits) -> str:
-    return np.packbits(as_bits(bits)).tobytes().hex()
-
-
-def _key_from_hex(text: str, k: int) -> np.ndarray:
-    try:
-        raw = bytes.fromhex(text.strip())
-    except ValueError:
-        raise FormatError("invalid hex key %r" % text)
-    if len(raw) != (k + 7) // 8:
-        raise FormatError("hex key holds %d bytes, expected %d for k=%d" % (len(raw), (k + 7) // 8, k))
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if bits[k:].any():
-        raise FormatError("hex key has nonzero padding past k=%d bits" % k)
-    return bits[:k].copy()
-
-
 def format_keystore_entry(entry: KeystoreEntry) -> str:
     p = entry.params
     lines = [
@@ -155,10 +147,10 @@ def format_keystore_entry(entry: KeystoreEntry) -> str:
         "eps=%s" % p.eps,
         "epsp=%s" % p.eps_prime,
         "spec=%s" % format_spec(p.spec),
-        "s1=%s" % _key_to_hex(entry.key.s1),
+        "s1=%s" % _pack_hex(as_bits(entry.key.s1)),
     ]
     if p.blinded:
-        lines.append("s2=%s" % _key_to_hex(entry.key.s2))
+        lines.append("s2=%s" % _pack_hex(as_bits(entry.key.s2)))
     return "\n".join(lines) + "\n"
 
 
@@ -184,20 +176,23 @@ def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
         missing = {"identity", "proto", "k", "n", "eps", "epsp", "spec", "s1"} - fields.keys()
         if missing:
             raise FormatError("keystore entry missing %s" % ", ".join(sorted(missing)))
-        params = ProtocolParams(
-            proto=fields["proto"],
-            k=int(fields["k"]),
-            n=int(fields["n"]),
-            eps=fields["eps"],
-            eps_prime=fields["epsp"],
-            spec=parse_spec(fields["spec"]),
-        )
-        s1 = _key_from_hex(fields["s1"], params.k)
+        try:
+            params = ProtocolParams(
+                proto=fields["proto"],
+                k=int(fields["k"]),
+                n=int(fields["n"]),
+                eps=Fraction(fields["eps"]),
+                eps_prime=Fraction(fields["epsp"]),
+                spec=parse_spec(fields["spec"]),
+            )
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError("keystore entry %r: %s" % (fields["identity"], exc)) from None
+        s1 = _unpack_hex(fields["s1"], params.k)
         s2 = None
         if params.blinded:
             if "s2" not in fields:
                 raise FormatError("blinded entry %r lacks s2" % fields["identity"])
-            s2 = _key_from_hex(fields["s2"], params.k)
+            s2 = _unpack_hex(fields["s2"], params.k)
         identity = fields["identity"]
         if identity in entries:
             raise FormatError("duplicate identity %r" % identity)
@@ -206,8 +201,12 @@ def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
 
 
 def read_keystore(path) -> dict[str, KeystoreEntry]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return parse_keystore(fp.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            text = fp.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("keystore is not UTF-8 text: %s" % exc) from None
+    return parse_keystore(text)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,7 @@ class AuthService:
                 if tag != BLIND:
                     _send(sock, ERROR, b"blinded protocol requires a BLIND frame")
                     return
-                b = load_matrix(payload.decode("utf-8"))
+                b = load_matrix(_text(payload))
                 if b.shape != (params.k, params.n):
                     _send(sock, ERROR, b"blinding matrix has the wrong shape")
                     return
@@ -319,7 +318,7 @@ class AuthService:
             if tag != RESPONSE:
                 _send(sock, ERROR, b"expected RESPONSE frame")
                 return
-            z = load_bits(payload.decode("utf-8"))
+            z = load_bits(_text(payload))
             if z.shape[0] != params.d:
                 _send(sock, ERROR, b"response has the wrong length")
                 return
@@ -383,7 +382,7 @@ def authenticate(
                 b = rng.uniform_matrix(params.k, params.n)
                 _send(sock, BLIND, dump_matrix(b).encode("utf-8"), frame_log)
             payload = _expect(sock, CHALLENGE, frame_log)
-            a = load_matrix(payload.decode("utf-8"))
+            a = load_matrix(_text(payload))
             if a.shape != (params.k, params.n):
                 raise ServiceError("challenge matrix has the wrong shape")
             noise = rng.bernoulli_bits(params.d, params.eps)

@@ -22,8 +22,12 @@ from .gf2core import (
     FormatError,
     ParameterError,
     RandomSource,
+    mat_vec_mul,
+    _pack_hex,
 )
 from .nlfunc import (
+    DEFAULT_SPEC,
+    IDENTITY_SPEC,
     balance_check,
     format_spec,
     max_entropy_functions,
@@ -155,19 +159,13 @@ def _address(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _hex(bits) -> str:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes().hex()
-
-
 def _build_params(args) -> ProtocolParams:
     proto = args.proto
     spec_text = getattr(args, "spec", None)
-    if proto in ("hb", "hb+"):
-        spec = parse_spec(spec_text) if spec_text else parse_spec("p=0; g=0")
+    if spec_text:
+        spec = parse_spec(spec_text)
     else:
-        spec = parse_spec(spec_text) if spec_text else parse_spec(
-            "p=3; g=x1x2+x1x3+x2x3"
-        )
+        spec = IDENTITY_SPEC if proto in ("hb", "hb+") else DEFAULT_SPEC
     eps = args.eps if args.eps is not None else Fraction(1, 4)
     epsp = args.epsp if getattr(args, "epsp", None) is not None else (eps + Fraction(1, 2)) / 2
     n = args.n if getattr(args, "n", None) is not None else 256 + spec.p
@@ -217,7 +215,7 @@ def _cmd_cost(args) -> int:
     if args.spec:
         spec = parse_spec(args.spec)
     elif args.proto in ("nlhb", "nlhb+"):
-        spec = parse_spec("p=3; g=x1x2+x1x3+x2x3")
+        spec = DEFAULT_SPEC
     else:
         spec = None
     ops = count_ops(args.proto, args.k, args.dd, spec=spec)
@@ -294,11 +292,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    if args.proto == "hb":
-        proto = "hb"
-    else:
-        proto = "nlhb"
-    args.proto = proto
     params = _build_params(args)
     seed = _resolve_seed(args)
     root = RandomSource(seed)
@@ -329,8 +322,8 @@ def _cmd_attack(args) -> int:
     report.row("queries", result.queries)
     report.row("success", result.success)
     if result.recovered_key is not None:
-        report.row("recovered_key", _hex(result.recovered_key))
-        report.row("planted_key", _hex(key.s1))
+        report.row("recovered_key", _pack_hex(result.recovered_key))
+        report.row("planted_key", _pack_hex(key.s1))
         report.row("key_match", bool(np.array_equal(result.recovered_key, key.s1)))
     for name, value in sorted(result.stats.items()):
         if isinstance(value, float):
@@ -351,14 +344,12 @@ def _cmd_reduce(args) -> int:
     mode = args.mode
 
     if mode == "embed":
-        spec = parse_spec(args.spec) if args.spec else parse_spec("p=3; g=x1x2+x1x3+x2x3")
+        spec = parse_spec(args.spec) if args.spec else DEFAULT_SPEC
         eps = args.eps if args.eps is not None else Fraction(1, 8)
         secret = root.derive("secret").uniform_bits(args.k)
         rng = root.derive("embed")
         instances = []
         layout = None
-        from .gf2core import mat_vec_mul
-
         for _ in range(args.instances):
             g = rng.uniform_matrix(args.k, args.nprime)
             z = mat_vec_mul(secret, g) ^ rng.bernoulli_bits(args.nprime, eps)
@@ -368,8 +359,8 @@ def _cmd_reduce(args) -> int:
         report.row("positions", " ".join(map(str, layout.positions)))
         report.row("gaps", " ".join(map(str, layout.gaps)))
         report.row("instances", args.instances)
-        report.row("recovered", _hex(recovered))
-        report.row("planted", _hex(secret))
+        report.row("recovered", _pack_hex(recovered))
+        report.row("planted", _pack_hex(secret))
         report.row("match", bool(np.array_equal(recovered, secret)))
         report.row("total_distance", distance)
         report.comment("LPN secret %s through the widened instance"
@@ -383,9 +374,9 @@ def _cmd_reduce(args) -> int:
         t = run_session(params, key, root.derive("prover"), root.derive("verifier"))
         a2, z2 = reductions.hybrid_sample((t.a, t.z), args.row, root.derive("hybrid"))
         report.row("row", args.row)
-        report.row("original_row", _hex(t.a[args.row - 1]))
-        report.row("perturbed_row", _hex(a2[args.row - 1]))
-        report.row("z", _hex(z2))
+        report.row("original_row", _pack_hex(t.a[args.row - 1]))
+        report.row("perturbed_row", _pack_hex(a2[args.row - 1]))
+        report.row("z", _pack_hex(z2))
         report.comment("row %d re-randomized; response left untouched" % args.row)
         report.emit()
         return 0
@@ -399,8 +390,8 @@ def _cmd_reduce(args) -> int:
         recovered = reductions.algorithm_x(
             oracle, source, params.k, n_batches=args.batches
         )
-        report.row("recovered", _hex(recovered))
-        report.row("planted", _hex(key.s1))
+        report.row("recovered", _pack_hex(recovered))
+        report.row("planted", _pack_hex(key.s1))
         report.row("match", bool(np.array_equal(recovered, key.s1)))
         report.comment("algorithm X against the ideal distinguisher")
         report.emit()

@@ -142,28 +142,36 @@ def weight(a) -> int:
     return int(np.count_nonzero(as_bits(a)))
 
 
+def _packed_rows(m: np.ndarray):
+    """Each row of a bit matrix as a Python int, index 1 most significant,
+    zero-padded at the low end to a whole byte.  Rows convert as they are
+    consumed, so a scan that stops early converts no more."""
+    return (int.from_bytes(row.tobytes(), "big") for row in np.packbits(m, axis=1))
+
+
+def _xor_basis(vectors, floor: int = 0):
+    """One incremental GF(2) elimination over packed rows.
+
+    Reduces each int in turn against the basis built so far, one vector per
+    leading bit, and yields (index, remainder).  A remainder with a bit at
+    position ``floor`` or above joins the basis; the bits below ``floor`` are
+    carried along but never pivoted on, so callers can tag rows with them.
+    """
+    basis: dict[int, int] = {}
+    for j, v in enumerate(vectors):
+        while v >> floor:
+            lead = v.bit_length()
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = v
+                break
+            v ^= pivot
+        yield j, v
+
+
 def gf2_rank(a) -> int:
     """Rank of a bit matrix over GF(2)."""
-    m = as_bit_matrix(a).copy()
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = -1
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        hits = np.nonzero(m[:, col])[0]
-        for r in hits:
-            if r != rank:
-                m[r, :] ^= m[rank, :]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return sum(1 for _, v in _xor_basis(_packed_rows(as_bit_matrix(a))) if v)
 
 
 def gaussian_solve(a, z) -> np.ndarray:
@@ -179,8 +187,8 @@ def gaussian_solve(a, z) -> np.ndarray:
     Raises:
         SingularSystemError: with reason ``inconsistent`` when no s satisfies
             the system, or ``rank_deficient`` when solutions exist but are
-            not unique (rank(A) < k).  Pivoting is deterministic
-            (first nonzero).
+            not unique (rank(A) < k).  The reason, like the solution, does
+            not depend on the pivot order.
     """
     a = as_bit_matrix(a)
     z = as_bits(z)
@@ -190,35 +198,16 @@ def gaussian_solve(a, z) -> np.ndarray:
     if m < k:
         raise DimensionError("need at least k=%d equations, got %d" % (k, m))
 
-    # s.A = z  <=>  A^T s^T = z^T: eliminate on the m-by-(k+1) augmented system.
-    aug = np.concatenate([a.T.copy(), z[:, None].copy()], axis=1)
-    rank = 0
-    pivot_cols = []
-    for col in range(k):
-        pivot = -1
-        for r in range(rank, m):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot < 0:
-            continue
-        aug[[rank, pivot]] = aug[[pivot, rank]]
-        hits = np.nonzero(aug[:, col])[0]
-        for r in hits:
-            if r != rank:
-                aug[r, :] ^= aug[rank, :]
-        pivot_cols.append(col)
-        rank += 1
-    # Rows past the rank are all-zero on the coefficient side; a set rhs bit
-    # there means z is outside the row space.
-    if np.any(aug[rank:, k]):
+    # Row i of A carries the tag bit 1 << (k-1-i) below its coefficients, so
+    # what is left of z after the elimination tags the rows that sum to it.
+    rows = [v << k | 1 << (k - 1 - i) for i, v in enumerate(_packed_rows(a))]
+    rows += [v << k for v in _packed_rows(z[None, :])]
+    *reduced, (_, rest) = _xor_basis(rows, floor=k)
+    if rest >> k:
         raise SingularSystemError("inconsistent")
-    if rank < k:
+    if sum(1 for _, v in reduced if v >> k) < k:
         raise SingularSystemError("rank_deficient")
-    s = np.zeros(k, dtype=np.uint8)
-    for r, col in enumerate(pivot_cols):
-        s[col] = aug[r, k]
-    return s
+    return np.array([rest >> (k - 1 - i) & 1 for i in range(k)], dtype=np.uint8)
 
 
 def check_enumerable(k: int) -> None:

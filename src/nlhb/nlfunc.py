@@ -32,7 +32,9 @@ from .gf2core import (
     as_bit_matrix,
     as_bits,
     check_enumerable,
+    code_rows,
     key_table,
+    row_codes,
 )
 
 
@@ -214,9 +216,7 @@ def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
         )
     d = spec.output_length(n)
     inputs = all_bit_vectors(n)
-    outputs = apply_f_batch(spec, inputs)
-    pows = (np.uint64(1) << np.arange(d - 1, -1, -1, dtype=np.uint64))
-    codes = (outputs.astype(np.uint64) @ pows).astype(np.int64)
+    codes = row_codes(apply_f_batch(spec, inputs)).astype(np.int64)
     counts = np.bincount(codes, minlength=1 << d)
     expected = 1 << spec.p
     return UniformityReport(
@@ -307,14 +307,12 @@ def merge_error_distribution(
     err = (y ^ ybar)[:, j - p - 1 : j]
 
     total = assign.shape[0]
-    pows = (np.uint64(1) << np.arange(p, -1, -1, dtype=np.uint64))
-    codes = (err.astype(np.uint64) @ pows).astype(np.int64)
-    counts = np.bincount(codes, minlength=1 << (p + 1))
-    probabilities = {}
-    for code, count in enumerate(counts):
-        if count:
-            outcome = tuple((code >> shift) & 1 for shift in range(p, -1, -1))
-            probabilities[outcome] = Fraction(int(count), total)
+    counts = np.bincount(row_codes(err).astype(np.int64), minlength=1 << (p + 1))
+    seen = np.flatnonzero(counts)
+    probabilities = {
+        tuple(outcome.tolist()): Fraction(int(counts[code]), total)
+        for code, outcome in zip(seen, code_rows(seen, p + 1))
+    }
     return MergeErrorDistribution(p=p, probabilities=probabilities)
 
 

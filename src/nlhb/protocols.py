@@ -236,32 +236,6 @@ def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, 
     return _decide(params, key, a, z, b)
 
 
-def hb_respond(params, key, a, rng=None, noise=None):
-    """z = s.A + v (requires hb params)."""
-    if params.proto != "hb":
-        raise ParameterError("hb_respond requires hb params")
-    return respond(params, key, a, rng=rng, noise=noise)
-
-
-def hb_verify(params, key, a, z):
-    if params.proto != "hb":
-        raise ParameterError("hb_verify requires hb params")
-    return verify(params, key, a, z)
-
-
-def nlhb_respond(params, key, a, rng=None, noise=None):
-    """z = f(s.A) + v (requires nlhb params)."""
-    if params.proto != "nlhb":
-        raise ParameterError("nlhb_respond requires nlhb params")
-    return respond(params, key, a, rng=rng, noise=noise)
-
-
-def nlhb_verify(params, key, a, z):
-    if params.proto != "nlhb":
-        raise ParameterError("nlhb_verify requires nlhb params")
-    return verify(params, key, a, z)
-
-
 # ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
@@ -285,18 +259,6 @@ def run_session(
     z = _image(params, key, a, b) ^ noise
     accepted, dist = _decide(params, key, a, z, b)
     return SessionTranscript(params=params, b=b, a=a, z=z, accepted=accepted, distance=dist)
-
-
-def hbplus_session(params, key, rng_prover, rng_verifier, noise=None):
-    if params.proto != "hb+":
-        raise ParameterError("hbplus_session requires hb+ params")
-    return run_session(params, key, rng_prover, rng_verifier, noise=noise)
-
-
-def nlhbplus_session(params, key, rng_prover, rng_verifier, noise=None):
-    if params.proto != "nlhb+":
-        raise ParameterError("nlhbplus_session requires nlhb+ params")
-    return run_session(params, key, rng_prover, rng_verifier, noise=noise)
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):
@@ -343,7 +305,10 @@ def write_transcripts(fp, transcripts) -> None:
 
 class _LineReader:
     def __init__(self, fp):
-        self.lines = fp.read().splitlines()
+        try:
+            self.lines = fp.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError("undecodable transcript text: %s" % exc) from None
         self.pos = 0
 
     def next_content(self):
@@ -382,12 +347,11 @@ def _parse_params(proto: str, line_text: str, line: int) -> ProtocolParams:
         g = fields["g"]
     except KeyError as exc:
         raise FormatError("params line missing %s" % exc, line) from None
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise FormatError("bad params value: %s" % exc, line) from None
-    spec = parse_spec("p=%d; g=%s" % (p, g))
     try:
-        params = ProtocolParams(proto, k, n, eps, epsp, spec)
-    except ParameterError as exc:
+        params = ProtocolParams(proto, k, n, eps, epsp, parse_spec("p=%d; g=%s" % (p, g)))
+    except ValueError as exc:  # a bad spec, or params outside their domain
         raise FormatError(str(exc), line) from None
     if params.d != d or params.u != u:
         raise FormatError(
@@ -449,7 +413,11 @@ def read_transcripts(fp) -> list[SessionTranscript]:
         decision = _expect_kv(tokens[0], "decision", dline)
         if decision not in ("accept", "reject"):
             raise FormatError("decision must be accept or reject", dline)
-        distance = int(_expect_kv(tokens[1], "distance", dline))
+        distance_text = _expect_kv(tokens[1], "distance", dline)
+        try:
+            distance = int(distance_text)
+        except ValueError:
+            raise FormatError("bad distance %r" % distance_text, dline) from None
         if not 0 <= distance <= params.d:
             raise FormatError("distance %d outside 0..D" % distance, dline)
         if (distance <= params.u) != (decision == "accept"):

@@ -41,7 +41,7 @@ from .gf2core import (
     mat_vec_mul,
 )
 from .nlfunc import NonlinearFunctionSpec, apply_f, key_distances
-from .protocols import ProtocolParams, SecretKey, expected_response
+from .protocols import ProtocolParams, SecretKey, expected_response, verify
 
 # ---------------------------------------------------------------------------
 # transcript <-> flat bitstring packing
@@ -282,11 +282,8 @@ def ideal_distinguisher(
     string verifies within the protocol threshold."""
 
     def func(strings):
-        for row in strings:
-            a, z = unpack_transcript(row, params)
-            if hamming(z, expected_response(params, key, a)) > params.u:
-                return 0
-        return 1
+        rows = (unpack_transcript(row, params) for row in strings)
+        return all(verify(params, key, a, z)[0] for a, z in rows)
 
     return DistinguisherOracle(func=func, q=q, advantage=1.0, seed=seed, params=params)
 

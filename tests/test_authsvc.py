@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nlhb.gf2core import FormatError, ParameterError, RandomSource
+from nlhb.gf2core import FormatError, ParameterError, RandomSource, _pack_hex, _unpack_hex
 from nlhb.nlfunc import DEFAULT_SPEC
 from nlhb.protocols import (
     SecretKey,
@@ -103,10 +103,39 @@ def test_keystore_parse_errors():
         svc.parse_keystore(btext)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [("k=16", "k=x"), ("eps=1/4", "eps=1/x"), ("eps=1/4", "eps=1/0"), ("proto=nlhb", "proto=hbx")],
+)
+def test_keystore_bad_values_are_format_errors(old, new):
+    params = _params()
+    good = svc.format_keystore_entry(
+        svc.KeystoreEntry("a", params, generate_key(params, RandomSource(4)))
+    )
+    assert old + "\n" in good
+    with pytest.raises(FormatError, match="keystore entry 'a'"):
+        svc.parse_keystore(good.replace(old + "\n", new + "\n"))
+
+
+def test_keystore_file_must_be_utf8(tmp_path):
+    path = tmp_path / "keys.txt"
+    path.write_bytes(b"identity=\xff\n")
+    with pytest.raises(FormatError, match="UTF-8"):
+        svc.read_keystore(path)
+
+
+def test_keystore_bytes_unchanged():
+    # the s1/s2 hex encoding of a fixed key, as written before the shared codec
+    params = _blinded_params()
+    key = SecretKey(s1=np.array([1, 0, 1, 1, 0, 0, 0, 1], dtype=np.uint8), s2=np.ones(8, dtype=np.uint8))
+    text = svc.format_keystore_entry(svc.KeystoreEntry("b", params, key))
+    assert text.endswith("s1=b1\ns2=ff\n")
+
+
 def test_key_hex_padding_must_be_zero():
     with pytest.raises(FormatError, match="padding"):
-        svc._key_from_hex("ff", 4)
-    assert svc._key_from_hex("f0", 4).tolist() == [1, 1, 1, 1]
+        _unpack_hex("ff", 4)
+    assert _unpack_hex("f0", 4).tolist() == [1, 1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +185,8 @@ def test_secrets_and_noise_never_on_the_wire(service):
     tags = [tag for tag, _ in frames]
     assert tags == [svc.HELLO, svc.CHALLENGE, svc.RESPONSE, svc.DECISION]
     replay = RandomSource(13)
-    noise_hex = svc._key_to_hex(replay.bernoulli_bits(params.d, params.eps))
-    secret_hex = svc._key_to_hex(entry.key.s1)
+    noise_hex = _pack_hex(replay.bernoulli_bits(params.d, params.eps))
+    secret_hex = _pack_hex(entry.key.s1)
     blob = b"".join(payload for _, payload in frames)
     assert secret_hex.encode() not in blob
     assert noise_hex.encode() not in blob
@@ -258,6 +287,30 @@ def test_wrong_response_length_rejected(service):
         tag, payload = svc.read_frame(sock)
         assert tag == svc.ERROR and b"length" in payload
     assert running.logged == 0 and _logged(running) == []
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe", b"bits 243\n\xc3("])
+def test_non_utf8_response_gets_error_frame(service, payload):
+    running, entry = service
+    with socket.create_connection(running.address, timeout=5) as sock:
+        sock.sendall(svc.encode_frame(svc.HELLO, b"tag-01"))
+        svc.read_frame(sock)  # challenge
+        sock.sendall(svc.encode_frame(svc.RESPONSE, payload))
+        tag, message = svc.read_frame(sock)
+        assert tag == svc.ERROR and b"UTF-8" in message
+    assert running.logged == 0 and _logged(running) == []
+
+
+def test_non_utf8_blind_gets_error_frame(tmp_path):
+    params = _blinded_params()
+    entry = svc.KeystoreEntry("plus-07", params, generate_key(params, RandomSource(15)))
+    with svc.AuthService(("127.0.0.1", 0), {"plus-07": entry}, seed=5) as running:
+        with socket.create_connection(running.address, timeout=5) as sock:
+            sock.sendall(svc.encode_frame(svc.HELLO, b"plus-07"))
+            sock.sendall(svc.encode_frame(svc.BLIND, b"mat 8 131\n\x80"))
+            tag, message = svc.read_frame(sock)
+            assert tag == svc.ERROR and b"UTF-8" in message
+        assert running.logged == 0
 
 
 def test_concurrent_sessions(service):

@@ -144,6 +144,17 @@ def test_simulate_replay_round_trip(tmp_path):
     assert all(r[1] == "nlhb" for r in table[1:])
 
 
+def test_simulate_replay_of_a_bad_log_exits_one(tmp_path):
+    path = tmp_path / "sessions.log"
+    assert run_cli(["simulate", "--seed", "5", "--sessions", "1", "--out", str(path)])[0] == 0
+    text = path.read_text(encoding="utf-8")
+    last = text.splitlines()[-1]
+    path.write_text(text.replace(last, last.split()[0] + " distance=abc"), encoding="utf-8")
+    code, _, err = run_cli(["simulate", "--replay", str(path)])
+    assert code == 1
+    assert err.startswith("error: line 7:")
+
+
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------
@@ -406,6 +417,18 @@ def test_auth_unreachable_server_exits_one(service):
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_auth_bad_key_file_exits_one(service, tmp_path):
+    bad = tmp_path / "bad.txt"
+    with open(service["keystore"], encoding="utf-8") as fp:
+        bad.write_text(fp.read().replace("k=16\n", "k=x\n"), encoding="utf-8")
+    code, _, err = run_cli(
+        ["auth", "--server", service["addr"], "--identity", "tag-01",
+         "--key-file", str(bad), "--seed", "1"]
+    )
+    assert code == 1
+    assert err.startswith("error: keystore entry 'tag-01'")
 
 
 def test_auth_muted_service_reports_muted(tmp_path):

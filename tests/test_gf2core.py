@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from support import layouts_st, operand
 
 from nlhb import gf2core
@@ -223,6 +223,60 @@ def test_gaussian_solve_inconsistent():
 def test_gaussian_solve_underdetermined_rejected():
     with pytest.raises(DimensionError):
         gaussian_solve(np.zeros((3, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+
+
+def solve_by_enumeration(a, z):
+    """(rank, solution or None, failure reason or None) of s.A = z, read off
+    the table of s.A over all 2^k keys: the row space has 2^rank distinct
+    members, and the keys whose image is z are the solutions."""
+    table = key_table(a)
+    rank = len(np.unique(table, axis=0)).bit_length() - 1
+    hits = np.flatnonzero((table == z).all(axis=1))
+    if hits.size == 0:
+        return rank, None, "inconsistent"
+    if hits.size > 1:
+        return rank, None, "rank_deficient"
+    return rank, code_rows(hits, a.shape[0])[0], None
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, z) with k in 1..8, m in k..16, A in any memory layout, possibly
+    with zero and repeated rows; z is in the row space or uniform."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.integers(k, 16))
+    rng = RandomSource(draw(st.integers(0, 2**32 - 1)))
+    a = operand(rng, k, m, draw(layouts_st))
+    rows = st.integers(0, k - 1)
+    for i in draw(st.lists(rows, max_size=2)):
+        a[i] = 0
+    for i, j in draw(st.lists(st.tuples(rows, rows), max_size=3)):
+        a[i] = a[j]
+    if draw(st.booleans()):
+        z = mat_vec_mul(rng.uniform_bits(k), a)
+    else:
+        z = rng.uniform_bits(m)
+    return a, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+@example((np.array([[1, 0], [1, 0]], dtype=np.uint8), np.array([0, 1], dtype=np.uint8)))
+@example((np.array([[1, 1, 0], [0, 0, 0]], dtype=np.uint8), np.array([1, 1, 0], dtype=np.uint8)))
+@example((np.array([[0, 1, 1]], dtype=np.uint8), np.array([0, 1, 1], dtype=np.uint8)))
+def test_rank_and_solve_match_enumeration(system):
+    a, z = system
+    before = a.copy()
+    rank, solution, reason = solve_by_enumeration(a, z)
+    assert gf2_rank(a) == rank
+    assert gf2_rank(a.T) == rank
+    if reason is None:
+        assert np.array_equal(gaussian_solve(a, z), solution)
+    else:
+        with pytest.raises(SingularSystemError) as err:
+            gaussian_solve(a, z)
+        assert err.value.reason == reason
+    assert np.array_equal(a, before)
 
 
 def test_gf2_rank_known_values():

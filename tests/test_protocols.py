@@ -13,13 +13,8 @@ from nlhb.protocols import (
     format_transcript,
     generate_key,
     hb_params,
-    hb_respond,
-    hb_verify,
-    hbplus_session,
     nlhb_params,
-    nlhb_respond,
-    nlhb_verify,
-    nlhbplus_session,
+    read_transcripts,
     respond,
     run_session,
     transcript_sampler,
@@ -74,18 +69,18 @@ def test_linear_protocol_is_identity_window_case():
     nl = ProtocolParams("nlhb", 12, 48, EPS, EPSP, IDENTITY_SPEC)
     key = generate_key(hb, RandomSource(9))
     a = RandomSource(10).uniform_matrix(12, 48)
-    z_hb = hb_respond(hb, key, a, rng=RandomSource(11))
-    z_nl = nlhb_respond(nl, key, a, rng=RandomSource(11))
+    z_hb = respond(hb, key, a, rng=RandomSource(11))
+    z_nl = respond(nl, key, a, rng=RandomSource(11))
     assert np.array_equal(z_hb, z_nl)
-    assert hb_verify(hb, key, a, z_hb) == nlhb_verify(nl, key, a, z_nl)
+    assert verify(hb, key, a, z_hb) == verify(nl, key, a, z_nl)
 
 
 def test_zero_noise_accepts_at_distance_zero():
     p = small_nlhb()
     key = generate_key(p, RandomSource(2))
     a = RandomSource(3).uniform_matrix(p.k, p.n)
-    z = nlhb_respond(p, key, a, noise=np.zeros(p.d, dtype=np.uint8))
-    accepted, dist = nlhb_verify(p, key, a, z)
+    z = respond(p, key, a, noise=np.zeros(p.d, dtype=np.uint8))
+    accepted, dist = verify(p, key, a, z)
     assert accepted and dist == 0
 
 
@@ -95,7 +90,7 @@ def test_flipping_past_threshold_rejects():
     a = RandomSource(3).uniform_matrix(p.k, p.n)
     z = expected_response(p, key, a).copy()
     z[: p.u + 1] ^= 1
-    accepted, dist = nlhb_verify(p, key, a, z)
+    accepted, dist = verify(p, key, a, z)
     assert not accepted and dist == p.u + 1
 
 
@@ -104,7 +99,7 @@ def test_verify_rejects_malformed_length():
     key = generate_key(p, RandomSource(2))
     a = RandomSource(3).uniform_matrix(p.k, p.n)
     with pytest.raises(DimensionError):
-        nlhb_verify(p, key, a, np.zeros(p.d + 1, dtype=np.uint8))
+        verify(p, key, a, np.zeros(p.d + 1, dtype=np.uint8))
 
 
 def _bad_exchanges(p, key):
@@ -185,18 +180,20 @@ def test_respond_needs_noise_or_rng():
     key = generate_key(p, RandomSource(2))
     a = RandomSource(3).uniform_matrix(p.k, p.n)
     with pytest.raises(ParameterError):
-        nlhb_respond(p, key, a)
+        respond(p, key, a)
 
 
 def test_respond_wrong_proto_guards():
+    # respond reads the variant from params: a blinding matrix is required by
+    # the blinded variants and refused by the others
     p = small_nlhb()
     key = generate_key(p, RandomSource(2))
     a = RandomSource(3).uniform_matrix(p.k, p.n)
     with pytest.raises(ParameterError):
-        hb_respond(p, key, a, rng=RandomSource(0))
-    hb = hb_params(8, 19, EPS, EPSP)
+        respond(p, key, a, b=a, rng=RandomSource(0))
+    plus = hb_params(8, 19, EPS, EPSP, blinded=True)
     with pytest.raises(ParameterError):
-        nlhb_respond(hb, generate_key(hb, RandomSource(2)), a, rng=RandomSource(0))
+        respond(plus, generate_key(plus, RandomSource(2)), a, rng=RandomSource(0))
 
 
 def test_blinded_zero_matrix_reduces_to_plain():
@@ -214,14 +211,12 @@ def test_blinded_zero_matrix_reduces_to_plain():
 def test_blinded_session_roundtrip():
     plus = nlhb_params(10, 23, EPS, EPSP, DEFAULT_SPEC, blinded=True)
     key = generate_key(plus, RandomSource(20))
-    t = nlhbplus_session(plus, key, RandomSource(21), RandomSource(22), noise=np.zeros(plus.d, dtype=np.uint8))
+    t = run_session(plus, key, RandomSource(21), RandomSource(22), noise=np.zeros(plus.d, dtype=np.uint8))
     assert t.accepted and t.distance == 0 and t.b is not None
     hplus = hb_params(10, 23, EPS, EPSP, blinded=True)
     hkey = generate_key(hplus, RandomSource(20))
-    th = hbplus_session(hplus, hkey, RandomSource(21), RandomSource(22), noise=np.zeros(hplus.d, dtype=np.uint8))
+    th = run_session(hplus, hkey, RandomSource(21), RandomSource(22), noise=np.zeros(hplus.d, dtype=np.uint8))
     assert th.accepted
-    with pytest.raises(ParameterError):
-        hbplus_session(plus, key, RandomSource(0), RandomSource(1))
 
 
 def test_expected_response_blinding_guards():
@@ -357,6 +352,26 @@ def test_transcript_parse_errors_carry_line_numbers():
     with pytest.raises(FormatError) as err:
         transcripts_from_text(good + "\n" + second)
     assert err.value.line == len(lines) + 3
+
+
+def test_transcript_hostile_values_are_format_errors(tmp_path):
+    p = small_nlhb()
+    key = generate_key(p, RandomSource(64))
+    good = transcripts_to_text(transcript_sampler(p, key, RandomSource(65), 1))
+    lines = good.splitlines()
+    cases = [
+        ("\n".join(lines[:-1] + [lines[-1].split()[0] + " distance=abc"]), len(lines)),
+        (good.replace("eps=1/4", "eps=1/0"), 2),
+        (good.replace("p=3", "p=99"), 2),
+    ]
+    for text, line in cases:
+        with pytest.raises(FormatError) as err:
+            transcripts_from_text(text)
+        assert err.value.line == line
+    path = tmp_path / "sessions.txt"
+    path.write_bytes(good.encode() + b"\xff\n")
+    with open(path, encoding="utf-8") as fp, pytest.raises(FormatError, match="undecodable"):
+        read_transcripts(fp)
 
 
 def test_transcript_writer_accepts_path(tmp_path):
