@@ -38,7 +38,6 @@ from .params import false_accept, false_reject, find_min_D, threshold_u
 from .protocols import (
     ProtocolParams,
     SecretKey,
-    expected_response,
     generate_key,
     read_transcripts,
     run_session,
@@ -78,21 +77,25 @@ def _merge_config(argv: list[str]) -> list[str]:
             continue
         if i == 0:
             raise ParameterError("--config belongs after the subcommand")
+        try:
+            with open(path, "r", encoding="utf-8") as fp:
+                lines = fp.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError("config file is not UTF-8 text: %s" % exc) from None
         flags: list[str] = []
-        with open(path, "r", encoding="utf-8") as fp:
-            for raw in fp:
-                raw = raw.strip()
-                if not raw or raw.startswith("#"):
-                    continue
-                if "=" not in raw:
-                    raise FormatError("config line %r is not key=value" % raw)
-                key, value = raw.split("=", 1)
-                key, value = key.strip(), value.strip()
-                if value.lower() in ("true", "false"):
-                    if value.lower() == "true":
-                        flags.append("--%s" % key)
-                else:
-                    flags.extend(["--%s" % key, value])
+        for raw in lines:
+            raw = raw.strip()
+            if not raw or raw.startswith("#"):
+                continue
+            if "=" not in raw:
+                raise FormatError("config line %r is not key=value" % raw)
+            key, value = raw.split("=", 1)
+            key, value = key.strip(), value.strip()
+            if value.lower() in ("true", "false"):
+                if value.lower() == "true":
+                    flags.append("--%s" % key)
+            else:
+                flags.extend(["--%s" % key, value])
         return rest[:1] + flags + rest[1:]
     return out
 

@@ -314,6 +314,14 @@ def test_config_rejects_stray_lines(tmp_path):
     assert "key=value" in err
 
 
+def test_config_must_be_utf8(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"sessions=2\n\xff\n")
+    code, _, err = run_cli(["simulate", "--config", str(cfg)])
+    assert code == 1
+    assert "UTF-8" in err
+
+
 def test_usage_errors_exit_two():
     assert run_cli(["no-such-command"])[0] == 2
     assert run_cli(["params", "--eps", "1/4"])[0] == 2  # missing --epsp
