@@ -15,6 +15,7 @@ the end to a byte boundary.
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -273,6 +274,8 @@ def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
     if np.any(bits[nbits:]):
         raise FormatError("nonzero padding bits past the end of the payload", line)
+    if len(hexline) != 2 * len(raw):  # bytes.fromhex skips inner whitespace
+        raise FormatError("whitespace inside hex payload", line)
     return bits[:nbits].copy()
 
 
@@ -313,28 +316,30 @@ def parse_header(header: str, line: int | None = None):
     raise FormatError("unrecognized header %r" % header, line)
 
 
-def load_bits(text: str) -> np.ndarray:
-    """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits)."""
+def _load(text: str, want: str):
+    """Header dimensions and flat bits of the two-line ``bits``/``mat`` form.
+
+    A 0-bit payload is written as an empty hex line, which may be absent."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) == 1:
+        lines.append("")
     if len(lines) != 2:
         raise FormatError("expected header plus one hex line, got %d lines" % len(lines))
     kind = parse_header(lines[0], line=1)
-    if kind[0] != "bits":
-        raise FormatError("expected a bits header", line=1)
-    return _unpack_hex(lines[1], kind[1], line=2)
+    if kind[0] != want:
+        raise FormatError("expected a %s header" % want, line=1)
+    return kind[1:], _unpack_hex(lines[1], math.prod(kind[1:]), line=2)
+
+
+def load_bits(text: str) -> np.ndarray:
+    """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits)."""
+    return _load(text, "bits")[1]
 
 
 def load_matrix(text: str) -> np.ndarray:
     """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise FormatError("expected header plus one hex line, got %d lines" % len(lines))
-    kind = parse_header(lines[0], line=1)
-    if kind[0] != "mat":
-        raise FormatError("expected a mat header", line=1)
-    rows, cols = kind[1], kind[2]
-    flat = _unpack_hex(lines[1], rows * cols, line=2)
-    return flat.reshape(rows, cols)
+    shape, flat = _load(text, "mat")
+    return flat.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +351,9 @@ class RandomSource:
 
     A single PCG64 stream per source: uniform bits, Bernoulli bits and
     derived child sources are all functions of the 64-bit seed, so a run is
-    reproducible bit-for-bit from its seed.
+    reproducible bit-for-bit from its seed.  Every draw consumes raw PCG64
+    output words (``random_raw``), the same words numpy's
+    ``Generator.integers(0, 2**64, dtype=uint64)`` returns for that seed.
 
     Bernoulli sampling is exact for rational eps: each bit consumes one
     64-bit uniform word compared against floor(eps * 2**64), and the
@@ -359,14 +366,14 @@ class RandomSource:
         if not 0 <= seed < (1 << 64):
             raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._bits = np.random.PCG64(seed)
 
     def __repr__(self):
         return "RandomSource(seed=%d)" % self.seed
 
     def u64(self, count: int) -> np.ndarray:
         """Draw ``count`` uniform 64-bit words."""
-        return self._gen.integers(0, 1 << 64, size=count, dtype=np.uint64)
+        return self._bits.random_raw(count)
 
     def uniform_bits(self, length: int) -> np.ndarray:
         """Draw a uniform bit vector of the given length."""

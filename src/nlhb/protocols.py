@@ -248,7 +248,12 @@ def run_session(
     noise=None,
 ) -> SessionTranscript:
     """One honest exchange.  Draw order: prover B (blinded variants only),
-    verifier A, prover noise."""
+    verifier A, prover noise.
+
+    The image is computed once: z = image ^ noise differs from the image
+    exactly where the noise is 1, so the verifier's distance is the weight
+    of the prover's noise, the same (accepted, distance) that :func:`verify`
+    returns for the transcript."""
     key = _check_key(params, key)
     if noise is not None:
         noise = _check_noise(params, noise)
@@ -257,8 +262,10 @@ def run_session(
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
     z = _image(params, key, a, b) ^ noise
-    accepted, dist = _decide(params, key, a, z, b)
-    return SessionTranscript(params=params, b=b, a=a, z=z, accepted=accepted, distance=dist)
+    dist = int(np.count_nonzero(noise))
+    return SessionTranscript(
+        params=params, b=b, a=a, z=z, accepted=dist <= params.u, distance=dist
+    )
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):
@@ -304,11 +311,8 @@ def write_transcripts(fp, transcripts) -> None:
 
 
 class _LineReader:
-    def __init__(self, fp):
-        try:
-            self.lines = fp.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise FormatError("undecodable transcript text: %s" % exc) from None
+    def __init__(self, text: str):
+        self.lines = text.splitlines()
         self.pos = 0
 
     def next_content(self):
@@ -383,7 +387,16 @@ def read_transcripts(fp) -> list[SessionTranscript]:
     if isinstance(fp, (str, bytes)):
         with open(fp) as handle:
             return read_transcripts(handle)
-    reader = _LineReader(fp)
+    try:
+        text = fp.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("undecodable transcript text: %s" % exc) from None
+    return transcripts_from_text(text)
+
+
+def transcripts_from_text(text: str) -> list[SessionTranscript]:
+    """Parse transcript text held in memory (see :func:`read_transcripts`)."""
+    reader = _LineReader(text)
     records = []
     parsed = {}  # each distinct (proto, params line) is parsed once
     while True:
@@ -433,7 +446,3 @@ def transcripts_to_text(transcripts) -> str:
     buf = io.StringIO()
     write_transcripts(buf, transcripts)
     return buf.getvalue()
-
-
-def transcripts_from_text(text: str) -> list[SessionTranscript]:
-    return read_transcripts(io.StringIO(text))

@@ -103,6 +103,15 @@ def test_keystore_parse_errors():
         svc.parse_keystore(btext)
 
 
+@pytest.mark.parametrize("gap", ["  ", "\t\t"])
+def test_keystore_whitespace_inside_key_is_format_error(gap):
+    params = _params()
+    good = svc.format_keystore_entry(svc.KeystoreEntry("a", params, generate_key(params, RandomSource(4))))
+    line = [l for l in good.splitlines() if l.startswith("s1=")][0]  # s1= and 4 hex digits
+    with pytest.raises(FormatError, match="whitespace"):
+        svc.parse_keystore(good.replace(line, line[:5] + gap + line[5:]))
+
+
 @pytest.mark.parametrize(
     "old, new",
     [("k=16", "k=x"), ("eps=1/4", "eps=1/x"), ("eps=1/4", "eps=1/0"), ("proto=nlhb", "proto=hbx")],

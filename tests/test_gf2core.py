@@ -353,7 +353,64 @@ def test_load_rejects_malformed():
     assert err is not None
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (np.zeros(0, dtype=np.uint8), "bits 0\n\n"),
+        (np.zeros((0, 5), dtype=np.uint8), "mat 0 5\n\n"),
+        (np.zeros((3, 0), dtype=np.uint8), "mat 3 0\n\n"),
+    ],
+    ids=["bits 0", "mat 0 5", "mat 3 0"],
+)
+def test_empty_payload_round_trip(value, text):
+    dump, load = (dump_bits, load_bits) if value.ndim == 1 else (dump_matrix, load_matrix)
+    assert dump(value) == text
+    for form in (text, text.rstrip("\n")):  # the empty hex line may be absent
+        back = load(form)
+        assert back.shape == value.shape and back.dtype == np.uint8
+
+
+def test_load_missing_payload_is_format_error():
+    with pytest.raises(FormatError):
+        load_bits("bits 5\n")
+    with pytest.raises(FormatError):
+        load_matrix("mat 2 3\n")
+
+
+@pytest.mark.parametrize("gap", ["  ", "\t\t"])
+def test_load_rejects_whitespace_inside_payload(gap):
+    assert load_bits("bits 16\nabcd\n").tolist() == [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1]
+    with pytest.raises(FormatError, match="whitespace") as err:
+        load_bits("bits 16\nab%scd\n" % gap)
+    assert err.value.line == 2
+
+
 # --- randomness --------------------------------------------------------------
+
+def _generator_words(gen, count):
+    return gen.integers(0, 1 << 64, size=count, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**64 - 1])
+def test_u64_matches_generator_integers(seed):
+    # u64 reads raw PCG64 words; they are the words Generator.integers over
+    # the full uint64 range returns, so every seeded stream is unchanged
+    rng = RandomSource(seed)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for count in (0, 1, 7, 2334):
+        got = rng.u64(count)
+        assert got.dtype == np.uint64 and got.shape == (count,)
+        assert np.array_equal(got, _generator_words(gen, count))
+    # interleaved draws consume the same words in the same order
+    for length in (1, 64, 130):
+        words = [int(w) for w in _generator_words(gen, (length + 63) // 64)]
+        expect = [w >> (63 - j) & 1 for w in words for j in range(64)][:length]
+        assert rng.uniform_bits(length).tolist() == expect
+        # eps = 1/4: threshold 2**62 with no residual, so no extra draws
+        words = [int(w) for w in _generator_words(gen, 7)]
+        assert rng.bernoulli_bits(7, Fraction(1, 4)).tolist() == [int(w < 1 << 62) for w in words]
+    assert np.array_equal(rng.u64(3), _generator_words(gen, 3))
+
 
 def test_random_source_deterministic():
     a = RandomSource(12345)

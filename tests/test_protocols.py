@@ -1,7 +1,11 @@
+import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC
@@ -173,6 +177,31 @@ def test_session_matches_public_respond_and_verify():
         z = respond(p, key, a, b=b, rng=prover)
         assert np.array_equal(t.a, a) and np.array_equal(t.z, z)
         assert (t.accepted, t.distance) == verify(p, key, a, z, b=b)
+
+
+SMALL_VARIANTS = [
+    hb_params(8, 16, EPS, EPSP),
+    hb_params(8, 16, EPS, EPSP, blinded=True),
+    small_nlhb(),
+    nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_VARIANTS), st.integers(0, 2**32 - 1), st.integers(-2, 2), st.data())
+def test_session_decision_equals_verify(p, seed, offset, data):
+    # run_session takes the distance from the noise weight; verify recomputes
+    # the image, so the two must agree for drawn and for explicit noise
+    key = generate_key(p, RandomSource(seed))
+    t = run_session(p, key, RandomSource(seed + 1), RandomSource(seed + 2))
+    assert (t.accepted, t.distance) == verify(t.params, key, t.a, t.z, b=t.b)
+    # explicit noise of weight u-2 .. u+2, so both decisions occur
+    flips = data.draw(st.permutations(range(p.d)))[: p.u + offset]
+    noise = np.zeros(p.d, dtype=np.uint8)
+    noise[flips] = 1
+    t = run_session(p, key, RandomSource(seed + 1), RandomSource(seed + 2), noise=noise)
+    assert (t.accepted, t.distance) == (offset <= 0, p.u + offset)
+    assert (t.accepted, t.distance) == verify(t.params, key, t.a, t.z, b=t.b)
 
 
 def test_respond_needs_noise_or_rng():
@@ -385,3 +414,40 @@ def test_transcript_writer_accepts_path(tmp_path):
     back = read_transcripts(str(path))
     assert len(back) == 2
     assert np.array_equal(back[1].a, ts[1].a)
+
+
+@pytest.mark.parametrize("gap", ["  ", "\t\t"])
+def test_transcript_whitespace_inside_payload_is_format_error(gap):
+    p = small_nlhb()
+    key = generate_key(p, RandomSource(64))
+    lines = transcripts_to_text(transcript_sampler(p, key, RandomSource(65), 1)).splitlines()
+    z_hex = lines[-2]  # D=16 bits: four hex digits
+    lines[-2] = z_hex[:2] + gap + z_hex[2:]
+    with pytest.raises(FormatError, match="whitespace") as err:
+        read_transcripts(io.StringIO("\n".join(lines) + "\n"))
+    assert err.value.line == len(lines) - 1
+
+
+def test_transcript_parse_peak_memory():
+    # 64 paper-size records, the chunk the server-log check parses: ~3.6 MB of
+    # text and ~14 MB of parsed matrices.  Parsing the string directly keeps
+    # the peak near that; a StringIO copy of the text (4 bytes a character)
+    # would add ~14 MB more.
+    plist = [
+        hb_params(128, 1164, EPS, EPSP),
+        hb_params(128, 1164, EPS, EPSP, blinded=True),
+        nlhb_params(128, 1167, EPS, EPSP, DEFAULT_SPEC),
+        nlhb_params(128, 1167, EPS, EPSP, DEFAULT_SPEC, blinded=True),
+    ]
+    keys = [generate_key(p, RandomSource(i)) for i, p in enumerate(plist)]
+    rng = RandomSource(70)
+    text = transcripts_to_text([run_session(plist[i % 4], keys[i % 4], rng, rng) for i in range(64)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = transcripts_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 64
+    assert peak < 24e6, "parsing 64 records peaked at %.1f MB" % (peak / 1e6)
