@@ -1,4 +1,4 @@
-"""Dense GF(2) vectors and matrices, seeded randomness, and hex serialization.
+r"""Dense GF(2) vectors and matrices, seeded randomness, and hex serialization.
 
 Bit vectors and matrices are plain numpy ``uint8`` arrays with entries in
 {0, 1}; a length-n vector models the row vector (x_1, ..., x_n) and a k-by-n
@@ -10,10 +10,17 @@ Serialized form is a header line ``bits <len>`` or ``mat <rows> <cols>``
 followed by one line of lowercase hex.  The bitstream is row-major with the
 most significant bit of the first hex byte holding index 1, zero-padded at
 the end to a byte boundary.
+
+Line rule of these forms and of transcript files (:class:`LineReader`):
+a line ends at ``\n`` and nothing else, each line is stripped of surrounding
+whitespace, and blank lines are skipped.  So ``\r\n`` endings parse, but a
+lone ``\r``, ``\x0b``, ``\x0c``, ``\x85`` or ``\u2028`` is not a line break.
+A hex payload holds hex digits only: whitespace inside it is an error.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import math
 from fractions import Fraction
@@ -258,12 +265,13 @@ def _pack_hex(bits: np.ndarray) -> str:
 
 
 def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray:
-    hexline = hexline.strip()
-    if len(hexline) % 2 != 0:
-        raise FormatError("odd-length hex payload", line)
     try:
-        raw = bytes.fromhex(hexline)
-    except ValueError:
+        raw = binascii.a2b_hex(hexline)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        if len(hexline.split()) > 1:
+            raise FormatError("whitespace inside hex payload", line) from None
+        if len(hexline) % 2 != 0:
+            raise FormatError("odd-length hex payload", line) from None
         raise FormatError("junk characters in hex payload", line) from None
     expected = (nbits + 7) // 8
     if len(raw) != expected:
@@ -271,12 +279,13 @@ def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray
             "hex payload is %d bytes, expected %d for %d bits" % (len(raw), expected, nbits),
             line,
         )
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    if np.any(bits[nbits:]):
+    if nbits % 8 and raw[-1] & (0xFF >> nbits % 8):
         raise FormatError("nonzero padding bits past the end of the payload", line)
-    if len(hexline) != 2 * len(raw):  # bytes.fromhex skips inner whitespace
-        raise FormatError("whitespace inside hex payload", line)
-    return bits[:nbits].copy()
+    # Unpack every byte, then copy out the first nbits.  The copy looks
+    # wasteful, but in the benchmark's sessions phase ``unpackbits(count=
+    # nbits)`` without it left no batch free of minor page faults (~2,000
+    # each) and replay ran slower; with it, many batches reuse the freed heap.
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits].copy()
 
 
 def dump_bits(v) -> str:
@@ -316,11 +325,46 @@ def parse_header(header: str, line: int | None = None):
     raise FormatError("unrecognized header %r" % header, line)
 
 
+class LineReader:
+    """The non-blank lines of a text, stripped, under the module's line rule.
+
+    Iterating yields each line in turn; ``number`` is the 1-based number of
+    the last line read, blank ones included, or of the last line of the
+    text once it is exhausted.  Lines are sliced out one at a time, so no
+    copy of the whole text is made.
+    """
+
+    __slots__ = ("text", "pos", "number")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.number = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        text, pos = self.text, self.pos
+        while pos < len(text):
+            end = text.find("\n", pos)
+            if end < 0:
+                end = len(text)
+            self.number += 1
+            line = text[pos:end].strip()
+            pos = end + 1
+            if line:
+                self.pos = pos
+                return line
+        self.pos = pos
+        raise StopIteration
+
+
 def _load(text: str, want: str):
     """Header dimensions and flat bits of the two-line ``bits``/``mat`` form.
 
     A 0-bit payload is written as an empty hex line, which may be absent."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = list(LineReader(text))
     if len(lines) == 1:
         lines.append("")
     if len(lines) != 2:
@@ -410,10 +454,6 @@ class RandomSource:
             if v > threshold:
                 return 0
         return 0
-
-    def bernoulli_matrix(self, rows: int, cols: int, eps) -> np.ndarray:
-        """Draw a (rows, cols) matrix of i.i.d. Bernoulli(eps) bits."""
-        return self.bernoulli_bits(rows * cols, eps).reshape(rows, cols)
 
     def bounded_weight_bits(self, length: int, eps) -> np.ndarray:
         """Draw Bernoulli(eps) bits conditioned on weight <= floor(eps * length).

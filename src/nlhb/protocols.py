@@ -26,6 +26,7 @@ import numpy as np
 from .gf2core import (
     DimensionError,
     FormatError,
+    LineReader,
     ParameterError,
     RandomSource,
     as_bit_matrix,
@@ -86,6 +87,20 @@ class ProtocolParams:
     @property
     def blinded(self) -> bool:
         return self.proto.endswith("+")
+
+    @cached_property
+    def _params_line(self) -> str:
+        """The params line of a transcript record, formatted once per instance."""
+        return "k=%d n=%d p=%d d=%d u=%d eps=%s epsp=%s g=%s" % (
+            self.k,
+            self.n,
+            self.spec.p,
+            self.d,
+            self.u,
+            self.eps,
+            self.eps_prime,
+            format_spec(self.spec).split("g=", 1)[1],
+        )
 
 
 def hb_params(k: int, n: int, eps, eps_prime, blinded: bool = False) -> ProtocolParams:
@@ -278,27 +293,16 @@ def transcript_sampler(params, key, rng: RandomSource, count: int):
 # transcript files
 # ---------------------------------------------------------------------------
 
-def _params_line(params: ProtocolParams) -> str:
-    return "k=%d n=%d p=%d d=%d u=%d eps=%s epsp=%s g=%s" % (
-        params.k,
-        params.n,
-        params.spec.p,
-        params.d,
-        params.u,
-        params.eps,
-        params.eps_prime,
-        format_spec(params.spec).split("g=", 1)[1],
-    )
-
-
 def format_transcript(t: SessionTranscript) -> str:
-    out = ["proto=%s" % t.proto, _params_line(t.params)]
-    if t.params.blinded:
-        out.append(dump_matrix(t.b).rstrip("\n"))
-    out.append(dump_matrix(t.a).rstrip("\n"))
-    out.append(dump_bits(t.z).rstrip("\n"))
-    out.append("decision=%s distance=%d" % ("accept" if t.accepted else "reject", t.distance))
-    return "\n".join(out) + "\n"
+    return "proto=%s\n%s\n%s%s%sdecision=%s distance=%d\n" % (
+        t.proto,
+        t.params._params_line,
+        dump_matrix(t.b) if t.params.blinded else "",
+        dump_matrix(t.a),
+        dump_bits(t.z),
+        "accept" if t.accepted else "reject",
+        t.distance,
+    )
 
 
 def write_transcripts(fp, transcripts) -> None:
@@ -308,20 +312,6 @@ def write_transcripts(fp, transcripts) -> None:
             write_transcripts(handle, transcripts)
             return
     fp.write("\n".join(format_transcript(t) for t in transcripts))
-
-
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_content(self):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos]
-            self.pos += 1
-            if line.strip():
-                return line.strip(), self.pos
-        return None, self.pos
 
 
 def _expect_kv(token: str, key: str, line: int) -> str:
@@ -365,21 +355,22 @@ def _parse_params(proto: str, line_text: str, line: int) -> ProtocolParams:
     return params
 
 
-def _read_block(reader: _LineReader, want: str, rows: int, cols: int):
-    header, line = reader.next_content()
+def _read_block(reader: LineReader, want: str, rows: int, cols: int):
+    header = next(reader, None)
+    line = reader.number
     if header is None:
         raise FormatError("unexpected end of file, expected %s block" % want, line)
     kind = parse_header(header, line)
-    hexline, hline = reader.next_content()
+    hexline = next(reader, None)
     if hexline is None:
-        raise FormatError("missing hex payload", hline)
+        raise FormatError("missing hex payload", reader.number)
     if want == "mat":
         if kind[0] != "mat" or kind[1] != rows or kind[2] != cols:
             raise FormatError("expected mat %d %d, got %r" % (rows, cols, header), line)
-        return _unpack_hex(hexline, rows * cols, hline).reshape(rows, cols)
+        return _unpack_hex(hexline, rows * cols, reader.number).reshape(rows, cols)
     if kind[0] != "bits" or kind[1] != rows:
         raise FormatError("expected bits %d, got %r" % (rows, header), line)
-    return _unpack_hex(hexline, rows, hline)
+    return _unpack_hex(hexline, rows, reader.number)
 
 
 def read_transcripts(fp) -> list[SessionTranscript]:
@@ -395,18 +386,19 @@ def read_transcripts(fp) -> list[SessionTranscript]:
 
 
 def transcripts_from_text(text: str) -> list[SessionTranscript]:
-    """Parse transcript text held in memory (see :func:`read_transcripts`)."""
-    reader = _LineReader(text)
+    r"""Parse transcript text held in memory (see :func:`read_transcripts`).
+
+    Lines follow the :mod:`nlhb.gf2core` line rule: they end at ``\n`` only."""
+    reader = LineReader(text)
     records = []
     parsed = {}  # each distinct (proto, params line) is parsed once
-    while True:
-        first, line = reader.next_content()
-        if first is None:
-            return records
+    for first in reader:
+        line = reader.number
         proto = _expect_kv(first, "proto", line)
         if proto not in PROTOCOLS:
             raise FormatError("unknown protocol %r" % proto, line)
-        params_text, pline = reader.next_content()
+        params_text = next(reader, None)
+        pline = reader.number
         if params_text is None:
             raise FormatError("missing params line", pline)
         params = parsed.get((proto, params_text))
@@ -417,7 +409,8 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
             b = _read_block(reader, "mat", params.k, params.n)
         a = _read_block(reader, "mat", params.k, params.n)
         z = _read_block(reader, "bits", params.d, 0)
-        decision_text, dline = reader.next_content()
+        decision_text = next(reader, None)
+        dline = reader.number
         if decision_text is None:
             raise FormatError("missing decision line", dline)
         tokens = decision_text.split()
@@ -440,6 +433,7 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
                 params=params, b=b, a=a, z=z, accepted=decision == "accept", distance=distance
             )
         )
+    return records
 
 
 def transcripts_to_text(transcripts) -> str:

@@ -21,6 +21,29 @@ def operand(rng, rows, cols, layout):
 
 layouts_st = st.sampled_from(["contiguous", "transposed", "strided"])
 
+# Characters a hostile edit draws from: hex digits, ASCII and Unicode
+# whitespace the line rule does not treat as a line break, a non-ASCII
+# letter, and the one line break.
+HOSTILE_CHARS = "0123456789abcdef \t\r\x0b\x0c\x85\u2028\u00e9\n"
+
+
+@st.composite
+def edited_text(draw, text):
+    """``text`` after one to four random edits: each inserts, replaces or
+    deletes a character at a random position, drawing from HOSTILE_CHARS."""
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "insert":
+            chars.insert(pos, draw(st.sampled_from(HOSTILE_CHARS)))
+        elif pos < len(chars):
+            if op == "replace":
+                chars[pos] = draw(st.sampled_from(HOSTILE_CHARS))
+            else:
+                del chars[pos]
+    return "".join(chars)
+
 
 def measured_merge_distribution(spec, rng, samples, k=6, n=None, j=None):
     """Empirical law of the p+1 response bits disturbed by one column merge.

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
-from support import layouts_st, operand
+from support import edited_text, layouts_st, operand
 
 from nlhb import gf2core
 from nlhb.gf2core import (
@@ -383,6 +383,63 @@ def test_load_rejects_whitespace_inside_payload(gap):
     with pytest.raises(FormatError, match="whitespace") as err:
         load_bits("bits 16\nab%scd\n" % gap)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_bits, dump_bits(RandomSource(8).uniform_bits(13))),
+        (load_matrix, dump_matrix(RandomSource(9).uniform_matrix(3, 5))),
+    ],
+    ids=["bits", "mat"],
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_hostile_edits_give_array_or_format_error(load, text, data):
+    try:
+        value = load(data.draw(edited_text(text)))
+    except FormatError:
+        return
+    assert value.dtype == np.uint8 and value.max(initial=0) <= 1
+
+
+def test_load_splits_lines_at_newline_only():
+    m = RandomSource(10).uniform_matrix(3, 5)
+    assert np.array_equal(load_matrix(dump_matrix(m).replace("\n", "\r\n")), m)
+    for sep in ("\r", "\x0b", "\x0c", "\x85", "\u2028"):
+        with pytest.raises(FormatError) as err:
+            load_bits("bits 16" + sep + "abcd\n")
+        assert err.value.line == 1
+
+
+@given(st.lists(st.integers(0, 1), max_size=200))
+def test_unpack_hex_round_trips(bits):
+    v = np.array(bits, dtype=np.uint8)
+    back = gf2core._unpack_hex(gf2core._pack_hex(v), len(v))
+    assert back.dtype == np.uint8 and np.array_equal(back, v)
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=200).filter(lambda b: len(b) % 8))
+def test_unpack_hex_rejects_every_nonzero_padding(bits):
+    raw = bytearray(np.packbits(np.array(bits, dtype=np.uint8)).tobytes())
+    pad = 8 - len(bits) % 8
+    for pattern in range(1, 1 << pad):
+        raw[-1] = raw[-1] & ~((1 << pad) - 1) | pattern
+        with pytest.raises(FormatError, match="nonzero padding"):
+            gf2core._unpack_hex(raw.hex(), len(bits))
+
+
+@given(
+    st.lists(st.integers(0, 1), min_size=1, max_size=200),
+    st.integers(0, 200),
+    st.text(alphabet=" \t\r\x0b\x0c\x85\u2028", min_size=1, max_size=3),
+    st.data(),
+)
+def test_unpack_hex_reports_inner_whitespace(bits, nbits, gap, data):
+    payload = gf2core._pack_hex(np.array(bits, dtype=np.uint8))
+    cut = data.draw(st.integers(1, len(payload) - 1))
+    with pytest.raises(FormatError, match="whitespace inside hex payload"):
+        gf2core._unpack_hex(payload[:cut] + gap + payload[cut:], nbits)
 
 
 # --- randomness --------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import edited_text
 
 from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC
@@ -451,3 +452,59 @@ def test_transcript_parse_peak_memory():
         tracemalloc.stop()
     assert len(records) == 64
     assert peak < 24e6, "parsing 64 records peaked at %.1f MB" % (peak / 1e6)
+
+
+def test_transcript_parse_peak_memory_without_line_copies():
+    # The same 64 records: the parsed matrices take ~14.3 MB, so a peak below
+    # 15.5 MB leaves no room for a split copy of the 3.6 MB text.
+    plist = [
+        hb_params(128, 1164, EPS, EPSP),
+        hb_params(128, 1164, EPS, EPSP, blinded=True),
+        nlhb_params(128, 1167, EPS, EPSP, DEFAULT_SPEC),
+        nlhb_params(128, 1167, EPS, EPSP, DEFAULT_SPEC, blinded=True),
+    ]
+    keys = [generate_key(p, RandomSource(i)) for i, p in enumerate(plist)]
+    rng = RandomSource(70)
+    text = transcripts_to_text([run_session(plist[i % 4], keys[i % 4], rng, rng) for i in range(64)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = transcripts_from_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 64
+    assert peak < 15.5e6, "parsing 64 records peaked at %.1f MB" % (peak / 1e6)
+
+
+def _mixed_transcript_text():
+    plus = hb_params(4, 15, EPS, EPSP, blinded=True)
+    ts = transcript_sampler(plus, generate_key(plus, RandomSource(90)), RandomSource(91), 1)
+    p = small_nlhb()
+    return transcripts_to_text(ts + transcript_sampler(p, generate_key(p, RandomSource(92)), RandomSource(93), 1))
+
+
+def test_transcript_crlf_parses_like_lf():
+    text = _mixed_transcript_text()
+    back = transcripts_from_text(text.replace("\n", "\r\n"))
+    assert transcripts_to_text(back) == text
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x85", "\u2028"])
+def test_transcript_lone_separator_is_not_a_line_break(sep):
+    lines = _mixed_transcript_text().split("\n")
+    assert lines[2].startswith("mat ")
+    text = "\n".join(lines[:2] + [lines[2] + sep + lines[3]] + lines[4:])
+    with pytest.raises(FormatError) as err:
+        transcripts_from_text(text)
+    assert err.value.line == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_text(_mixed_transcript_text()))
+def test_transcript_hostile_edits_give_records_or_format_error(text):
+    try:
+        records = transcripts_from_text(text)
+    except FormatError:
+        return
+    assert all(isinstance(t, SessionTranscript) for t in records)
