@@ -6,13 +6,15 @@ this file.  To re-pin after an intended behaviour change, print
 ``_digest(...)`` for the failing case and say why in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from nlhb import attacks
+from nlhb import attacks, authsvc, cli
 from nlhb import reductions as red
 from nlhb.gf2core import RandomSource, mat_vec_mul
 from nlhb.nlfunc import DEFAULT_SPEC
@@ -173,3 +175,51 @@ def test_golden_brute_force_unld():
     assert np.array_equal(recovered, secret)
     text = "key=%s distance=%d\n" % (_bits_text(recovered), distance)
     assert _digest(text) == "342a857e8c977894bc629a3acf15ce45"
+
+
+# The reduction TSV of `nlhb reduce` for the forgers no digest above covers.
+# thm3 runs at eps=1/4, eps'=3/8 and thm4 at D=16 with eps1 near the bottom
+# of its interval, so that the rates fall strictly between 0 and the trial
+# count wherever the forger allows it.
+_THM_ARGS = ["--k", "8", "--n", "67", "--eps", "1/4", "--epsp", "3/8", "--seed", "11"]
+_THM4_ARGS = ["--proto", "nlhb+", "--n", "19", "--eps1", "47/100", "--trials", "24"]
+REDUCE_DIGESTS = {
+    ("thm3", "honest"): "61a7024e7e86d73f0160b37f30e63a26",
+    ("thm3", "random"): "bd6b920d5ad2e192d669b398f14ed43b",
+    ("thm4", "perfect"): "6b234f633b0cd9ec26f8b0496a2acc74",
+    ("thm4", "honest"): "5cc83cd1d02af8ec039edbe57c48c201",
+    ("thm4", "random"): "ff86de1bedbae2b90da140882dc0b59e",
+}
+
+
+@pytest.mark.parametrize("mode, adversary", sorted(REDUCE_DIGESTS))
+def test_golden_reduce_report(mode, adversary):
+    argv = ["reduce", mode, "--adversary", adversary] + _THM_ARGS
+    argv += ["--trials", "40"] if mode == "thm3" else _THM4_ARGS
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    assert _digest(out.getvalue()) == REDUCE_DIGESTS[mode, adversary]
+
+
+SERVER_LOG_DIGESTS = {
+    "hb+": "3e2bb9a551928b53cbbe316d7d178e53",
+    "nlhb": "65cc9eef7ba695e08ede8d9f15fd7f05",
+}
+
+
+@pytest.mark.parametrize("proto", sorted(SERVER_LOG_DIGESTS))
+def test_golden_loopback_server_log(proto, tmp_path):
+    # The log holds the client's blinding matrix and response, so it pins the
+    # prover's draws as well as the server's challenges.
+    if proto == "hb+":
+        params = hb_params(16, 64, SMALL_EPS, SMALL_EPSP, blinded=True)
+    else:
+        params = nlhb_params(16, 67, SMALL_EPS, SMALL_EPSP, DEFAULT_SPEC)
+    key = generate_key(params, RandomSource(101))
+    log_path = tmp_path / "sessions.log"
+    entry = authsvc.KeystoreEntry("t", params, key)
+    with authsvc.AuthService(("127.0.0.1", 0), {"t": entry}, seed=102, log_path=log_path) as running:
+        for i in range(3):
+            authsvc.authenticate(running.address, "t", key, params, rng=RandomSource(103 + i))
+    assert _digest(log_path.read_text(encoding="utf-8")) == SERVER_LOG_DIGESTS[proto]
