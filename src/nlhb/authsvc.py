@@ -29,6 +29,8 @@ from .gf2core import (
     dump_matrix,
     load_bits,
     load_matrix,
+    read_entries,
+    read_text,
     _pack_hex,
     _unpack_hex,
 )
@@ -37,8 +39,8 @@ from .protocols import (
     ProtocolParams,
     SecretKey,
     SessionTranscript,
-    expected_response,
     format_transcript,
+    respond,
     verify,
 )
 
@@ -160,19 +162,9 @@ def write_keystore(path, entries) -> None:
 
 
 def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
+    """Keystore entries by identity; the grammar is :func:`gf2core.read_entries`."""
     entries: dict[str, KeystoreEntry] = {}
-    for chunk in text.split("\n\n"):
-        if not chunk.strip():
-            continue
-        fields: dict[str, str] = {}
-        for raw in chunk.splitlines():
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            if "=" not in raw:
-                raise FormatError("keystore line %r is not key=value" % raw)
-            key, value = raw.split("=", 1)
-            fields[key.strip()] = value.strip()
+    for fields in read_entries(text):
         missing = {"identity", "proto", "k", "n", "eps", "epsp", "spec", "s1"} - fields.keys()
         if missing:
             raise FormatError("keystore entry missing %s" % ", ".join(sorted(missing)))
@@ -201,12 +193,7 @@ def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
 
 
 def read_keystore(path) -> dict[str, KeystoreEntry]:
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            text = fp.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError("keystore is not UTF-8 text: %s" % exc) from None
-    return parse_keystore(text)
+    return parse_keystore(read_text(path, "keystore"))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +372,7 @@ def authenticate(
             a = load_matrix(_text(payload))
             if a.shape != (params.k, params.n):
                 raise ServiceError("challenge matrix has the wrong shape")
-            noise = rng.bernoulli_bits(params.d, params.eps)
-            z = expected_response(params, key, a, b=b) ^ noise
+            z = respond(params, key, a, b=b, rng=rng)
             _send(sock, RESPONSE, dump_bits(z).encode("utf-8"), frame_log)
             payload = _expect(sock, DECISION, frame_log)
     except socket.timeout as exc:

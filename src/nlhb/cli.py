@@ -9,6 +9,7 @@ human-oriented summaries.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -23,6 +24,8 @@ from .gf2core import (
     ParameterError,
     RandomSource,
     mat_vec_mul,
+    read_entries,
+    read_text,
     _pack_hex,
 )
 from .nlfunc import (
@@ -77,20 +80,14 @@ def _merge_config(argv: list[str]) -> list[str]:
             continue
         if i == 0:
             raise ParameterError("--config belongs after the subcommand")
-        try:
-            with open(path, "r", encoding="utf-8") as fp:
-                lines = fp.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise FormatError("config file is not UTF-8 text: %s" % exc) from None
+        settings: dict[str, str] = {}
+        for entry in read_entries(read_text(path, "config file")):
+            repeated = entry.keys() & settings.keys()
+            if repeated:
+                raise FormatError("config sets %r twice" % min(repeated))
+            settings.update(entry)
         flags: list[str] = []
-        for raw in lines:
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            if "=" not in raw:
-                raise FormatError("config line %r is not key=value" % raw)
-            key, value = raw.split("=", 1)
-            key, value = key.strip(), value.strip()
+        for key, value in settings.items():
             if value.lower() in ("true", "false"):
                 if value.lower() == "true":
                     flags.append("--%s" % key)
@@ -162,17 +159,19 @@ def _address(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _spec(args):
+    """The --spec map, or the protocol's default one."""
+    if args.spec:
+        return parse_spec(args.spec)
+    return IDENTITY_SPEC if args.proto in ("hb", "hb+") else DEFAULT_SPEC
+
+
 def _build_params(args) -> ProtocolParams:
-    proto = args.proto
-    spec_text = getattr(args, "spec", None)
-    if spec_text:
-        spec = parse_spec(spec_text)
-    else:
-        spec = IDENTITY_SPEC if proto in ("hb", "hb+") else DEFAULT_SPEC
+    spec = _spec(args)
     eps = args.eps if args.eps is not None else Fraction(1, 4)
-    epsp = args.epsp if getattr(args, "epsp", None) is not None else (eps + Fraction(1, 2)) / 2
-    n = args.n if getattr(args, "n", None) is not None else 256 + spec.p
-    return ProtocolParams(proto=proto, k=args.k, n=n, eps=eps, eps_prime=epsp, spec=spec)
+    epsp = args.epsp if args.epsp is not None else (eps + Fraction(1, 2)) / 2
+    n = args.n if args.n is not None else 256 + spec.p
+    return ProtocolParams(proto=args.proto, k=args.k, n=n, eps=eps, eps_prime=epsp, spec=spec)
 
 
 def _add_common(sub, *, seeded: bool = True, out_help: str = "write the report here instead of stdout"):
@@ -215,13 +214,7 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    if args.spec:
-        spec = parse_spec(args.spec)
-    elif args.proto in ("nlhb", "nlhb+"):
-        spec = DEFAULT_SPEC
-    else:
-        spec = None
-    ops = count_ops(args.proto, args.k, args.dd, spec=spec)
+    ops = count_ops(args.proto, args.k, args.dd, spec=_spec(args))
     report = Report(args.format, args.out)
     report.row("proto", "k", "D", "multiplications", "additions")
     report.row(args.proto, args.k, args.dd, ops.scalar_multiplications, ops.scalar_additions)
@@ -261,8 +254,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_simulate(args) -> int:
     report = Report(args.format, None)
     if args.replay:
-        with open(args.replay, "r", encoding="utf-8") as fp:
-            transcripts = read_transcripts(fp)
+        transcripts = read_transcripts(args.replay)
         report.row("record", "proto", "k", "n", "decision", "distance")
         for i, t in enumerate(transcripts):
             report.row(i, t.proto, t.params.k, t.params.n,
@@ -413,9 +405,7 @@ def _cmd_reduce(args) -> int:
         uniform_src = reductions.uniform_string_source(params, root.derive("uniform"))
         hon = sum(oracle(honest_src(args.q + 1)) for _ in range(trials))
         uni = sum(oracle(uniform_src(args.q + 1)) for _ in range(trials))
-    else:  # thm4
-        if not params.blinded:
-            raise ParameterError("thm4 needs a blinded protocol (hb+ or nlhb+)")
+    else:  # thm4: the parser admits only hb+ and nlhb+
         s2 = RandomSource(seed).derive("rewind-s2").uniform_bits(params.k)
         forced = SecretKey(s1=key.s1, s2=s2)
         forger = {
@@ -426,11 +416,7 @@ def _cmd_reduce(args) -> int:
         }[args.adversary]()
         oracle = reductions.active_forger_to_distinguisher(forger, args.q, args.eps1, seed=seed)
         low, high = reductions.rewinding_distinguisher_interval(params)
-        plain = ProtocolParams(
-            proto=params.proto.rstrip("+"),
-            k=params.k, n=params.n, eps=params.eps,
-            eps_prime=params.eps_prime, spec=params.spec,
-        )
+        plain = dataclasses.replace(params, proto=params.proto.rstrip("+"))
         honest_src = reductions.honest_transcript_source(
             plain, SecretKey(s1=key.s1), root.derive("honest")
         )
@@ -547,13 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("attack", help="key-recovery attacks at desk scale")
     p.add_argument("--attack", choices=("majority", "lf2", "noisefree"), required=True)
-    p.add_argument("--proto", choices=("hb", "nlhb"), default="hb")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--n", type=int)
+    _add_protocol_flags(p, proto_choices=("hb", "nlhb"))
+    p.set_defaults(proto="hb")
     p.add_argument("--b", type=int, default=8, help="LF2 block width")
-    p.add_argument("--eps", type=_fraction)
-    p.add_argument("--epsp", type=_fraction)
-    p.add_argument("--spec")
     p.add_argument(
         "--samples", type=int,
         help="column samples to draw for lf2/noisefree (transcripts = ceil(samples/D))",

@@ -11,11 +11,12 @@ followed by one line of lowercase hex.  The bitstream is row-major with the
 most significant bit of the first hex byte holding index 1, zero-padded at
 the end to a byte boundary.
 
-Line rule of these forms and of transcript files (:class:`LineReader`):
-a line ends at ``\n`` and nothing else, each line is stripped of surrounding
-whitespace, and blank lines are skipped.  So ``\r\n`` endings parse, but a
-lone ``\r``, ``\x0b``, ``\x0c``, ``\x85`` or ``\u2028`` is not a line break.
-A hex payload holds hex digits only: whitespace inside it is an error.
+Line rule of these forms and of transcript, keystore and ``--config`` text
+(:class:`LineReader`): a line ends at ``\n`` and nothing else, each line is
+stripped of surrounding whitespace, and blank lines are skipped.  So ``\r\n``
+endings parse, but a lone ``\r``, ``\x0b``, ``\x0c``, ``\x85`` or ``\u2028``
+is not a line break.  A hex payload holds hex digits only: whitespace inside
+it is an error.
 """
 
 from __future__ import annotations
@@ -300,31 +301,6 @@ def dump_matrix(m) -> str:
     return "mat %d %d\n%s\n" % (m.shape[0], m.shape[1], _pack_hex(m.reshape(-1)))
 
 
-def parse_header(header: str, line: int | None = None):
-    """Parse a serialization header line.
-
-    Returns ("bits", n) or ("mat", rows, cols).
-    """
-    parts = header.split()
-    if len(parts) == 2 and parts[0] == "bits":
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise FormatError("bad bits header %r" % header, line) from None
-        if n < 0:
-            raise FormatError("negative length in header", line)
-        return ("bits", n)
-    if len(parts) == 3 and parts[0] == "mat":
-        try:
-            rows, cols = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError("bad mat header %r" % header, line) from None
-        if rows < 0 or cols < 0:
-            raise FormatError("negative dimension in header", line)
-        return ("mat", rows, cols)
-    raise FormatError("unrecognized header %r" % header, line)
-
-
 class LineReader:
     """The non-blank lines of a text, stripped, under the module's line rule.
 
@@ -360,30 +336,83 @@ class LineReader:
         raise StopIteration
 
 
-def _load(text: str, want: str):
-    """Header dimensions and flat bits of the two-line ``bits``/``mat`` form.
+def read_block(reader: LineReader, want: str, shape: tuple | None = None) -> np.ndarray:
+    """The array of the next block in ``reader``: a ``bits <len>`` or ``mat
+    <rows> <cols>`` header as ``want`` names, of the given ``shape`` if one is
+    given, then its hex line.
 
-    A 0-bit payload is written as an empty hex line, which may be absent."""
-    lines = list(LineReader(text))
-    if len(lines) == 1:
-        lines.append("")
-    if len(lines) != 2:
-        raise FormatError("expected header plus one hex line, got %d lines" % len(lines))
-    kind = parse_header(lines[0], line=1)
-    if kind[0] != want:
-        raise FormatError("expected a %s header" % want, line=1)
-    return kind[1:], _unpack_hex(lines[1], math.prod(kind[1:]), line=2)
+    An absent hex line reads as empty, which only a 0-bit payload passes."""
+    header = next(reader, None)
+    line = reader.number
+    if header is None:
+        raise FormatError("unexpected end of text, expected a %s block" % want, line)
+    name, *fields = header.split()
+    try:
+        dims = tuple(map(int, fields))
+    except ValueError:
+        dims = ()
+    if name != want or len(dims) != (1 if want == "bits" else 2) or min(dims) < 0:
+        raise FormatError("bad %s header %r" % (want, header), line)
+    if shape is not None and dims != shape:
+        expected = " ".join(map(str, (want,) + shape))
+        raise FormatError("expected %s, got %r" % (expected, header), line)
+    hexline = next(reader, "")
+    return _unpack_hex(hexline, math.prod(dims), reader.number).reshape(dims)
+
+
+def _load(text: str, want: str) -> np.ndarray:
+    """The one block of the two-line ``bits``/``mat`` form."""
+    reader = LineReader(text)
+    value = read_block(reader, want)
+    if next(reader, None) is not None:
+        raise FormatError("expected header plus one hex line", reader.number)
+    return value
 
 
 def load_bits(text: str) -> np.ndarray:
     """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits)."""
-    return _load(text, "bits")[1]
+    return _load(text, "bits")
 
 
 def load_matrix(text: str) -> np.ndarray:
     """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix)."""
-    shape, flat = _load(text, "mat")
-    return flat.reshape(shape)
+    return _load(text, "mat")
+
+
+def read_entries(text: str):
+    """The ``key=value`` entries of keystore and ``--config`` text, as dicts of
+    stripped keys and values.  A blank line ends an entry and ``#`` lines are
+    comments; a line without ``=`` or a key repeated within one entry is a
+    :class:`FormatError`."""
+    reader = LineReader(text)
+    entry: dict[str, str] = {}
+    last = 0
+    for raw in reader:
+        if reader.number > last + 1 and entry:  # a blank line was skipped
+            yield entry
+            entry = {}
+        last = reader.number
+        if raw.startswith("#"):
+            continue
+        key, sep, value = raw.partition("=")
+        if not sep:
+            raise FormatError("expected key=value, got %r" % raw, last)
+        key = key.strip()
+        if key in entry:
+            raise FormatError("field %r repeated within one entry" % key, last)
+        entry[key] = value.strip()
+    if entry:
+        yield entry
+
+
+def read_text(path, what: str) -> str:
+    """The text of a UTF-8 file with its line endings as written, for the line
+    rule to split; other bytes are a :class:`FormatError` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            return fp.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s is not UTF-8 text: %s" % (what, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -454,24 +483,6 @@ class RandomSource:
             if v > threshold:
                 return 0
         return 0
-
-    def bounded_weight_bits(self, length: int, eps) -> np.ndarray:
-        """Draw Bernoulli(eps) bits conditioned on weight <= floor(eps * length).
-
-        This is the bounded-weight noise variant some problem statements use
-        in place of plain i.i.d. noise; implemented by rejection so the
-        conditional law is exact.
-        """
-        eps = Fraction(eps)
-        limit = int(eps * length)
-        for _ in range(100000):
-            v = self.bernoulli_bits(length, eps)
-            if int(np.count_nonzero(v)) <= limit:
-                return v
-        raise ParameterError(
-            "bounded-weight rejection sampler failed to terminate for eps=%s, length=%d"
-            % (eps, length)
-        )
 
     def derive(self, label: str) -> "RandomSource":
         """Return an independent child source keyed by this seed and a label."""

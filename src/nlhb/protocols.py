@@ -33,9 +33,9 @@ from .gf2core import (
     as_bits,
     dump_bits,
     dump_matrix,
-    parse_header,
+    read_block,
+    read_text,
     _mat_vec_mul,
-    _unpack_hex,
 )
 from .nlfunc import (
     IDENTITY_SPEC,
@@ -329,6 +329,8 @@ def _parse_params(proto: str, line_text: str, line: int) -> ProtocolParams:
         if "=" not in token:
             raise FormatError("bad params token %r" % token, line)
         name, value = token.split("=", 1)
+        if name in fields:
+            raise FormatError("params field %r repeated" % name, line)
         fields[name] = value
     try:
         k = int(fields["k"])
@@ -355,29 +357,10 @@ def _parse_params(proto: str, line_text: str, line: int) -> ProtocolParams:
     return params
 
 
-def _read_block(reader: LineReader, want: str, rows: int, cols: int):
-    header = next(reader, None)
-    line = reader.number
-    if header is None:
-        raise FormatError("unexpected end of file, expected %s block" % want, line)
-    kind = parse_header(header, line)
-    hexline = next(reader, None)
-    if hexline is None:
-        raise FormatError("missing hex payload", reader.number)
-    if want == "mat":
-        if kind[0] != "mat" or kind[1] != rows or kind[2] != cols:
-            raise FormatError("expected mat %d %d, got %r" % (rows, cols, header), line)
-        return _unpack_hex(hexline, rows * cols, reader.number).reshape(rows, cols)
-    if kind[0] != "bits" or kind[1] != rows:
-        raise FormatError("expected bits %d, got %r" % (rows, header), line)
-    return _unpack_hex(hexline, rows, reader.number)
-
-
 def read_transcripts(fp) -> list[SessionTranscript]:
     """Parse a transcript file back into records (inverse of write_transcripts)."""
     if isinstance(fp, (str, bytes)):
-        with open(fp) as handle:
-            return read_transcripts(handle)
+        return transcripts_from_text(read_text(fp, "transcript file"))
     try:
         text = fp.read()
     except UnicodeDecodeError as exc:
@@ -404,11 +387,10 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
         params = parsed.get((proto, params_text))
         if params is None:
             params = parsed[proto, params_text] = _parse_params(proto, params_text, pline)
-        b = None
-        if params.blinded:
-            b = _read_block(reader, "mat", params.k, params.n)
-        a = _read_block(reader, "mat", params.k, params.n)
-        z = _read_block(reader, "bits", params.d, 0)
+        shape = (params.k, params.n)
+        b = read_block(reader, "mat", shape) if params.blinded else None
+        a = read_block(reader, "mat", shape)
+        z = read_block(reader, "bits", (params.d,))
         decision_text = next(reader, None)
         dline = reader.number
         if decision_text is None:

@@ -41,7 +41,14 @@ from .gf2core import (
     mat_vec_mul,
 )
 from .nlfunc import NonlinearFunctionSpec, apply_f, key_distances
-from .protocols import ProtocolParams, SecretKey, expected_response, verify
+from .protocols import (
+    ProtocolParams,
+    SecretKey,
+    expected_response,
+    respond,
+    transcript_sampler,
+    verify,
+)
 
 # ---------------------------------------------------------------------------
 # transcript <-> flat bitstring packing
@@ -69,15 +76,16 @@ def string_length(params: ProtocolParams) -> int:
 
 
 def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: RandomSource):
-    """Unbounded source of packed honest transcripts (1 and 0 alike draw A
-    then noise, so streams are reproducible)."""
+    """Unbounded source of packed honest transcripts: the sessions of
+    :func:`transcript_sampler` on ``rng``, one (A, z) row each, so a draw of
+    c rows equals any split of c into smaller draws."""
+    if params.blinded:
+        raise ParameterError("packed transcripts are single-secret; %s is blinded" % params.proto)
 
     def draw(count: int) -> np.ndarray:
         out = np.empty((count, string_length(params)), dtype=np.uint8)
-        for row in range(count):
-            a = rng.uniform_matrix(params.k, params.n)
-            z = expected_response(params, key, a) ^ rng.bernoulli_bits(params.d, params.eps)
-            out[row] = pack_transcript(a, z)
+        for row, t in enumerate(transcript_sampler(params, key, rng, count)):
+            out[row] = pack_transcript(t.a, t.z)
         return out
 
     return draw
@@ -325,16 +333,11 @@ class PerfectPassiveForger(PassiveForger):
         return expected_response(self.params, self.key, a)
 
 
-class HonestPassiveForger(PassiveForger):
+class HonestPassiveForger(PerfectPassiveForger):
     """Knows the key but answers like the honest noisy prover."""
 
-    def __init__(self, params, key: SecretKey, q: int = 0):
-        super().__init__(params, q)
-        self.key = key
-
     def _forge(self, a):
-        noise = self._rng.bernoulli_bits(self.params.d, self.params.eps)
-        return expected_response(self.params, self.key, a) ^ noise
+        return respond(self.params, self.key, a, rng=self._rng)
 
 
 class RandomPassiveForger(PassiveForger):
@@ -434,7 +437,8 @@ class ActiveForger:
     def commit_blinding(self) -> np.ndarray:
         self._require("query", None)
         self._state["phase"] = "challenge"
-        b_hat = self._commit_blinding()
+        self._commit_blinding()
+        b_hat = self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
         self._state["b_hat"] = b_hat
         return b_hat
 
@@ -456,11 +460,19 @@ class ActiveForger:
     def _on_response(self, z) -> None:
         pass
 
-    def _commit_blinding(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _commit_blinding(self) -> None:
+        """Work done once the query phase closes, before B_hat is drawn."""
 
     def _respond(self, a):  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _prover_response(self, key: SecretKey, a, noisy: bool) -> np.ndarray:
+        """The honest blinded prover's answer to ``a`` under ``key`` and B_hat.
+        Its noise comes from coins tied to ``a``, so a rewound replay repeats it."""
+        b_hat = self._state["b_hat"]
+        if not noisy:
+            return expected_response(self.params, key, a, b=b_hat)
+        return respond(self.params, key, a, b=b_hat, rng=self._message_rng("noise", a.tobytes()))
 
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the
@@ -490,17 +502,8 @@ class HonestActiveForger(ActiveForger):
         tag = b.tobytes() + int(self._state["round"]).to_bytes(4, "big")
         return self._message_rng("query-a", tag).uniform_matrix(self.params.k, self.params.n)
 
-    def _commit_blinding(self):
-        return self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
-
     def _respond(self, a):
-        image = expected_response(self.params, self.key, a, b=self._state["b_hat"])
-        if not self.noisy:
-            return image
-        noise = self._message_rng("noise", a.tobytes()).bernoulli_bits(
-            self.params.d, self.params.eps
-        )
-        return image ^ noise
+        return self._prover_response(self.key, a, self.noisy)
 
 
 class RandomActiveForger(ActiveForger):
@@ -510,9 +513,6 @@ class RandomActiveForger(ActiveForger):
         return self._message_rng("query-a", b.tobytes()).uniform_matrix(
             self.params.k, self.params.n
         )
-
-    def _commit_blinding(self):
-        return self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
 
     def _respond(self, a):
         return self._message_rng("z-hat", a.tobytes()).uniform_bits(self.params.d)
@@ -566,7 +566,6 @@ class ExtractingActiveForger(ActiveForger):
         image = (2 * self._state["votes"] > count).astype(np.uint8)
         best = int(np.argmin(key_distances(self.params.spec, self._state["a_star"], image)))
         self._state["s2_hat"] = code_rows([best], self.params.k)[0]
-        return self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
 
     def snapshot(self) -> dict:
         state = dict(self._state)
@@ -575,13 +574,7 @@ class ExtractingActiveForger(ActiveForger):
 
     def _respond(self, a):
         key = SecretKey(s1=self.s1, s2=self._state["s2_hat"])
-        image = expected_response(self.params, key, a, b=self._state["b_hat"])
-        if not self.noisy:
-            return image
-        noise = self._message_rng("noise", a.tobytes()).bernoulli_bits(
-            self.params.d, self.params.eps
-        )
-        return image ^ noise
+        return self._prover_response(key, a, self.noisy)
 
 
 def rewinding_distinguisher_interval(params: ProtocolParams):

@@ -341,3 +341,46 @@ def test_concurrent_sessions(service):
     logged = _logged(running)
     assert len(logged) == 8
     assert running.log_path.read_text(encoding="utf-8") == "\n".join(map(format_transcript, logged))
+
+
+# ---------------------------------------------------------------------------
+# keystore line rule: blank lines separate entries, lines end at \n only
+# ---------------------------------------------------------------------------
+
+def _two_entries():
+    a = svc.KeystoreEntry("alpha", _params(), generate_key(_params(), RandomSource(20)))
+    b = svc.KeystoreEntry("beta", _blinded_params(), generate_key(_blinded_params(), RandomSource(21)))
+    return svc.format_keystore_entry(a), svc.format_keystore_entry(b)
+
+
+def test_keystore_crlf_keeps_every_entry():
+    first, second = _two_entries()
+    back = svc.parse_keystore((first + "\n" + second).replace("\n", "\r\n"))
+    assert set(back) == {"alpha", "beta"}
+    assert back["beta"].key.s2 is not None
+
+
+@pytest.mark.parametrize("blank", ["   ", "\t", " \t "])
+def test_keystore_whitespace_only_separator_line(blank):
+    first, second = _two_entries()
+    assert set(svc.parse_keystore(first + blank + "\n" + second)) == {"alpha", "beta"}
+
+
+def test_keystore_entries_without_blank_line_name_the_repeated_field():
+    first, second = _two_entries()
+    with pytest.raises(FormatError, match="'identity' repeated") as err:
+        svc.parse_keystore(first + second)
+    assert err.value.line == first.count("\n") + 1
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x85", "\u2028"])
+def test_keystore_lone_separator_is_not_a_line_break(sep, tmp_path):
+    first, _ = _two_entries()
+    text = first.replace("\n", sep, 2)
+    with pytest.raises(FormatError):
+        svc.parse_keystore(text)
+    path = tmp_path / "keys.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(FormatError):
+        svc.read_keystore(path)
+

@@ -454,3 +454,31 @@ def test_auth_muted_service_reports_muted(tmp_path):
         )
     assert code == 0
     assert kv(out)["decision"] == "muted"
+
+
+def _config_flags(tmp_path, data: bytes):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(data)
+    return cli._merge_config(["simulate", "--config", str(cfg), "--seed", "3"])
+
+
+def test_config_crlf_gives_the_same_flags(tmp_path):
+    text = b"# run\nproto=nlhb\nk=8\n\nsessions=2\nreplay=false\n"
+    flags = _config_flags(tmp_path, text)
+    assert flags == ["simulate", "--proto", "nlhb", "--k", "8", "--sessions", "2", "--seed", "3"]
+    assert _config_flags(tmp_path, text.replace(b"\n", b"\r\n")) == flags
+
+
+def test_config_lone_cr_is_not_a_line_break(tmp_path):
+    flags = _config_flags(tmp_path, b"k=8\rsessions=2\n")
+    assert flags == ["simulate", "--k", "8\rsessions=2", "--seed", "3"]
+
+
+def test_config_repeated_key_is_an_error(tmp_path):
+    for text in ("k=8\nk=9\n", "k=8\n\nk=9\n"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, _, err = run_cli(["simulate", "--config", str(cfg)])
+        assert code == 1
+        assert "'k'" in err
+

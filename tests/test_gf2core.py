@@ -518,17 +518,18 @@ def test_bernoulli_residual_terminates():
     assert rng._bernoulli_residual(0, 7) == 0
 
 
-def test_bounded_weight_respects_cap():
-    rng = RandomSource(55)
-    eps = Fraction(1, 4)
-    for _ in range(50):
-        v = rng.bounded_weight_bits(64, eps)
-        assert int(np.count_nonzero(v)) <= 16
-
-
 def test_derive_deterministic_and_distinct():
     a = RandomSource(42).derive("session-0")
     b = RandomSource(42).derive("session-0")
     c = RandomSource(42).derive("session-1")
     assert a.seed == b.seed != c.seed
     assert gf2core.derive_seed(42, "session-0") == a.seed
+
+
+@pytest.mark.parametrize(
+    "text", ["bits +\n", "bits -8\n00\n", "mat 2\n00\n", "bits 1 2\n00\n", "bits %s\n00\n" % ("9" * 5000)]
+)
+def test_load_rejects_bad_headers(text):
+    with pytest.raises(FormatError, match="bad bits header|bad mat header") as err:
+        (load_matrix if text.startswith("mat") else load_bits)(text)
+    assert err.value.line == 1

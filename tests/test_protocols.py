@@ -508,3 +508,13 @@ def test_transcript_hostile_edits_give_records_or_format_error(text):
     except FormatError:
         return
     assert all(isinstance(t, SessionTranscript) for t in records)
+
+
+def test_transcript_params_field_repeated_is_format_error():
+    p = small_nlhb()
+    good = transcripts_to_text(transcript_sampler(p, generate_key(p, RandomSource(64)), RandomSource(65), 1))
+    lines = good.split("\n")
+    lines[1] += " k=2"
+    with pytest.raises(FormatError, match="'k' repeated") as err:
+        transcripts_from_text("\n".join(lines))
+    assert err.value.line == 2

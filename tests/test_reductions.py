@@ -24,6 +24,7 @@ from nlhb.protocols import (
     generate_key,
     hb_params,
     nlhb_params,
+    transcript_sampler,
 )
 from nlhb import reductions as red
 from support import hybrid_tables
@@ -516,3 +517,30 @@ def test_deterministic_given_seed_and_input():
     plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     batch = red.honest_transcript_source(plain, SecretKey(s1=key.s1), RandomSource(144))(2)
     assert oracle(batch) == oracle(batch)
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+@pytest.mark.parametrize("proto", ["hb", "nlhb"])
+def test_honest_source_packs_transcript_sampler(proto, count):
+    # One stream, A then noise per session, however the rows are drawn.
+    if proto == "hb":
+        params = hb_params(6, 40, Fraction(1, 8), Fraction(1, 4))
+    else:
+        params = nlhb_params(6, 43, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
+    key = generate_key(params, RandomSource(150))
+    rows = red.honest_transcript_source(params, key, RandomSource(151))(count)
+    sessions = transcript_sampler(params, key, RandomSource(151), count)
+    packed = [red.pack_transcript(t.a, t.z) for t in sessions]
+    expected = np.array(packed, dtype=np.uint8).reshape(count, red.string_length(params))
+    assert rows.dtype == np.uint8 and np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("proto", ["hb+", "nlhb+"])
+def test_honest_source_rejects_blinded_params_when_built(proto):
+    if proto == "hb+":
+        params = hb_params(6, 40, Fraction(1, 8), Fraction(1, 4), blinded=True)
+    else:
+        params = nlhb_params(6, 43, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC, blinded=True)
+    key = generate_key(params, RandomSource(152))
+    with pytest.raises(ParameterError, match="blinded"):
+        red.honest_transcript_source(params, key, RandomSource(153))
