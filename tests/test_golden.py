@@ -177,29 +177,49 @@ def test_golden_brute_force_unld():
     assert _digest(text) == "342a857e8c977894bc629a3acf15ce45"
 
 
-# The reduction TSV of `nlhb reduce` for the forgers no digest above covers.
+# The reduction TSV of `nlhb reduce` for every forger.
 # thm3 runs at eps=1/4, eps'=3/8 and thm4 at D=16 with eps1 near the bottom
 # of its interval, so that the rates fall strictly between 0 and the trial
 # count wherever the forger allows it.
 _THM_ARGS = ["--k", "8", "--n", "67", "--eps", "1/4", "--epsp", "3/8", "--seed", "11"]
 _THM4_ARGS = ["--proto", "nlhb+", "--n", "19", "--eps1", "47/100", "--trials", "24"]
 REDUCE_DIGESTS = {
+    ("thm3", "perfect"): "aac0fb8eeda291f6371f7e9e0dc196fe",
     ("thm3", "honest"): "61a7024e7e86d73f0160b37f30e63a26",
     ("thm3", "random"): "bd6b920d5ad2e192d669b398f14ed43b",
     ("thm4", "perfect"): "6b234f633b0cd9ec26f8b0496a2acc74",
     ("thm4", "honest"): "5cc83cd1d02af8ec039edbe57c48c201",
     ("thm4", "random"): "ff86de1bedbae2b90da140882dc0b59e",
+    ("thm4", "learning"): "d7e7111c9c5b3e00d1975c0559ec0dbb",
 }
+
+
+def _cli_digest(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return _digest(out.getvalue())
 
 
 @pytest.mark.parametrize("mode, adversary", sorted(REDUCE_DIGESTS))
 def test_golden_reduce_report(mode, adversary):
     argv = ["reduce", mode, "--adversary", adversary] + _THM_ARGS
     argv += ["--trials", "40"] if mode == "thm3" else _THM4_ARGS
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    assert _digest(out.getvalue()) == REDUCE_DIGESTS[mode, adversary]
+    assert _cli_digest(argv) == REDUCE_DIGESTS[mode, adversary]
+
+
+# The other `nlhb reduce` modes: algorithm X, the LPN embedding and one hybrid.
+DRIVER_DIGESTS = {
+    "thm2": (_THM_ARGS, "472408d4f24080754709b2a47a2437b0"),
+    "embed": (["--seed", "11"], "a06bd0e652211b734b985a84ff38f6e5"),
+    "hybrid": (["--row", "3"] + _THM_ARGS, "e86aad021eebdfdda3c844669df63b54"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DRIVER_DIGESTS))
+def test_golden_reduce_driver(mode):
+    args, digest = DRIVER_DIGESTS[mode]
+    assert _cli_digest(["reduce", mode] + args) == digest
 
 
 SERVER_LOG_DIGESTS = {
