@@ -115,6 +115,14 @@ def default_majority_reps(eps, log2_target: int = -20) -> int:
     raise ParameterError("no odd reps below 100001 reaches the target; eps too close to 1/2")
 
 
+def _verified(stats: dict, accepts: int, count: int) -> bool:
+    """Record a candidate's verification in ``stats``; True when at least 99%
+    of the ``count`` sessions accepted it."""
+    stats["verify_accepts"] = accepts
+    stats["verify_count"] = count
+    return accepts >= math.ceil(0.99 * count)
+
+
 def _verify_against_oracle(params, candidate, prover_oracle, rng, count):
     key = SecretKey(s1=candidate)
     accepts = 0
@@ -132,7 +140,6 @@ def majority_vote_attack(
     *,
     rng: RandomSource | None = None,
     max_rounds: int = 8,
-    verify_count: int = 100,
 ) -> AttackReport:
     """Denoise f(s.A) by bitwise majority over repeated identical challenges,
     then solve for s (hb) or exhaust the key space (nlhb, streamed through
@@ -188,11 +195,10 @@ def majority_vote_attack(
         stats["failure"] = "no usable denoised system within %d rounds" % max_rounds
         return AttackReport("majority", params, queries, False, None, stats)
 
+    verify_count = 100  # fresh sessions the candidate must pass
     accepts = _verify_against_oracle(params, candidate, prover_oracle, rng, verify_count)
     queries += verify_count
-    stats["verify_accepts"] = accepts
-    stats["verify_count"] = verify_count
-    success = accepts >= math.ceil(0.99 * verify_count)
+    success = _verified(stats, accepts, verify_count)
     return AttackReport("majority", params, queries, success, candidate, stats)
 
 
@@ -402,9 +408,7 @@ def lf2_attack(
         candidate = known
 
     accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
-    stats["verify_accepts"] = accepts
-    stats["verify_count"] = len(verify_transcripts)
-    success = accepts >= math.ceil(0.99 * len(verify_transcripts))
+    success = _verified(stats, accepts, len(verify_transcripts))
     return AttackReport("lf2", params, queries, success, candidate, stats)
 
 
@@ -461,7 +465,6 @@ def noise_free_selection_attack(
         verify_transcripts = transcripts[split:]
         transcripts = transcripts[:split]
     queries = len(transcripts) + len(verify_transcripts)
-    gate = math.ceil(0.99 * len(verify_transcripts))
     per_trial = float((1 - Fraction(params.eps)) ** k)
 
     if params.spec.monomials:
@@ -489,11 +492,8 @@ def noise_free_selection_attack(
             return AttackReport("noisefree", params, queries, False, None, stats)
         candidate = code_rows(alive, k)[0]
         accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
-        stats["verify_accepts"] = accepts
-        stats["verify_count"] = len(verify_transcripts)
-        return AttackReport(
-            "noisefree", params, queries, accepts >= gate, candidate, stats
-        )
+        success = _verified(stats, accepts, len(verify_transcripts))
+        return AttackReport("noisefree", params, queries, success, candidate, stats)
 
     x, y = _pool_samples(transcripts)
     n_samples = x.shape[1]
@@ -512,12 +512,9 @@ def noise_free_selection_attack(
                 raise ParameterError("could not find a full-rank selection")
         candidate = gaussian_solve(x[:, idx], y[idx])
         accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
-        if accepts >= gate:
-            stats["trials_used"] = trial
-            stats["selections_resampled"] = resampled
-            stats["verify_accepts"] = accepts
-            stats["verify_count"] = len(verify_transcripts)
-            return AttackReport("noisefree", params, queries, True, candidate, stats)
+        won = dict(stats, trials_used=trial, selections_resampled=resampled)
+        if _verified(won, accepts, len(verify_transcripts)):
+            return AttackReport("noisefree", params, queries, True, candidate, won)
     stats["trials_used"] = trials
     stats["selections_resampled"] = resampled
     stats["failure"] = "no all-noise-free selection in %d trials" % trials

@@ -279,8 +279,7 @@ def _cmd_simulate(args) -> int:
     report.comment("%d/%d sessions accepted (u=%d, D=%d)"
                    % (accepted, args.sessions, params.u, params.d))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fp:
-            write_transcripts(fp, transcripts)
+        write_transcripts(args.out, transcripts)
         report.comment("transcripts written to %s" % args.out)
     report.emit()
     return 0
@@ -392,7 +391,6 @@ def _cmd_reduce(args) -> int:
         report.emit()
         return 0
 
-    trials = args.trials
     if mode == "thm3":
         forger = {
             "perfect": lambda: reductions.PerfectPassiveForger(params, key, q=args.q),
@@ -401,13 +399,9 @@ def _cmd_reduce(args) -> int:
         }[args.adversary]()
         oracle = reductions.forger_to_distinguisher(forger, args.q, args.epsdd, seed=seed)
         low, high = reductions.passive_distinguisher_interval(params)
-        honest_src = reductions.honest_transcript_source(params, key, root.derive("honest"))
-        uniform_src = reductions.uniform_string_source(params, root.derive("uniform"))
-        hon = sum(oracle(honest_src(args.q + 1)) for _ in range(trials))
-        uni = sum(oracle(uniform_src(args.q + 1)) for _ in range(trials))
+        plain = params
     else:  # thm4: the parser admits only hb+ and nlhb+
-        s2 = RandomSource(seed).derive("rewind-s2").uniform_bits(params.k)
-        forced = SecretKey(s1=key.s1, s2=s2)
+        forced = SecretKey(s1=key.s1, s2=reductions.rewinding_s2(params, seed))
         forger = {
             "perfect": lambda: reductions.HonestActiveForger(params, forced, q=args.q, noisy=False),
             "honest": lambda: reductions.HonestActiveForger(params, forced, q=args.q),
@@ -417,12 +411,14 @@ def _cmd_reduce(args) -> int:
         oracle = reductions.active_forger_to_distinguisher(forger, args.q, args.eps1, seed=seed)
         low, high = reductions.rewinding_distinguisher_interval(params)
         plain = dataclasses.replace(params, proto=params.proto.rstrip("+"))
-        honest_src = reductions.honest_transcript_source(
-            plain, SecretKey(s1=key.s1), root.derive("honest")
-        )
-        uniform_src = reductions.uniform_string_source(plain, root.derive("uniform"))
-        hon = sum(oracle(honest_src(args.q)) for _ in range(trials))
-        uni = sum(oracle(uniform_src(args.q)) for _ in range(trials))
+    # both wrappers read their input strings as single-secret transcripts
+    honest_src = reductions.honest_transcript_source(
+        plain, SecretKey(s1=key.s1), root.derive("honest")
+    )
+    uniform_src = reductions.uniform_string_source(plain, root.derive("uniform"))
+    trials = args.trials
+    hon = sum(oracle(honest_src(oracle.q)) for _ in range(trials))
+    uni = sum(oracle(uniform_src(oracle.q)) for _ in range(trials))
 
     report.row("adversary", args.adversary)
     report.row("threshold_interval", "(%s, %s)" % (low, high))
@@ -449,13 +445,14 @@ def _cmd_serve(args) -> int:
     sys.stdout.write("seed\t%d\nlistening\t%s:%d\n" % (seed, host, port))
     sys.stdout.flush()
     try:
-        while True:
+        while service._thread.is_alive():
             service._thread.join(timeout=3600)
     except KeyboardInterrupt:
-        pass
+        return 0
     finally:
         service.shutdown()
-    return 0
+    sys.stderr.write("error: the server thread stopped\n")
+    return 1
 
 
 def _cmd_auth(args) -> int:

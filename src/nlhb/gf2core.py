@@ -499,9 +499,10 @@ def _bernoulli_threshold(eps):
     return np.uint64(threshold), residual, eps.denominator
 
 
-def derive_seed(seed: int, label: str) -> int:
-    """The 64-bit child seed of ``seed`` for ``label`` (see :meth:`RandomSource.derive`)."""
-    digest = hashlib.blake2b(
-        int(seed).to_bytes(8, "big") + label.encode("utf-8"), digest_size=8
-    ).digest()
+def derive_seed(seed: int, label: str | bytes) -> int:
+    """The 64-bit child seed of ``seed`` for ``label`` (see :meth:`RandomSource.derive`);
+    a str label stands for its UTF-8 bytes."""
+    if isinstance(label, str):
+        label = label.encode("utf-8")
+    digest = hashlib.blake2b(int(seed).to_bytes(8, "big") + label, digest_size=8).digest()
     return int.from_bytes(digest, "big")

@@ -137,7 +137,7 @@ def apply_f_batch(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     x = as_bit_matrix(x)
     d = spec.output_length(x.shape[1])
     offs, degs = _encoded(spec)
-    return _kernels.apply_window_batch(np.ascontiguousarray(x), offs, degs, d)
+    return _kernels.apply_window_batch(x, offs, degs, d)
 
 
 # key bits enumerated inside one chunk of :func:`key_distances`: a chunk is
@@ -173,14 +173,14 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
 
 def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     """Apply the response map to one n-bit vector, yielding n - p bits."""
-    x = np.ascontiguousarray(as_bits(x))
+    x = as_bits(x)
     spec.output_length(x.shape[0])
     return _apply_f(spec, x)
 
 
 def _apply_f(spec: NonlinearFunctionSpec, x: np.ndarray) -> np.ndarray:
-    """:func:`apply_f` for a contiguous bit vector already checked against
-    the spec's window."""
+    """:func:`apply_f` for a bit vector already checked against the spec's
+    window."""
     offs, degs = _encoded(spec)
     return _kernels.apply_window_batch(x[None, :], offs, degs, x.shape[0] - spec.p)[0]
 

@@ -102,7 +102,6 @@ class ThresholdSearch:
     u: int
     fa: TailProbability
     fr: TailProbability
-    scanned: int
 
 
 def find_min_D(
@@ -131,7 +130,7 @@ def find_min_D(
         fr = false_reject(d, eps, u)
         if fr.log2 > log2_fr_target:
             continue
-        return ThresholdSearch(d=d, u=u, fa=fa, fr=fr, scanned=d)
+        return ThresholdSearch(d=d, u=u, fa=fa, fr=fr)
     raise ParameterError(
         "no D <= %d meets the targets 2^%g / 2^%g" % (cap, log2_fa_target, log2_fr_target)
     )

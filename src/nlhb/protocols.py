@@ -17,6 +17,7 @@ path, which the tests pin down bit-for-bit.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -307,8 +308,8 @@ def format_transcript(t: SessionTranscript) -> str:
 
 def write_transcripts(fp, transcripts) -> None:
     """Write records separated by blank lines to a path or text file object."""
-    if isinstance(fp, (str, bytes)):
-        with open(fp, "w") as handle:
+    if isinstance(fp, (str, bytes, os.PathLike)):
+        with open(fp, "w", encoding="utf-8") as handle:
             write_transcripts(handle, transcripts)
             return
     fp.write("\n".join(format_transcript(t) for t in transcripts))
@@ -359,7 +360,7 @@ def _parse_params(proto: str, line_text: str, line: int) -> ProtocolParams:
 
 def read_transcripts(fp) -> list[SessionTranscript]:
     """Parse a transcript file back into records (inverse of write_transcripts)."""
-    if isinstance(fp, (str, bytes)):
+    if isinstance(fp, (str, bytes, os.PathLike)):
         return transcripts_from_text(read_text(fp, "transcript file"))
     try:
         text = fp.read()

@@ -20,7 +20,6 @@ Oracles are trusted in-process callables, deterministic given their seed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .gf2core import (
     as_bits,
     check_enumerable,
     code_rows,
+    derive_seed,
     hamming,
     mat_vec_mul,
 )
@@ -62,7 +62,7 @@ def pack_transcript(a, z) -> np.ndarray:
 
 def unpack_transcript(bits, params: ProtocolParams):
     bits = as_bits(bits)
-    expected = params.k * params.n + params.d
+    expected = string_length(params)
     if bits.shape[0] != expected:
         raise DimensionError(
             "transcript string has %d bits, expected k*n+D = %d" % (bits.shape[0], expected)
@@ -347,6 +347,20 @@ class RandomPassiveForger(PassiveForger):
         return self._rng.uniform_bits(self.params.d)
 
 
+def _threshold(params: ProtocolParams, rate, interval):
+    """The accept distance floor(rate * D) for a threshold rate inside the
+    open ``interval`` (its midpoint when ``rate`` is None), and the advantage
+    declared for it: one minus the fair-coin false-accept tail there."""
+    low, high = interval
+    rate = (low + high) / 2 if rate is None else Fraction(rate)
+    if not low < rate < high:
+        raise ParameterError(
+            "threshold rate %s outside the open interval (%s, %s)" % (rate, low, high)
+        )
+    u = int(rate * params.d)
+    return u, 1.0 - float(false_accept(params.d, u).exact)
+
+
 def passive_distinguisher_interval(params: ProtocolParams):
     """Admissible open interval for the accept threshold rate of the
     passive forger wrapper: (eps' - 2 eps eps' + eps, 1/2)."""
@@ -367,15 +381,7 @@ def forger_to_distinguisher(
     the false-accept tail at the threshold.
     """
     params = z_oracle.params
-    low, high = passive_distinguisher_interval(params)
-    if epsilon_dd is None:
-        epsilon_dd = (low + high) / 2
-    epsilon_dd = Fraction(epsilon_dd)
-    if not low < epsilon_dd < high:
-        raise ParameterError(
-            "threshold rate %s outside the open interval (%s, %s)" % (epsilon_dd, low, high)
-        )
-    u_dd = int(epsilon_dd * params.d)
+    u_dd, declared = _threshold(params, epsilon_dd, passive_distinguisher_interval(params))
 
     def func(strings):
         z_oracle.reset(seed)
@@ -384,7 +390,6 @@ def forger_to_distinguisher(
         forged = z_oracle.forge(a_star)
         return int(hamming(z_star, forged) <= u_dd)
 
-    declared = 1.0 - float(false_accept(params.d, u_dd).exact)
     return DistinguisherOracle(
         func=func, q=q + 1, advantage=declared, seed=seed, params=params
     )
@@ -443,8 +448,7 @@ class ActiveForger:
         return b_hat
 
     def respond(self, a) -> np.ndarray:
-        if not self._state or self._state["phase"] != "challenge":
-            raise ParameterError("forger protocol misuse: respond() before commit_blinding()")
+        self._require("challenge", None)
         return self._respond(as_bit_matrix(a))
 
     def snapshot(self) -> dict:
@@ -477,13 +481,7 @@ class ActiveForger:
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the
         same message identically, yet distinct messages stay independent."""
-        digest = hashlib.blake2b(
-            int(self._state["seed"]).to_bytes(8, "big")
-            + label.encode()
-            + payload,
-            digest_size=8,
-        ).digest()
-        return RandomSource(int.from_bytes(digest, "big"))
+        return RandomSource(derive_seed(self._state["seed"], label.encode() + payload))
 
 
 class HonestActiveForger(ActiveForger):
@@ -585,17 +583,23 @@ def rewinding_distinguisher_interval(params: ProtocolParams):
     return (1 - (1 - 2 * epsp) ** 2) / 2, Fraction(1, 2)
 
 
+def rewinding_s2(params: ProtocolParams, seed: int) -> np.ndarray:
+    """The s2 that the rewinding wrapper built with ``seed`` simulates."""
+    return RandomSource(seed).derive("rewind-s2").uniform_bits(params.k)
+
+
 def active_forger_to_distinguisher(
-    zp: ActiveForger, q: int, epsilon_1=None, *, seed: int = 0, s2=None
+    zp: ActiveForger, q: int, epsilon_1=None, *, seed: int = 0
 ) -> DistinguisherOracle:
     """Distinguisher from an active forger via rewinding.
 
     Input strings are read as single-secret transcripts (B, z_bar).  The
-    wrapper samples its own s2, simulates the blinded prover toward zp in
-    the query phase (z = z_bar + f(s2 . A)), then rewinds zp's challenge
-    phase from one blinding commitment: the unknown f(s1 . B_hat) term is
-    identical in both forged responses, so it cancels from their XOR, which
-    is compared against f(s2 A1) + f(s2 A2) at threshold floor(eps1 * D).
+    wrapper samples its own s2 (:func:`rewinding_s2`), simulates the blinded
+    prover toward zp in the query phase (z = z_bar + f(s2 . A)), then rewinds
+    zp's challenge phase from one blinding commitment: the unknown
+    f(s1 . B_hat) term is identical in both forged responses, so it cancels
+    from their XOR, which is compared against f(s2 A1) + f(s2 A2) at
+    threshold floor(eps1 * D).
     """
     params = zp.params
     if not params.blinded:
@@ -603,19 +607,8 @@ def active_forger_to_distinguisher(
     for method in ("snapshot", "restore"):
         if not callable(getattr(zp, method, None)):
             raise ParameterError("active forger lacks %s(): rewinding unsupported" % method)
-    low, high = rewinding_distinguisher_interval(params)
-    if epsilon_1 is None:
-        epsilon_1 = (low + high) / 2
-    epsilon_1 = Fraction(epsilon_1)
-    if not low < epsilon_1 < high:
-        raise ParameterError(
-            "threshold rate %s outside the open interval (%s, %s)" % (epsilon_1, low, high)
-        )
-    u_1 = int(epsilon_1 * params.d)
-    if s2 is None:
-        s2 = RandomSource(seed).derive("rewind-s2").uniform_bits(params.k)
-    else:
-        s2 = as_bits(s2)
+    u_1, declared = _threshold(params, epsilon_1, rewinding_distinguisher_interval(params))
+    s2 = rewinding_s2(params, seed)
 
     def func(strings):
         zp.reset(seed)
@@ -624,10 +617,7 @@ def active_forger_to_distinguisher(
             a = zp.on_blinding(b_bar)
             zp.on_response(z_bar ^ apply_f(params.spec, mat_vec_mul(s2, a)))
         zp.commit_blinding()
-        digest = hashlib.blake2b(
-            int(seed).to_bytes(8, "big") + strings.tobytes(), digest_size=8
-        ).digest()
-        challenge_rng = RandomSource(int.from_bytes(digest, "big"))
+        challenge_rng = RandomSource(derive_seed(seed, strings.tobytes()))
         a1 = challenge_rng.uniform_matrix(params.k, params.n)
         a2 = challenge_rng.uniform_matrix(params.k, params.n)
         state = zp.snapshot()
@@ -639,7 +629,6 @@ def active_forger_to_distinguisher(
         )
         return int(hamming(z1 ^ z2, target) <= u_1)
 
-    declared = 1.0 - float(false_accept(params.d, u_1).exact)
     return DistinguisherOracle(
         func=func, q=q, advantage=declared, seed=seed, params=params
     )
@@ -667,12 +656,9 @@ def algorithm_x(
     y_oracle: DistinguisherOracle,
     transcript_source,
     k: int,
-    q: int | None = None,
+    *,
     n_batches: int | None = None,
     delta: float | None = None,
-    *,
-    params: ProtocolParams | None = None,
-    rng: RandomSource | None = None,
 ) -> np.ndarray:
     """Extract the key from a transcript distinguisher, bit by bit.
 
@@ -682,30 +668,27 @@ def algorithm_x(
     of p and the bit is set to 1; when s_i = 0 the hybrid is exactly honest
     and the distinguisher's advantage pushes p_i away, so the bit is 0.
     """
-    params = y_oracle.params if params is None else params
+    params, q = y_oracle.params, y_oracle.q
     if k != params.k:
         raise ParameterError("k=%d disagrees with params.k=%d" % (k, params.k))
-    q = y_oracle.q if q is None else q
-    if q != y_oracle.q:
-        raise ParameterError("q=%d disagrees with the oracle's batch size %d" % (q, y_oracle.q))
     delta = y_oracle.advantage if delta is None else float(delta)
     if n_batches is None:
         n_batches = default_batch_count(k, min(delta, 1.0))
     if n_batches < 1:
         raise ParameterError("need at least one batch")
-    rng = RandomSource(y_oracle.seed).derive("algorithm-x") if rng is None else rng
+    rng = RandomSource(y_oracle.seed).derive("algorithm-x")
 
     uniform = uniform_string_source(params, rng)
     p_base = sum(y_oracle(uniform(q)) for _ in range(n_batches)) / n_batches
 
-    split = params.k * params.n
+    length = string_length(params)
     recovered = np.zeros(k, dtype=np.uint8)
     for i in range(1, k + 1):
         hits = 0
         for _ in range(n_batches):
             batch = np.array(transcript_source(q), dtype=np.uint8, copy=True)
-            if batch.ndim != 2 or batch.shape != (q, split + params.d):
-                raise DimensionError("source must yield %d strings of %d bits" % (q, split + params.d))
+            if batch.shape != (q, length):
+                raise DimensionError("source must yield %d strings of %d bits" % (q, length))
             row_lo = (i - 1) * params.n
             batch[:, row_lo : row_lo + params.n] ^= rng.uniform_matrix(q, params.n)
             hits += y_oracle(batch)

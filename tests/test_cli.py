@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -454,6 +455,30 @@ def test_auth_muted_service_reports_muted(tmp_path):
         )
     assert code == 0
     assert kv(out)["decision"] == "muted"
+
+
+def test_serve_exits_one_when_the_server_thread_stops(tmp_path, monkeypatch):
+    params = nlhb_params(16, 259, Fraction(1, 4), Fraction(87, 250), DEFAULT_SPEC)
+    keystore = tmp_path / "keys.txt"
+    key = generate_key(params, RandomSource(1))
+    authsvc.write_keystore(str(keystore), [authsvc.KeystoreEntry("tag-01", params, key)])
+    start = authsvc.AuthService.start
+
+    def start_then_stop(service):
+        start(service)
+        service._server.shutdown()  # serve_forever returns, so the thread ends
+        return service
+
+    monkeypatch.setattr(authsvc.AuthService, "start", start_then_stop)
+    argv = ["serve", "--bind", "127.0.0.1:0", "--keystore", str(keystore), "--seed", "1"]
+    result = []
+    command = threading.Thread(target=lambda: result.append(run_cli(argv)), daemon=True)
+    command.start()
+    command.join(timeout=10)
+    assert not command.is_alive(), "nlhb serve kept waiting on a stopped server thread"
+    code, _, err = result[0]
+    assert code == 1
+    assert err == "error: the server thread stopped\n"
 
 
 def _config_flags(tmp_path, data: bytes):

@@ -5,6 +5,7 @@ import pytest
 
 from nlhb import _kernels as K
 from nlhb.gf2core import RandomSource
+from nlhb.nlfunc import NonlinearFunctionSpec, _encoded
 
 
 def slow_window_eval(x, monomials, d):
@@ -19,18 +20,6 @@ def slow_window_eval(x, monomials, d):
             acc ^= prod
         out.append(acc)
     return out
-
-
-def encode(monomials):
-    if not monomials:
-        return np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    md = max(len(m) for m in monomials)
-    offs = np.zeros((len(monomials), md), dtype=np.int64)
-    degs = np.zeros(len(monomials), dtype=np.int64)
-    for r, m in enumerate(monomials):
-        degs[r] = len(m)
-        offs[r, : len(m)] = m
-    return offs, degs
 
 
 MONOMIAL_SETS = [
@@ -50,12 +39,12 @@ def test_apply_window_batch_matches_oracle_and_backends(monomials):
     d = n - p
     rng = RandomSource(17 + p)
     x = rng.uniform_matrix(9, n)
-    offs, degs = encode(monomials)
+    offs, degs = _encoded(NonlinearFunctionSpec(p, tuple(monomials)))
     ref = np.array([slow_window_eval(row, monomials, d) for row in x], dtype=np.uint8)
     assert np.array_equal(K.apply_window_batch(x, offs, degs, d), ref)
 
 
-def test_hamming_rows_backends_agree():
+def test_hamming_rows_matches_oracle():
     rng = RandomSource(5)
     z = rng.uniform_matrix(40, 33)
     t = rng.uniform_bits(33)

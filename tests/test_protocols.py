@@ -417,6 +417,19 @@ def test_transcript_writer_accepts_path(tmp_path):
     assert np.array_equal(back[1].a, ts[1].a)
 
 
+def test_transcript_io_accepts_path_objects(tmp_path):
+    from nlhb.protocols import write_transcripts
+
+    p = small_nlhb()
+    key = generate_key(p, RandomSource(68))
+    ts = transcript_sampler(p, key, RandomSource(69), 3)
+    path = tmp_path / "sessions.txt"
+    write_transcripts(path, ts)
+    assert path.read_bytes() == transcripts_to_text(ts).encode("utf-8")
+    back = read_transcripts(path)
+    assert transcripts_to_text(back) == transcripts_to_text(ts)
+
+
 @pytest.mark.parametrize("gap", ["  ", "\t\t"])
 def test_transcript_whitespace_inside_payload_is_format_error(gap):
     p = small_nlhb()

@@ -1,9 +1,12 @@
-"""The README's three-line session must print what its comment says."""
+"""The README's examples must run as shown."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from nlhb import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +19,23 @@ def test_readme_three_line_session():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().strip() == shown == "True 273 405"
+
+
+def test_readme_command_line_tour(tmp_path, monkeypatch):
+    # in order, since `simulate --replay` reads what `simulate --out` wrote;
+    # `serve` and `auth` need a live service and are left out
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command-line tour\s*```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("nlhb ")]
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if argv[0] in ("serve", "auth"):
+            continue
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 0, "%s\n%s" % (line, err.getvalue())
+        ran += 1
+    assert ran == len(lines) - 2

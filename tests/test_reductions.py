@@ -292,8 +292,6 @@ def test_algorithm_x_validation():
     with pytest.raises(ParameterError):
         red.algorithm_x(oracle, src, 5)  # k mismatch
     with pytest.raises(ParameterError):
-        red.algorithm_x(oracle, src, 4, q=2)  # q mismatch
-    with pytest.raises(ParameterError):
         red.default_batch_count(4, 0.0)
 
 
