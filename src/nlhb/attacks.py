@@ -27,7 +27,6 @@ import numpy as np
 
 from ._kernels import fwht, hamming_rows
 from .gf2core import (
-    DimensionError,
     ParameterError,
     RandomSource,
     SingularSystemError,
@@ -230,10 +229,8 @@ def lf2_merge(a_cols, z, b: int):
     merged samples depend on the first b key bits only.
     """
     a_cols = as_bit_matrix(a_cols)
-    z = as_bits(z)
     k, n_samples = a_cols.shape
-    if z.shape[0] != n_samples:
-        raise DimensionError("z length %d != sample count %d" % (z.shape[0], n_samples))
+    z = as_bits(z, n_samples)
     if not 0 < b < k:
         raise ParameterError("need 0 < b < k")
     pairs = [_pairs(bucket) for bucket in _buckets(a_cols, np.arange(b, k))]

@@ -248,9 +248,10 @@ class AuthService:
         return self
 
     def shutdown(self) -> None:
-        self._server.shutdown()
+        if self._thread.is_alive():  # BaseServer.shutdown waits for serve_forever
+            self._server.shutdown()
+            self._thread.join(timeout=5)
         self._server.server_close()
-        self._thread.join(timeout=5)
 
     def __enter__(self):
         return self.start()
@@ -275,40 +276,22 @@ class AuthService:
 
     def _handle(self, sock: socket.socket) -> None:
         try:
-            tag, payload = read_frame(sock)
-            if tag != HELLO:
-                _send(sock, ERROR, b"expected HELLO, got %s" % _TAG_NAMES[tag].encode())
-                return
-            identity = payload.decode("utf-8", "replace")
+            identity = _expect(sock, HELLO).decode("utf-8", "replace")
             entry = self.keystore.get(identity)
             if entry is None:
                 _send(sock, ERROR, b"unknown identity %s" % identity.encode())
                 return
             params, key = entry.params, entry.key
             rng = self._session_rng()
+            shape = (params.k, params.n)
 
             b = None
             if params.blinded:
-                tag, payload = read_frame(sock)
-                if tag != BLIND:
-                    _send(sock, ERROR, b"blinded protocol requires a BLIND frame")
-                    return
-                b = load_matrix(_text(payload))
-                if b.shape != (params.k, params.n):
-                    _send(sock, ERROR, b"blinding matrix has the wrong shape")
-                    return
+                b = load_matrix(_text(_expect(sock, BLIND)), shape)
 
-            a = rng.uniform_matrix(params.k, params.n)
+            a = rng.uniform_matrix(*shape)
             _send(sock, CHALLENGE, dump_matrix(a).encode("utf-8"))
-
-            tag, payload = read_frame(sock)
-            if tag != RESPONSE:
-                _send(sock, ERROR, b"expected RESPONSE frame")
-                return
-            z = load_bits(_text(payload))
-            if z.shape[0] != params.d:
-                _send(sock, ERROR, b"response has the wrong length")
-                return
+            z = load_bits(_text(_expect(sock, RESPONSE)), params.d)
 
             accepted, distance = verify(params, key, a, z, b=b)
             self._log(SessionTranscript(params, b, a, z, accepted, distance))
@@ -322,7 +305,7 @@ class AuthService:
                 )
         except OversizeError:
             pass  # drop the connection without a reply
-        except (FormatError, FramingError, DimensionError, ParameterError) as exc:
+        except (FormatError, ServiceError, DimensionError, ParameterError) as exc:
             try:
                 _send(sock, ERROR, str(exc).encode("utf-8"))
             except OSError:
@@ -369,9 +352,7 @@ def authenticate(
                 b = rng.uniform_matrix(params.k, params.n)
                 _send(sock, BLIND, dump_matrix(b).encode("utf-8"), frame_log)
             payload = _expect(sock, CHALLENGE, frame_log)
-            a = load_matrix(_text(payload))
-            if a.shape != (params.k, params.n):
-                raise ServiceError("challenge matrix has the wrong shape")
+            a = load_matrix(_text(payload), (params.k, params.n))
             z = respond(params, key, a, b=b, rng=rng)
             _send(sock, RESPONSE, dump_bits(z).encode("utf-8"), frame_log)
             payload = _expect(sock, DECISION, frame_log)

@@ -152,6 +152,13 @@ def _u64(text: str) -> int:
     return value
 
 
+def _widths(text: str) -> list[int]:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated widths like 2,3, got %r" % text)
+
+
 def _address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
@@ -227,9 +234,8 @@ def _cmd_cost(args) -> int:
 def _cmd_analyze(args) -> int:
     report = Report(args.format, args.out)
     if args.enumerate:
-        widths = [int(p) for p in args.p.split(",")] if args.p else [2, 3, 4]
         report.row("p", "max_entropy_bits", "maximizers", "g")
-        for p in widths:
+        for p in args.p:
             best, winners = max_entropy_functions(p)
             for spec in winners:
                 report.row(p, "%g" % best, len(winners), format_spec(spec))
@@ -294,15 +300,13 @@ def _cmd_attack(args) -> int:
     report.row("seed", seed)
 
     if args.attack == "majority":
-        reps = args.reps or attacks.default_majority_reps(params.eps)
         oracle = attacks.make_prover_oracle(params, key, root.derive("oracle"))
         result = attacks.majority_vote_attack(
-            oracle, params.k, reps, params, rng=root.derive("attack")
+            oracle, params.k, args.reps, params, rng=root.derive("attack")
         )
     else:
-        count = args.samples or 16384
         # each transcript yields D column samples
-        n_transcripts = max(4, -(-count // params.d))
+        n_transcripts = max(4, -(-args.samples // params.d))
         transcripts = transcript_sampler(params, key, root.derive("samples"), n_transcripts)
         if args.attack == "lf2":
             result = attacks.lf2_attack(transcripts, args.b, params)
@@ -515,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("analyze", help="merge-error distributions and entropy")
     p.add_argument("--enumerate", action="store_true", help="rank all window maps")
-    p.add_argument("--p", help="comma-separated window widths (default 2,3,4)")
+    p.add_argument("--p", type=_widths, default=[2, 3, 4],
+                   help="comma-separated window widths (default 2,3,4)")
     p.add_argument("--spec", help="analyze one map instead of enumerating")
     p.add_argument("--balance-n", type=int, help="also check balance at this n")
     _add_common(p, seeded=False)
@@ -534,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(proto="hb")
     p.add_argument("--b", type=int, default=8, help="LF2 block width")
     p.add_argument(
-        "--samples", type=int,
+        "--samples", type=int, default=16384,
         help="column samples to draw for lf2/noisefree (transcripts = ceil(samples/D))",
     )
     p.add_argument("--reps", type=int, help="majority-vote repetitions")
@@ -562,14 +567,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_reduce)
 
     m = modes.add_parser("thm2", help="algorithm X against the ideal distinguisher")
-    _add_protocol_flags(m)
+    _add_protocol_flags(m, proto_choices=("hb", "nlhb"))
     m.add_argument("--q", type=int, default=2)
     m.add_argument("--batches", type=int, default=32)
     _add_common(m)
     m.set_defaults(func=_cmd_reduce)
 
     m = modes.add_parser("thm3", help="passive forger to distinguisher rates")
-    _add_protocol_flags(m)
+    _add_protocol_flags(m, proto_choices=("hb", "nlhb"))
     m.add_argument("--adversary", choices=("perfect", "random", "honest"), default="perfect")
     m.add_argument("--q", type=int, default=2)
     m.add_argument("--epsdd", type=_fraction, help="accept threshold rate (default midpoint)")

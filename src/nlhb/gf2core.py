@@ -62,21 +62,27 @@ class SingularSystemError(ValueError):
 # array helpers
 # ---------------------------------------------------------------------------
 
-def as_bits(values) -> np.ndarray:
-    """Coerce a sequence/array of 0-1 values to a 1-D uint8 bit vector."""
+def as_bits(values, length: int | None = None) -> np.ndarray:
+    """Coerce a sequence/array of 0-1 values to a 1-D uint8 bit vector, of
+    ``length`` bits when a length is given."""
     v = np.asarray(values, dtype=np.uint8)
     if v.ndim != 1:
         raise DimensionError("expected a 1-D bit vector, got shape %r" % (v.shape,))
+    if length is not None and v.shape[0] != length:
+        raise DimensionError("expected a bit vector of length %d, got %d bits" % (length, v.shape[0]))
     if v.size and v.max() > 1:
         raise ParameterError("bit vector entries must be 0 or 1")
     return v
 
 
-def as_bit_matrix(values) -> np.ndarray:
-    """Coerce a nested sequence/array of 0-1 values to a 2-D uint8 matrix."""
+def as_bit_matrix(values, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Coerce a nested sequence/array of 0-1 values to a 2-D uint8 matrix, of
+    the (rows, cols) ``shape`` when a shape is given."""
     m = np.asarray(values, dtype=np.uint8)
     if m.ndim != 2:
         raise DimensionError("expected a 2-D bit matrix, got shape %r" % (m.shape,))
+    if shape is not None and m.shape != shape:
+        raise DimensionError("expected a bit matrix of shape %r, got %r" % (shape, m.shape))
     if m.size and m.max() > 1:
         raise ParameterError("bit matrix entries must be 0 or 1")
     return m
@@ -89,13 +95,8 @@ def mat_vec_mul(s, a) -> np.ndarray:
         s: bit vector of length k.
         a: bit matrix of shape (k, n).
     """
-    s = as_bits(s)
     a = as_bit_matrix(a)
-    if s.shape[0] != a.shape[0]:
-        raise DimensionError(
-            "vector length %d does not match matrix rows %d" % (s.shape[0], a.shape[0])
-        )
-    return _mat_vec_mul(s, a)
+    return _mat_vec_mul(as_bits(s, a.shape[0]), a)
 
 
 def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -140,9 +141,7 @@ def key_table(a) -> np.ndarray:
 def hamming(a, b) -> int:
     """Hamming distance between two equal-length bit vectors."""
     a = as_bits(a)
-    b = as_bits(b)
-    if a.shape != b.shape:
-        raise DimensionError("length mismatch %d vs %d" % (a.shape[0], b.shape[0]))
+    b = as_bits(b, a.shape[0])
     return int(np.count_nonzero(a != b))
 
 
@@ -200,10 +199,8 @@ def gaussian_solve(a, z) -> np.ndarray:
             not depend on the pivot order.
     """
     a = as_bit_matrix(a)
-    z = as_bits(z)
     k, m = a.shape
-    if z.shape[0] != m:
-        raise DimensionError("rhs length %d does not match matrix cols %d" % (z.shape[0], m))
+    z = as_bits(z, m)
     if m < k:
         raise DimensionError("need at least k=%d equations, got %d" % (k, m))
 
@@ -360,23 +357,25 @@ def read_block(reader: LineReader, want: str, shape: tuple | None = None) -> np.
     return _unpack_hex(hexline, math.prod(dims), reader.number).reshape(dims)
 
 
-def _load(text: str, want: str) -> np.ndarray:
+def _load(text: str, want: str, shape: tuple | None) -> np.ndarray:
     """The one block of the two-line ``bits``/``mat`` form."""
     reader = LineReader(text)
-    value = read_block(reader, want)
+    value = read_block(reader, want, shape)
     if next(reader, None) is not None:
         raise FormatError("expected header plus one hex line", reader.number)
     return value
 
 
-def load_bits(text: str) -> np.ndarray:
-    """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits)."""
-    return _load(text, "bits")
+def load_bits(text: str, length: int | None = None) -> np.ndarray:
+    """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits),
+    of ``length`` bits when a length is given."""
+    return _load(text, "bits", None if length is None else (length,))
 
 
-def load_matrix(text: str) -> np.ndarray:
-    """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix)."""
-    return _load(text, "mat")
+def load_matrix(text: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix),
+    of the (rows, cols) ``shape`` when a shape is given."""
+    return _load(text, "mat", shape)
 
 
 def read_entries(text: str):

@@ -155,12 +155,9 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
     allocation with 2**k entries.
     """
     a = as_bit_matrix(a)
-    target = as_bits(target)
     k, n = a.shape
     check_enumerable(k)
-    d = spec.output_length(n)
-    if target.shape[0] != d:
-        raise DimensionError("target length %d != n - p = %d" % (target.shape[0], d))
+    target = as_bits(target, spec.output_length(n))
     low = min(k, _CHUNK_BITS)
     inner = key_table(a[k - low :])
     chunk = np.empty_like(inner)

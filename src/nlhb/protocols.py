@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .gf2core import (
-    DimensionError,
     FormatError,
     LineReader,
     ParameterError,
@@ -155,49 +154,24 @@ class SessionTranscript:
 # respond / verify
 # ---------------------------------------------------------------------------
 
-def _check_challenge(params: ProtocolParams, a, name="challenge") -> np.ndarray:
-    a = as_bit_matrix(a)
-    if a.shape != (params.k, params.n):
-        raise DimensionError(
-            "%s matrix shape %r does not match (k=%d, n=%d)"
-            % (name, a.shape, params.k, params.n)
-        )
-    return a
-
-
-def _check_key_part(params: ProtocolParams, s) -> np.ndarray:
-    s = as_bits(s)
-    if s.shape[0] != params.k:
-        raise DimensionError(
-            "vector length %d does not match matrix rows %d" % (s.shape[0], params.k)
-        )
-    return s
-
-
 def _check_key(params: ProtocolParams, key: SecretKey) -> SecretKey:
     if params.blinded and key.s2 is None:
         raise ParameterError("%s requires a two-part key" % params.proto)
-    s1 = _check_key_part(params, key.s1)
-    return SecretKey(s1=s1, s2=_check_key_part(params, key.s2) if params.blinded else None)
+    s1 = as_bits(key.s1, params.k)
+    return SecretKey(s1=s1, s2=as_bits(key.s2, params.k) if params.blinded else None)
 
 
 def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
     """Validated (key, a, b) for one exchange; b is None when unblinded."""
-    a = _check_challenge(params, a)
+    shape = (params.k, params.n)
+    a = as_bit_matrix(a, shape)
     if params.blinded:
         if b is None:
             raise ParameterError("%s requires a blinding matrix" % params.proto)
-        b = _check_challenge(params, b, name="blinding")
+        b = as_bit_matrix(b, shape)
     elif b is not None:
         raise ParameterError("%s has no blinding matrix" % params.proto)
     return _check_key(params, key), a, b
-
-
-def _check_noise(params: ProtocolParams, noise) -> np.ndarray:
-    noise = as_bits(noise)
-    if noise.shape[0] != params.d:
-        raise DimensionError("noise length %d != D=%d" % (noise.shape[0], params.d))
-    return noise
 
 
 def _image(params: ProtocolParams, key: SecretKey, a, b) -> np.ndarray:
@@ -237,17 +211,13 @@ def respond(
             raise ParameterError("respond needs either an rng or an explicit noise vector")
         noise = rng.bernoulli_bits(params.d, params.eps)
     else:
-        noise = _check_noise(params, noise)
+        noise = as_bits(noise, params.d)
     return _image(params, key, a, b) ^ noise
 
 
 def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, int]:
     """Verifier decision: (accepted, Hamming distance to the expected image)."""
-    z = as_bits(z)
-    if z.shape[0] != params.d:
-        raise DimensionError(
-            "response length %d does not match D=%d" % (z.shape[0], params.d)
-        )
+    z = as_bits(z, params.d)
     key, a, b = _check_exchange(params, key, a, b)
     return _decide(params, key, a, z, b)
 
@@ -272,7 +242,7 @@ def run_session(
     returns for the transcript."""
     key = _check_key(params, key)
     if noise is not None:
-        noise = _check_noise(params, noise)
+        noise = as_bits(noise, params.d)
     b = rng_prover.uniform_matrix(params.k, params.n) if params.blinded else None
     a = rng_verifier.uniform_matrix(params.k, params.n)
     if noise is None:

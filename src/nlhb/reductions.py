@@ -61,12 +61,7 @@ def pack_transcript(a, z) -> np.ndarray:
 
 
 def unpack_transcript(bits, params: ProtocolParams):
-    bits = as_bits(bits)
-    expected = string_length(params)
-    if bits.shape[0] != expected:
-        raise DimensionError(
-            "transcript string has %d bits, expected k*n+D = %d" % (bits.shape[0], expected)
-        )
+    bits = as_bits(bits, string_length(params))
     split = params.k * params.n
     return bits[:split].reshape(params.k, params.n), bits[split:]
 
@@ -189,10 +184,8 @@ def lpn_to_unld_embed(
     a decoder for the LPN batch.
     """
     g = as_bit_matrix(g)
-    z = as_bits(z)
     k, n_prime = g.shape
-    if z.shape[0] != n_prime:
-        raise DimensionError("z length %d != n'=%d" % (z.shape[0], n_prime))
+    z = as_bits(z, n_prime)
     if spec.p < 1 or not spec.monomials:
         raise ParameterError("embedding needs a nonlinear spec with p >= 1")
     if not k < n_prime:
@@ -248,9 +241,7 @@ def hybrid_sample(transcript, i: int, rng: RandomSource | None = None, c=None):
             raise ParameterError("hybrid_sample needs an rng or an explicit c")
         c = rng.uniform_bits(a.shape[1])
     else:
-        c = as_bits(c)
-        if c.shape[0] != a.shape[1]:
-            raise DimensionError("c length %d != n=%d" % (c.shape[0], a.shape[1]))
+        c = as_bits(c, a.shape[1])
     perturbed = a.copy()
     perturbed[i - 1] ^= c
     return perturbed, as_bits(z)
@@ -534,9 +525,7 @@ class ExtractingActiveForger(ActiveForger):
         super().__init__(params, q)
         if params.k > 16:
             raise ParameterError("extraction brute-forces 2^k candidates; need k <= 16")
-        self.s1 = as_bits(s1)
-        if self.s1.shape[0] != params.k:
-            raise DimensionError("s1 length %d != k=%d" % (self.s1.shape[0], params.k))
+        self.s1 = as_bits(s1, params.k)
         self.noisy = noisy
 
     def reset(self, seed: int) -> None:

@@ -283,6 +283,15 @@ def test_unknown_leading_frame_rejected(service):
         assert tag == svc.ERROR and b"HELLO" in payload
 
 
+def test_shutdown_without_start_returns():
+    service = svc.AuthService(("127.0.0.1", 0), {})
+    outcome = []
+    stopper = threading.Thread(target=lambda: outcome.append(service.shutdown()), daemon=True)
+    stopper.start()
+    stopper.join(timeout=5)
+    assert outcome == [None]  # returned, and raised nothing
+
+
 def test_wrong_response_length_rejected(service):
     running, entry = service
     params = entry.params
@@ -294,7 +303,7 @@ def test_wrong_response_length_rejected(service):
         bad = dump_bits(np.zeros(params.d - 1, dtype=np.uint8))
         sock.sendall(svc.encode_frame(svc.RESPONSE, bad.encode()))
         tag, payload = svc.read_frame(sock)
-        assert tag == svc.ERROR and b"length" in payload
+        assert tag == svc.ERROR and b"expected bits %d" % params.d in payload
     assert running.logged == 0 and _logged(running) == []
 
 

@@ -277,6 +277,15 @@ def test_reduce_thm4_requires_blinded_protocol():
     assert code == 2  # argparse rejects the choice before the handler runs
 
 
+@pytest.mark.parametrize("mode", ["thm2", "thm3"])
+@pytest.mark.parametrize("proto", ["hb+", "nlhb+"])
+def test_reduce_thm2_thm3_reject_blinded_protocols(mode, proto):
+    # packed transcripts are single-secret, so argparse refuses the choice
+    code, _, err = run_cli(["reduce", mode, "--proto", proto, "--k", "8", "--n", "40", "--seed", "6"])
+    assert code == 2
+    assert "invalid choice" in err
+
+
 # ---------------------------------------------------------------------------
 # config merge and exit codes
 # ---------------------------------------------------------------------------
@@ -327,6 +336,20 @@ def test_usage_errors_exit_two():
     assert run_cli(["no-such-command"])[0] == 2
     assert run_cli(["params", "--eps", "1/4"])[0] == 2  # missing --epsp
     assert run_cli(["simulate", "--eps", "bogus"])[0] == 2
+
+
+def test_analyze_bad_widths_is_a_usage_error():
+    code, _, err = run_cli(["analyze", "--enumerate", "--p", "2,x"])
+    assert code == 2
+    assert "comma-separated widths" in err
+
+
+def test_attack_zero_reps_is_not_replaced_by_the_default():
+    code, _, err = run_cli(
+        ["attack", "--attack", "majority", "--proto", "hb", "--k", "8", "--reps", "0", "--seed", "1"]
+    )
+    assert code == 1
+    assert "reps must be odd and positive" in err
 
 
 def test_domain_errors_exit_one():

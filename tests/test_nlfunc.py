@@ -179,7 +179,7 @@ def test_key_distances_typed_errors():
     with pytest.raises(ParameterError, match="0..26"):
         key_distances(DEFAULT_SPEC, np.zeros((27, 8), dtype=np.uint8), np.zeros(5, dtype=np.uint8))
     for length in (4, 6):
-        with pytest.raises(DimensionError, match="target length"):
+        with pytest.raises(DimensionError, match="expected a bit vector of length 5, got %d bits" % length):
             key_distances(DEFAULT_SPEC, np.zeros((3, 8), dtype=np.uint8), np.zeros(length, dtype=np.uint8))
     with pytest.raises(DimensionError):
         key_distances(DEFAULT_SPEC, np.zeros((3, 3), dtype=np.uint8), np.zeros(0, dtype=np.uint8))
