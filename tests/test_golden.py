@@ -112,6 +112,21 @@ def test_golden_noise_free_selection_nlhb():
     assert _digest(_report_text(report)) == "092a81601249fbe559f31bb952b9f446"
 
 
+def test_golden_noise_free_survivor_filter():
+    # At k=8, D=16 the first transcript leaves several keys, so these runs
+    # go through the survivor filter: 2 or 3 transcripts, successes, a
+    # failed verification and a run that filters out every key.
+    params = nlhb_params(8, 19, SMALL_EPS, SMALL_EPSP, DEFAULT_SPEC)
+    texts = []
+    for s in range(6):
+        key = generate_key(params, RandomSource(10 * s + 1))
+        ts = transcript_sampler(params, key, RandomSource(10 * s + 2), 12)
+        report = attacks.noise_free_selection_attack(ts, 8, 50, rng=RandomSource(10 * s + 3))
+        assert report.stats["bruteforce_transcripts_used"] >= 2
+        texts.append(_report_text(report))
+    assert _digest("".join(texts)) == "3f8b36fca092f1d1362635ea3f940d6e"
+
+
 def test_golden_noise_free_selection_hb():
     params = hb_params(8, 64, SMALL_EPS, SMALL_EPSP)
     key = generate_key(params, RandomSource(54))
