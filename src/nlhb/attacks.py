@@ -30,11 +30,8 @@ from .gf2core import (
     ParameterError,
     RandomSource,
     SingularSystemError,
-    as_bit_matrix,
-    as_bits,
     code_rows,
     gaussian_solve,
-    gf2_matmul,
     gf2_rank,
     mat_vec_mul,
     row_codes,
@@ -221,25 +218,6 @@ def _pairs(bucket):
     return bucket[li], bucket[ri]
 
 
-def lf2_merge(a_cols, z, b: int):
-    """One merge level: XOR sample columns that collide on rows b..k-1.
-
-    Returns (merged columns, merged response bits, merge log of (i, j)
-    source index pairs).  Merged columns are zero below row b, so the
-    merged samples depend on the first b key bits only.
-    """
-    a_cols = as_bit_matrix(a_cols)
-    k, n_samples = a_cols.shape
-    z = as_bits(z, n_samples)
-    if not 0 < b < k:
-        raise ParameterError("need 0 < b < k")
-    pairs = [_pairs(bucket) for bucket in _buckets(a_cols, np.arange(b, k))]
-    left, right = (np.concatenate(side) for side in zip(*pairs))
-    merged = a_cols[:, left] ^ a_cols[:, right]
-    merged_z = z[left] ^ z[right]
-    return merged, merged_z, list(zip(left.tolist(), right.tolist()))
-
-
 def _score_block(rows_matrix, y):
     """Walsh-Hadamard candidate scores: scores[c] = #agree - #disagree of
     c . x against y over all samples, for every c in {0,1}^b at once."""
@@ -251,9 +229,9 @@ def _score_block(rows_matrix, y):
 
 
 def _merge_scores(x, y, rows, bucket_rows):
-    """:func:`_score_block` of ``rows`` over every merged pair that
-    :func:`lf2_merge` forms on ``bucket_rows``, counted one bucket at a time
-    so the pairs are never materialized.
+    """:func:`_score_block` of ``rows`` over every pair of columns that agree
+    on ``bucket_rows``, XORed into one merged sample, counted one bucket at a
+    time so the pairs are never materialized.
 
     Each sample is tagged ``2 * code + y`` with the b-bit code of its column
     on ``rows``; the XOR of two tags is the tag of the merged sample.  Returns
@@ -479,7 +457,8 @@ def noise_free_selection_attack(
         for t in pool[1:]:
             if alive.shape[0] <= 1:
                 break
-            images = apply_f_batch(params.spec, gf2_matmul(code_rows(alive, k), t.a))
+            images = np.stack([mat_vec_mul(key, t.a) for key in code_rows(alive, k)])
+            images = apply_f_batch(params.spec, images)
             alive = alive[hamming_rows(images, t.z) <= params.u]
             used += 1
         stats["bruteforce_evaluations"] = 1 << k

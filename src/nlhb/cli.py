@@ -145,6 +145,13 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("expected a fraction like 1/4, got %r" % text)
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return value
+
+
 def _u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 1 << 64:
@@ -173,11 +180,22 @@ def _spec(args):
     return IDENTITY_SPEC if args.proto in ("hb", "hb+") else DEFAULT_SPEC
 
 
+# Bits in one k x n matrix a command may draw: 2^22 is about seven times the
+# paper's 512 x 1164, and keeps numpy from being asked for gigabytes.
+_MAX_MATRIX_BITS = 1 << 22
+
+
+def _check_size(k: int, n: int) -> None:
+    if k * n > _MAX_MATRIX_BITS:
+        raise ParameterError("k*n = %d exceeds the %d-bit limit" % (k * n, _MAX_MATRIX_BITS))
+
+
 def _build_params(args) -> ProtocolParams:
     spec = _spec(args)
     eps = args.eps if args.eps is not None else Fraction(1, 4)
     epsp = args.epsp if args.epsp is not None else (eps + Fraction(1, 2)) / 2
     n = args.n if args.n is not None else 256 + spec.p
+    _check_size(args.k, n)
     return ProtocolParams(proto=args.proto, k=args.k, n=n, eps=eps, eps_prime=epsp, spec=spec)
 
 
@@ -247,7 +265,7 @@ def _cmd_analyze(args) -> int:
     dist = merge_error_distribution(spec)
     report.row("g", format_spec(spec))
     report.row("entropy_bits", "%g" % dist.entropy_bits())
-    report.row("support", dist.support_size())
+    report.row("support", len(dist.probabilities))
     for outcome, prob in sorted(dist.probabilities.items()):
         report.row("P[%s]" % "".join(map(str, outcome)), prob)
     if args.balance_n:
@@ -344,6 +362,7 @@ def _cmd_reduce(args) -> int:
     if mode == "embed":
         spec = parse_spec(args.spec) if args.spec else DEFAULT_SPEC
         eps = args.eps if args.eps is not None else Fraction(1, 8)
+        _check_size(args.k, max(args.n, args.nprime))
         secret = root.derive("secret").uniform_bits(args.k)
         rng = root.derive("embed")
         instances = []
@@ -528,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="run honest sessions / replay transcripts")
     _add_protocol_flags(p)
-    p.add_argument("--sessions", type=int, default=10)
+    p.add_argument("--sessions", type=_positive, default=10)
     p.add_argument("--replay", help="re-read a transcript file instead of simulating")
     _add_common(p, out_help="write the session transcripts to this file")
     p.set_defaults(func=_cmd_simulate)
@@ -539,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(proto="hb")
     p.add_argument("--b", type=int, default=8, help="LF2 block width")
     p.add_argument(
-        "--samples", type=int, default=16384,
+        "--samples", type=_positive, default=16384,
         help="column samples to draw for lf2/noisefree (transcripts = ceil(samples/D))",
     )
     p.add_argument("--reps", type=int, help="majority-vote repetitions")
@@ -578,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--adversary", choices=("perfect", "random", "honest"), default="perfect")
     m.add_argument("--q", type=int, default=2)
     m.add_argument("--epsdd", type=_fraction, help="accept threshold rate (default midpoint)")
-    m.add_argument("--trials", type=int, default=100)
+    m.add_argument("--trials", type=_positive, default=100)
     _add_common(m)
     m.set_defaults(func=_cmd_reduce)
 
@@ -592,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     m.add_argument("--q", type=int, default=5)
     m.add_argument("--eps1", type=_fraction, help="accept threshold rate (default midpoint)")
-    m.add_argument("--trials", type=int, default=100)
+    m.add_argument("--trials", type=_positive, default=100)
     _add_common(m)
     m.set_defaults(func=_cmd_reduce)
 

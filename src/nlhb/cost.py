@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .gf2core import ParameterError
 from .nlfunc import IDENTITY_SPEC, NonlinearFunctionSpec
-from .protocols import PROTOCOLS, ProtocolParams
+from .protocols import PROTOCOLS
 
 
 @dataclass(frozen=True)
@@ -24,18 +24,6 @@ class OpCount:
     scalar_additions: int
     breakdown: tuple[tuple[str, int, int], ...]
     """Phases as (name, mults, adds); totals are their sums."""
-
-    def phase(self, name: str) -> tuple[int, int]:
-        for phase_name, mults, adds in self.breakdown:
-            if phase_name == name:
-                return mults, adds
-        raise KeyError(name)
-
-
-def _per_bit_f_cost(spec: NonlinearFunctionSpec) -> tuple[int, int]:
-    mults = sum(len(mono) - 1 for mono in spec.monomials)
-    adds = len(spec.monomials)
-    return mults, adds
 
 
 def count_ops(proto: str, k: int, d: int, spec: NonlinearFunctionSpec | None = None) -> OpCount:
@@ -59,7 +47,8 @@ def count_ops(proto: str, k: int, d: int, spec: NonlinearFunctionSpec | None = N
 
     n = d + spec.p
     halves = 2 if proto.endswith("+") else 1
-    f_mults, f_adds = _per_bit_f_cost(spec)
+    f_mults = sum(len(mono) - 1 for mono in spec.monomials)
+    f_adds = len(spec.monomials)
 
     phases = [("matrix_product", halves * k * n, halves * (k - 1) * n)]
     if spec.monomials:
@@ -72,7 +61,3 @@ def count_ops(proto: str, k: int, d: int, spec: NonlinearFunctionSpec | None = N
         scalar_additions=sum(a for _, _, a in phases),
         breakdown=tuple(phases),
     )
-
-
-def count_ops_for(params: ProtocolParams) -> OpCount:
-    return count_ops(params.proto, params.k, params.d, params.spec)

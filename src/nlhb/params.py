@@ -45,9 +45,6 @@ class TailProbability:
     def of(cls, exact: Fraction) -> "TailProbability":
         return cls(exact=exact, log2=exact_log2(exact))
 
-    def __le__(self, other):
-        return self.exact <= (other.exact if isinstance(other, TailProbability) else other)
-
 
 def threshold_u(eps_prime, d: int) -> int:
     """Acceptance threshold u = floor(eps' * D)."""

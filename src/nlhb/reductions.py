@@ -95,24 +95,6 @@ def uniform_string_source(params: ProtocolParams, rng: RandomSource):
     return draw
 
 
-def finite_transcript_source(strings):
-    """Source over a fixed pool; raises once the pool is exhausted."""
-    pool = [np.asarray(s, dtype=np.uint8) for s in strings]
-    cursor = [0]
-
-    def draw(count: int) -> np.ndarray:
-        if cursor[0] + count > len(pool):
-            raise ParameterError(
-                "transcript source exhausted: %d left, %d requested"
-                % (len(pool) - cursor[0], count)
-            )
-        batch = np.stack(pool[cursor[0] : cursor[0] + count])
-        cursor[0] += count
-        return batch
-
-    return draw
-
-
 # ---------------------------------------------------------------------------
 # LPN -> UNLD embedding
 # ---------------------------------------------------------------------------
@@ -264,6 +246,10 @@ class DistinguisherOracle:
     advantage: float
     seed: int
     params: ProtocolParams
+
+    def __post_init__(self):
+        if self.q < 1:
+            raise ParameterError("a distinguisher batch needs q >= 1 strings, not %d" % self.q)
 
     def __call__(self, strings) -> int:
         strings = np.atleast_2d(np.asarray(strings, dtype=np.uint8))

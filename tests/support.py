@@ -1,12 +1,17 @@
-"""Measurement and operand helpers shared by the unit and acceptance suites.
+"""Measurement, operand and reference helpers shared by the unit and
+acceptance suites.
 
 These deliberately sit outside the package: they peek at planted secrets to
-strip noise, which no attack or protocol code is allowed to do.
+strip noise, which no attack or protocol code is allowed to do, or they are
+references that only tests compare against (``lf2_merge`` for the streamed
+lf2 merge, ``finite_transcript_source`` for a source that runs dry).
 """
 
 import numpy as np
 from hypothesis import strategies as st
 
+from nlhb.attacks import _buckets, _pairs
+from nlhb.gf2core import ParameterError, as_bit_matrix, as_bits
 from nlhb.nlfunc import DEFAULT_SPEC, apply_f_batch
 
 
@@ -112,3 +117,40 @@ def hybrid_tables(s, i, include_c):
             cell = ((a_codes ^ (c << shift)) << d) | z_code
             np.add.at(table, cell, weight)
     return table
+
+
+def lf2_merge(a_cols, z, b: int):
+    """One merge level: XOR sample columns that collide on rows b..k-1.
+
+    Returns (merged columns, merged response bits, merge log of (i, j)
+    source index pairs).  Merged columns are zero below row b, so the
+    merged samples depend on the first b key bits only.
+    """
+    a_cols = as_bit_matrix(a_cols)
+    k, n_samples = a_cols.shape
+    z = as_bits(z, n_samples)
+    if not 0 < b < k:
+        raise ParameterError("need 0 < b < k")
+    pairs = [_pairs(bucket) for bucket in _buckets(a_cols, np.arange(b, k))]
+    left, right = (np.concatenate(side) for side in zip(*pairs))
+    merged = a_cols[:, left] ^ a_cols[:, right]
+    merged_z = z[left] ^ z[right]
+    return merged, merged_z, list(zip(left.tolist(), right.tolist()))
+
+
+def finite_transcript_source(strings):
+    """Source over a fixed pool; raises once the pool is exhausted."""
+    pool = [np.asarray(s, dtype=np.uint8) for s in strings]
+    cursor = [0]
+
+    def draw(count: int) -> np.ndarray:
+        if cursor[0] + count > len(pool):
+            raise ParameterError(
+                "transcript source exhausted: %d left, %d requested"
+                % (len(pool) - cursor[0], count)
+            )
+        batch = np.stack(pool[cursor[0] : cursor[0] + count])
+        cursor[0] += count
+        return batch
+
+    return draw

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from support import measured_merge_distribution, total_variation
+from support import lf2_merge, measured_merge_distribution, total_variation
 
 from nlhb.attacks import (
     AttackReport,
@@ -16,7 +16,6 @@ from nlhb.attacks import (
     NeedMoreSamplesError,
     default_majority_reps,
     lf2_attack,
-    lf2_merge,
     majority_vote_attack,
     make_prover_oracle,
     noise_free_selection_attack,

@@ -6,8 +6,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from support import edited_text
 
-from nlhb.gf2core import FormatError, ParameterError, RandomSource, _pack_hex, _unpack_hex
+from nlhb.gf2core import (
+    DimensionError,
+    FormatError,
+    ParameterError,
+    RandomSource,
+    _pack_hex,
+    _unpack_hex,
+)
 from nlhb.nlfunc import DEFAULT_SPEC
 from nlhb.protocols import (
     SecretKey,
@@ -393,3 +402,38 @@ def test_keystore_lone_separator_is_not_a_line_break(sep, tmp_path):
     with pytest.raises(FormatError):
         svc.read_keystore(path)
 
+
+
+# ---------------------------------------------------------------------------
+# hostile input to the two parsers that read untrusted bytes
+# ---------------------------------------------------------------------------
+
+_KEYSTORE_TEXT = "\n".join(_two_entries())
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_text(_KEYSTORE_TEXT))
+def test_edited_keystore_parses_or_raises_a_typed_error(text):
+    try:
+        entries = svc.parse_keystore(text)
+    except (FormatError, ParameterError, DimensionError):
+        return
+    for identity, entry in entries.items():
+        assert entry.identity == identity
+        assert entry.key.s1.shape == (entry.params.k,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64))
+def test_arbitrary_bytes_read_as_one_frame_or_a_typed_error(raw):
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        receiver.settimeout(5)
+        sender.sendall(raw)
+        sender.shutdown(socket.SHUT_WR)
+        try:
+            tag, payload = svc.read_frame(receiver)
+        except svc.ServiceError:  # FramingError and OversizeError included
+            return
+    length = int.from_bytes(raw[1:5], "big")
+    assert (tag, payload) == (raw[0], raw[5 : 5 + length])

@@ -5,10 +5,12 @@ benchmark stamps its records with ``_kernels.BACKEND``, and every
 ``perfbench/*.py`` reads package names as ``<module>.<name>`` or imports them
 with ``from nlhb.<module> import <name>``.  A rename or deletion in ``src/``
 would otherwise surface only in the benchmark itself; this resolves each name
-against the package without installing or running anything.
+against the package without installing or running anything, and binds each
+call that ``perfbench/*.py`` makes to a package name against its signature.
 """
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -52,6 +54,15 @@ def test_read_names_exist():
     assert isinstance(authsvc.CHALLENGE, int)
 
 
+def _dotted(node):
+    """``a.b.c`` for an attribute chain on a bare name, else None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.insert(0, node.attr)
+        node = node.value
+    return ".".join([node.id] + chain) if isinstance(node, ast.Name) else None
+
+
 def _read_names():
     """Dotted package names in the source of each ``perfbench/*.py``: the
     longest ``<module>.<attr>...`` chain on a bare package module name, and
@@ -63,13 +74,9 @@ def _read_names():
                 prefix = node.module.split(".")[1:]
                 names.update(".".join(prefix + [alias.name]) for alias in node.names)
             elif isinstance(node, ast.Attribute):
-                chain = [node.attr]
-                value = node.value
-                while isinstance(value, ast.Attribute):
-                    chain.insert(0, value.attr)
-                    value = value.value
-                if isinstance(value, ast.Name) and value.id in BY_MODULE_NAME:
-                    names.add(".".join([value.id] + chain))
+                name = _dotted(node)
+                if name and name.split(".")[0] in BY_MODULE_NAME:
+                    names.add(name)
     # an inner link of a chain is read too, so keep only the longest chains
     return sorted(n for n in names if not any(m.startswith(n + ".") for m in names))
 
@@ -82,9 +89,64 @@ def test_read_names_found():
     assert "gf2core.derive_seed" in READ
 
 
-@pytest.mark.parametrize("name", READ)
-def test_read_name_resolves(name):
+def _resolve(name):
     first, *rest = name.split(".")
     owner = BY_MODULE_NAME[first]
     for part in rest:
         owner = getattr(owner, part)
+    return owner
+
+
+@pytest.mark.parametrize("name", READ)
+def test_read_name_resolves(name):
+    _resolve(name)
+
+
+def _read_calls():
+    """(package name, positional count, keyword names) of each call in
+    ``perfbench/*.py`` whose callee is a package name, read as
+    ``<module>.<name>`` or through ``from nlhb[.<module>] import <name>``.
+    Calls that unpack ``*args`` or ``**kwargs`` cannot be bound statically and
+    are left out."""
+    calls = set()
+    for path in sorted(Path(BENCH).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name: ".".join(node.module.split(".")[1:] + [alias.name])
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nlhb")
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                continue
+            if any(kw.arg is None for kw in node.keywords):
+                continue
+            name = _dotted(node.func)
+            if name is None:
+                continue
+            first, _, rest = name.partition(".")
+            if first not in BY_MODULE_NAME:
+                if first not in imported:
+                    continue
+                name = ".".join(filter(None, [imported[first], rest]))
+            calls.add((name, len(node.args), tuple(sorted(kw.arg for kw in node.keywords))))
+    return sorted(calls)
+
+
+CALLS = _read_calls()
+
+
+def test_read_calls_found():
+    assert ("reductions.PerfectPassiveForger", 2, ("q",)) in CALLS
+    assert ("protocols.generate_key", 2, ()) in CALLS
+
+
+@pytest.mark.parametrize(
+    "name, positional, keywords", CALLS,
+    ids=["%s(%d%s)" % (n, p, "".join("," + k for k in kws)) for n, p, kws in CALLS],
+)
+def test_read_call_binds(name, positional, keywords):
+    inspect.signature(_resolve(name)).bind(*range(positional), **dict.fromkeys(keywords))

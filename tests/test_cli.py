@@ -3,6 +3,8 @@
 import contextlib
 import io
 import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +360,49 @@ def test_domain_errors_exit_one():
     )
     assert code == 1
     assert err.startswith("error:")
+
+
+_THM3 = ["reduce", "thm3", "--adversary", "perfect", "--eps", "1/8", "--epsp", "1/4",
+         "--epsdd", "43/100"]
+_THM4 = ["reduce", "thm4", "--adversary", "learning", "--eps", "1/8", "--epsp", "1/4",
+         "--eps1", "91/200"]
+
+
+@pytest.mark.parametrize("argv, want", [
+    (_THM3 + ["--q", "-1"], 1),
+    (_THM3 + ["--trials", "0"], 2),
+    (_THM4 + ["--trials", "0"], 2),
+    (_THM4 + ["--q", "-2"], 1),
+    (["simulate", "--sessions", "-3"], 2),
+    (["attack", "--attack", "noisefree", "--proto", "nlhb", "--k", "8", "--samples", "-100000"], 2),
+    (["reduce", "thm2", "--k", "8", "--n", "131", "--q", "0"], 1),
+])
+def test_nonsense_counts_are_refused(argv, want):
+    code, out, err = run_cli(argv + ["--seed", "1"])
+    assert code == want
+    assert "Traceback" not in err
+    if want == 1:
+        assert err.startswith("error:") and out == ""
+    else:
+        assert "expected a positive integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--proto", "hb", "--k", "100000", "--n", "100000"],
+    ["reduce", "embed", "--k", "100000", "--n", "100000"],
+])
+def test_oversized_matrix_is_refused_before_allocation(argv):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, _, err = run_cli(argv + ["--seed", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 2.0
+    assert peak < 2**20
+    assert code == 1
+    assert err.startswith("error:") and "exceeds" in err
 
 
 def test_text_format_uses_aligned_columns():

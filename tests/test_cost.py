@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nlhb.cost import count_ops, count_ops_for
+from nlhb.cost import count_ops
 from nlhb.gf2core import ParameterError
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec, parse_spec
-from nlhb.protocols import nlhb_params
 
 
 def test_reference_comparison_rows():
@@ -45,27 +44,25 @@ def test_totals_equal_breakdown_sum():
         assert ops.scalar_additions == sum(a for _, _, a in ops.breakdown)
 
 
+def _phase(ops, name):
+    return next((m, a) for phase, m, a in ops.breakdown if phase == name)
+
+
 def test_blinded_doubles_the_halves():
     plain = count_ops("nlhb", 64, 256, DEFAULT_SPEC)
     plus = count_ops("nlhb+", 64, 256, DEFAULT_SPEC)
-    assert plus.phase("matrix_product")[0] == 2 * plain.phase("matrix_product")[0]
-    assert plus.phase("f_evaluation") == (
-        2 * plain.phase("f_evaluation")[0],
-        2 * plain.phase("f_evaluation")[1],
+    assert _phase(plus, "matrix_product")[0] == 2 * _phase(plain, "matrix_product")[0]
+    assert _phase(plus, "f_evaluation") == (
+        2 * _phase(plain, "f_evaluation")[0],
+        2 * _phase(plain, "f_evaluation")[1],
     )
-    assert plus.phase("image_combine") == (0, 256)
+    assert _phase(plus, "image_combine") == (0, 256)
 
 
 def test_higher_degree_monomials_charge_deg_minus_one():
     spec = parse_spec("p=3; g=x1x2x3")
     ops = count_ops("nlhb", 8, 10, spec)
-    assert ops.phase("f_evaluation") == (10 * 2, 10 * 1)
-
-
-def test_count_ops_for_params():
-    p = nlhb_params(128, 1167, "1/4", "87/250", DEFAULT_SPEC)
-    ops = count_ops_for(p)
-    assert (ops.scalar_multiplications, ops.scalar_additions) == (152868, 151701)
+    assert _phase(ops, "f_evaluation") == (10 * 2, 10 * 1)
 
 
 def test_errors():

@@ -18,7 +18,6 @@ from nlhb.gf2core import (
     dump_bits,
     dump_matrix,
     gaussian_solve,
-    gf2_matmul,
     gf2_rank,
     hamming,
     key_table,
@@ -26,7 +25,6 @@ from nlhb.gf2core import (
     load_matrix,
     mat_vec_mul,
     row_codes,
-    weight,
 )
 
 
@@ -96,25 +94,6 @@ def test_mat_vec_matches_naive_oracle(k, n, layout, fill, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 8), st.integers(1, 12), layouts_st, layouts_st,
-       st.integers(0, 2**32 - 1))
-def test_gf2_matmul_property(m, k, n, layout_a, layout_b, seed):
-    rng = RandomSource(seed)
-    a = operand(rng, m, k, layout_a)
-    b = operand(rng, k, n, layout_b)
-    got = gf2_matmul(a, b)
-    assert got.dtype == np.uint8 and got.shape == (m, n)
-    assert np.array_equal(got, naive_matmul(a, b))
-
-
-def test_gf2_matmul_checks_operands():
-    with pytest.raises(DimensionError):
-        gf2_matmul(np.zeros((2, 3), dtype=np.uint8), np.zeros((4, 2), dtype=np.uint8))
-    with pytest.raises(ParameterError):
-        gf2_matmul(np.full((2, 2), 2, dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
-
-
-@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 7), st.integers(1, 12), layouts_st, st.integers(0, 2**32 - 1))
 def test_key_table_matches_naive_products(k, n, layout, seed):
     rng = RandomSource(seed)
@@ -123,7 +102,6 @@ def test_key_table_matches_naive_products(k, n, layout, seed):
     table = key_table(a)
     assert table.dtype == np.uint8 and table.shape == (1 << k, n)
     assert np.array_equal(table, naive_matmul(keys, a))
-    assert np.array_equal(table, gf2_matmul(keys, a))
 
 
 def test_key_table_edges():
@@ -180,7 +158,7 @@ def test_hamming_oracle_and_axioms(x, y):
     assert d == naive_hamming(x, y)
     assert d == hamming(y, x)
     assert hamming(x, x) == 0
-    assert d == weight(x ^ y)
+    assert d == int(np.count_nonzero(x ^ y))
 
 
 def test_hamming_length_mismatch():

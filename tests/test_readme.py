@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from nlhb import cli
+from nlhb import authsvc, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -39,3 +39,15 @@ def test_readme_command_line_tour(tmp_path, monkeypatch):
         assert code == 0, "%s\n%s" % (line, err.getvalue())
         ran += 1
     assert ran == len(lines) - 2
+
+
+def test_readme_keystore_snippet(tmp_path, monkeypatch):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"writes the\s+`keys.txt`.*?```python\n(.*?)```", text, re.S).group(1)
+    tour = re.search(r"## Command-line tour\s*```sh\n(.*?)```", text, re.S).group(1)
+    identity = re.search(r"--identity (\S+)", tour).group(1)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})
+    entries = authsvc.read_keystore("keys.txt")
+    assert list(entries) == [identity]
+    assert entries[identity].params.blinded is False

@@ -27,7 +27,7 @@ from nlhb.protocols import (
     transcript_sampler,
 )
 from nlhb import reductions as red
-from support import hybrid_tables
+from support import finite_transcript_source, hybrid_tables
 
 
 def _feasible_triples(rng, count):
@@ -220,7 +220,7 @@ def test_finite_source_exhaustion():
     params = nlhb_params(4, 131, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     key = generate_key(params, RandomSource(108))
     pool = red.honest_transcript_source(params, key, RandomSource(109))(6)
-    src = red.finite_transcript_source(list(pool))
+    src = finite_transcript_source(list(pool))
     src(4)
     with pytest.raises(ParameterError, match="exhausted"):
         src(3)
@@ -281,7 +281,7 @@ def test_algorithm_x_source_exhaustion_surfaces():
     oracle = red.ideal_distinguisher(params, key, q=1, seed=1)
     pool = red.honest_transcript_source(params, key, RandomSource(115))(3)
     with pytest.raises(ParameterError, match="exhausted"):
-        red.algorithm_x(oracle, red.finite_transcript_source(list(pool)), 4, n_batches=2)
+        red.algorithm_x(oracle, finite_transcript_source(list(pool)), 4, n_batches=2)
 
 
 def test_algorithm_x_validation():
