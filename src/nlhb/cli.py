@@ -37,7 +37,7 @@ from .nlfunc import (
     merge_error_distribution,
     parse_spec,
 )
-from .params import false_accept, false_reject, find_min_D, threshold_u
+from .params import MAX_D, false_accept, false_reject, find_min_D, threshold_u
 from .protocols import (
     ProtocolParams,
     SecretKey,
@@ -180,14 +180,17 @@ def _spec(args):
     return IDENTITY_SPEC if args.proto in ("hb", "hb+") else DEFAULT_SPEC
 
 
-# Bits in one k x n matrix a command may draw: 2^22 is about seven times the
-# paper's 512 x 1164, and keeps numpy from being asked for gigabytes.
-_MAX_MATRIX_BITS = 1 << 22
+# Bits a command may hold in count k x n matrices: 2^22 is about seven times
+# the paper's 512 x 1164, and keeps numpy from being asked for gigabytes.
+_MAX_BITS = 1 << 22
 
 
-def _check_size(k: int, n: int) -> None:
-    if k * n > _MAX_MATRIX_BITS:
-        raise ParameterError("k*n = %d exceeds the %d-bit limit" % (k * n, _MAX_MATRIX_BITS))
+def _check_size(k: int, n: int, count: int = 1) -> None:
+    # a factor below 1 draws nothing itself, but must not hide the others' size
+    if max(count, 1) * max(k, 1) * max(n, 1) > _MAX_BITS:
+        raise ParameterError(
+            "count*k*n = %d*%d*%d exceeds the %d-bit limit" % (count, k, n, _MAX_BITS)
+        )
 
 
 def _build_params(args) -> ProtocolParams:
@@ -223,6 +226,8 @@ def _cmd_params(args) -> int:
     report = Report(args.format, args.out)
     if args.dd is not None:
         d = args.dd
+        if d > MAX_D:
+            raise ParameterError("D=%d exceeds %d, the largest D find_min_D scans" % (d, MAX_D))
         u = threshold_u(args.epsp, d)
         fa, fr = false_accept(d, u), false_reject(d, args.eps, u)
         report.row("D", d)
@@ -286,6 +291,7 @@ def _cmd_simulate(args) -> int:
         report.emit()
         return 0
     params = _build_params(args)
+    _check_size(params.k, params.n, args.sessions)
     seed = _resolve_seed(args)
     root = RandomSource(seed)
     key = generate_key(params, root.derive("key"))
@@ -311,6 +317,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_attack(args) -> int:
     params = _build_params(args)
+    # each transcript yields D column samples
+    n_transcripts = max(4, -(-args.samples // params.d))
+    if args.attack == "majority":
+        _check_size(1, params.d, args.reps or 1)
+    else:
+        _check_size(params.k, params.n, n_transcripts)
     seed = _resolve_seed(args)
     root = RandomSource(seed)
     key = generate_key(params, root.derive("key"))
@@ -323,8 +335,6 @@ def _cmd_attack(args) -> int:
             oracle, params.k, args.reps, params, rng=root.derive("attack")
         )
     else:
-        # each transcript yields D column samples
-        n_transcripts = max(4, -(-args.samples // params.d))
         transcripts = transcript_sampler(params, key, root.derive("samples"), n_transcripts)
         if args.attack == "lf2":
             result = attacks.lf2_attack(transcripts, args.b, params)
@@ -362,7 +372,7 @@ def _cmd_reduce(args) -> int:
     if mode == "embed":
         spec = parse_spec(args.spec) if args.spec else DEFAULT_SPEC
         eps = args.eps if args.eps is not None else Fraction(1, 8)
-        _check_size(args.k, max(args.n, args.nprime))
+        _check_size(args.k, max(args.n, args.nprime), args.instances)
         secret = root.derive("secret").uniform_bits(args.k)
         rng = root.derive("embed")
         instances = []
@@ -389,16 +399,20 @@ def _cmd_reduce(args) -> int:
         params = _build_params(args)
         key = generate_key(params, root.derive("key"))
         t = run_session(params, key, root.derive("prover"), root.derive("verifier"))
-        a2, z2 = reductions.hybrid_sample((t.a, t.z), args.row, root.derive("hybrid"))
+        strings = np.concatenate([t.a.reshape(-1), t.z])[None]
+        hybrid = reductions.hybrid_sample(strings, args.row, params, root.derive("hybrid"))
+        a2, z2 = reductions._views(hybrid, params)
         report.row("row", args.row)
         report.row("original_row", _pack_hex(t.a[args.row - 1]))
-        report.row("perturbed_row", _pack_hex(a2[args.row - 1]))
-        report.row("z", _pack_hex(z2))
+        report.row("perturbed_row", _pack_hex(a2[0, args.row - 1]))
+        report.row("z", _pack_hex(z2[0]))
         report.comment("row %d re-randomized; response left untouched" % args.row)
         report.emit()
         return 0
 
     params = _build_params(args)
+    # a distinguisher batch holds at most q + 1 strings
+    _check_size(1, reductions.string_length(params), args.q + 1)
     key = generate_key(params, root.derive("key"))
 
     if mode == "thm2":

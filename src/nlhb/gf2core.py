@@ -440,6 +440,8 @@ class RandomSource:
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Draw a uniform bit matrix of shape (rows, cols)."""
+        if rows < 0 or cols < 0:
+            raise ParameterError("matrix shape must be nonnegative, got (%d, %d)" % (rows, cols))
         return self.uniform_bits(rows * cols).reshape(rows, cols)
 
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:

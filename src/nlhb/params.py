@@ -101,12 +101,15 @@ class ThresholdSearch:
     fr: TailProbability
 
 
+MAX_D = 100000  # the exact tails take seconds here, and their cost grows as D^2
+
+
 def find_min_D(
     eps,
     eps_prime,
     log2_fa_target: float,
     log2_fr_target: float,
-    cap: int = 100000,
+    cap: int = MAX_D,
 ) -> ThresholdSearch:
     """Smallest D whose threshold u = floor(eps' D) meets both tail targets.
 

@@ -1,11 +1,15 @@
 """Executable security-reduction constructions.
 
+A batch of q transcripts is one (q, k*n + D) bit array, each row the
+challenge A row-major, then the response z.  It is checked where it enters
+(:class:`DistinguisherOracle`, :func:`hybrid_sample`) and read through views.
+
 Four drivers, each against pluggable adversary oracles:
 
 - ``lpn_to_unld_embed``: turns LPN samples into a decoding instance of the
   nonlinear code by spacing the columns so every window monomial vanishes.
-- ``hybrid_sample``: the one-row perturbation whose distribution is exactly
-  uniform when the corresponding key bit is 1 and exactly honest when it
+- ``hybrid_sample``: re-randomizes row i of every challenge in a batch; the
+  result is exactly uniform when key bit i is 1 and exactly honest when it
   is 0 — the lever that turns a distinguisher into a key extractor.
 - ``algorithm_x``: recovers the key bit by bit from any transcript
   distinguisher by comparing its acceptance rate on hybrids against the
@@ -37,62 +41,75 @@ from .gf2core import (
     check_enumerable,
     code_rows,
     derive_seed,
-    hamming,
-    mat_vec_mul,
+    _mat_vec_mul,
 )
-from .nlfunc import NonlinearFunctionSpec, apply_f, key_distances
+from .nlfunc import NonlinearFunctionSpec, _apply_f, key_distances
 from .protocols import (
     ProtocolParams,
     SecretKey,
     expected_response,
     respond,
     transcript_sampler,
-    verify,
+    _check_key,
+    _decide,
+    _image,
 )
 
 # ---------------------------------------------------------------------------
-# transcript <-> flat bitstring packing
+# transcript batches
 # ---------------------------------------------------------------------------
-
-def pack_transcript(a, z) -> np.ndarray:
-    """Flatten one (challenge, response) pair to a k*n + D bit string."""
-    a = as_bit_matrix(a)
-    return np.concatenate([a.reshape(-1), as_bits(z)])
-
-
-def unpack_transcript(bits, params: ProtocolParams):
-    bits = as_bits(bits, string_length(params))
-    split = params.k * params.n
-    return bits[:split].reshape(params.k, params.n), bits[split:]
-
 
 def string_length(params: ProtocolParams) -> int:
     return params.k * params.n + params.d
 
 
+def _views(strings: np.ndarray, params: ProtocolParams):
+    """The (q, k, n) challenges and (q, D) responses of a checked batch, as
+    views: writing through them writes the batch."""
+    split = params.k * params.n
+    return strings[:, :split].reshape(len(strings), params.k, params.n), strings[:, split:]
+
+
+def _single_secret(params: ProtocolParams) -> None:
+    if params.blinded:
+        raise ParameterError("transcript strings are single-secret; %s is blinded" % params.proto)
+
+
 def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: RandomSource):
-    """Unbounded source of packed honest transcripts: the sessions of
+    """Unbounded source of honest transcript batches: the sessions of
     :func:`transcript_sampler` on ``rng``, one (A, z) row each, so a draw of
     c rows equals any split of c into smaller draws."""
-    if params.blinded:
-        raise ParameterError("packed transcripts are single-secret; %s is blinded" % params.proto)
+    _single_secret(params)
 
     def draw(count: int) -> np.ndarray:
         out = np.empty((count, string_length(params)), dtype=np.uint8)
+        a, z = _views(out, params)
         for row, t in enumerate(transcript_sampler(params, key, rng, count)):
-            out[row] = pack_transcript(t.a, t.z)
+            a[row], z[row] = t.a, t.z
         return out
 
     return draw
 
 
+def hybrid_sample(strings, i: int, params: ProtocolParams, rng: RandomSource) -> np.ndarray:
+    """A copy of the batch with a fresh uniform vector added to row i
+    (1-based) of every challenge, one ``rng.uniform_matrix(q, n)`` draw.
+
+    The responses are untouched.  When key bit i is 1 each perturbed string
+    is exactly uniform; when it is 0 row i never entered the response, so
+    the distribution is exactly the honest one.
+    """
+    strings = as_bit_matrix(strings, (len(strings), string_length(params)))
+    if not 1 <= i <= params.k:
+        raise ParameterError("row index %d outside 1..k=%d" % (i, params.k))
+    out = strings.copy()
+    _views(out, params)[0][:, i - 1] ^= rng.uniform_matrix(len(out), params.n)
+    return out
+
+
 def uniform_string_source(params: ProtocolParams, rng: RandomSource):
-    length = string_length(params)
-
-    def draw(count: int) -> np.ndarray:
-        return rng.uniform_matrix(count, length)
-
-    return draw
+    """Unbounded source of uniform batches of transcript-length strings."""
+    return lambda count: rng.uniform_matrix(count, string_length(params))
 
 
 # ---------------------------------------------------------------------------
@@ -146,36 +163,25 @@ def default_layout(n: int, n_prime: int, p: int) -> EmbeddingLayout:
     return EmbeddingLayout(n=n, n_prime=n_prime, p=p, gaps=tuple(gaps))
 
 
-def lpn_to_unld_embed(
-    g,
-    z,
-    spec: NonlinearFunctionSpec,
-    n: int,
-    rng: RandomSource,
-    eps,
-    layout: EmbeddingLayout | None = None,
-):
+def lpn_to_unld_embed(g, z, spec: NonlinearFunctionSpec, n: int, rng: RandomSource, eps):
     """Widen an LPN batch (G, z) into a decoding instance (A, y) of the
     nonlinear code, preserving the planted secret.
 
-    A places G's columns at ``layout.positions`` with zero columns between
-    and after them; y carries z's bits at those positions and fresh
-    Bernoulli(eps) filler elsewhere.  Because no window of A contains two
-    original columns and every monomial of g has degree >= 2, f(mA) equals
-    mG at the original positions for every m — so a decoder for (A, y) is
-    a decoder for the LPN batch.
+    A places G's columns at the positions of :func:`default_layout`, with
+    zero columns between and after them; y carries z's bits at those
+    positions and fresh Bernoulli(eps) filler elsewhere.  Because no window
+    of A contains two original columns and every monomial of g has degree
+    >= 2, f(mA) equals mG at the original positions for every m — so a
+    decoder for (A, y) is a decoder for the LPN batch.
     """
     g = as_bit_matrix(g)
     k, n_prime = g.shape
     z = as_bits(z, n_prime)
     if spec.p < 1 or not spec.monomials:
         raise ParameterError("embedding needs a nonlinear spec with p >= 1")
-    if not k < n_prime:
-        raise ParameterError("need k < n'")
-    if layout is None:
-        layout = default_layout(n, n_prime, spec.p)
-    elif (layout.n, layout.n_prime, layout.p) != (n, n_prime, spec.p):
-        raise ParameterError("layout does not match (n, n', p)")
+    if not 0 < k < n_prime:
+        raise ParameterError("need 0 < k < n', got k=%d, n'=%d" % (k, n_prime))
+    layout = default_layout(n, n_prime, spec.p)
 
     d = n - spec.p
     a = np.zeros((k, n), dtype=np.uint8)
@@ -204,40 +210,15 @@ def brute_force_unld(instances, k: int, spec: NonlinearFunctionSpec):
 
 
 # ---------------------------------------------------------------------------
-# hybrid perturbation
-# ---------------------------------------------------------------------------
-
-def hybrid_sample(transcript, i: int, rng: RandomSource | None = None, c=None):
-    """Add a fresh uniform row vector to row i (1-based) of the challenge.
-
-    Returns the perturbed (A', z) pair; z is untouched.  When key bit i is
-    1 the result is exactly uniform on (A', z); when it is 0 row i never
-    entered the response, so the distribution is exactly the honest one.
-    """
-    a, z = transcript
-    a = as_bit_matrix(a)
-    if not 1 <= i <= a.shape[0]:
-        raise ParameterError("row index %d outside 1..k=%d" % (i, a.shape[0]))
-    if c is None:
-        if rng is None:
-            raise ParameterError("hybrid_sample needs an rng or an explicit c")
-        c = rng.uniform_bits(a.shape[1])
-    else:
-        c = as_bits(c, a.shape[1])
-    perturbed = a.copy()
-    perturbed[i - 1] ^= c
-    return perturbed, as_bits(z)
-
-
-# ---------------------------------------------------------------------------
 # distinguishers and forgers
 # ---------------------------------------------------------------------------
 
 @dataclass
 class DistinguisherOracle:
-    """One-bit verdict on a batch of q packed strings of length k*n + D.
+    """One-bit verdict on a batch of q strings of length k*n + D.
 
-    ``seed`` plays the role of the fixed coins: the verdict is a
+    The call checks the batch once and hands ``func`` a (q, k*n + D) bit
+    array.  ``seed`` plays the role of the fixed coins: the verdict is a
     deterministic function of (seed, strings).
     """
 
@@ -253,11 +234,9 @@ class DistinguisherOracle:
 
     def __call__(self, strings) -> int:
         strings = np.atleast_2d(np.asarray(strings, dtype=np.uint8))
-        if strings.shape[0] != self.q:
-            raise ParameterError(
-                "distinguisher expects %d strings, got %d" % (self.q, strings.shape[0])
-            )
-        return int(self.func(strings))
+        if len(strings) != self.q:
+            raise ParameterError("distinguisher takes %d strings, got %d" % (self.q, len(strings)))
+        return int(self.func(as_bit_matrix(strings, (self.q, string_length(self.params)))))
 
 
 def ideal_distinguisher(
@@ -265,10 +244,11 @@ def ideal_distinguisher(
 ) -> DistinguisherOracle:
     """Reference adversary that knows the key: accepts a batch iff every
     string verifies within the protocol threshold."""
+    _single_secret(params)
+    key = _check_key(params, key)
 
     def func(strings):
-        rows = (unpack_transcript(row, params) for row in strings)
-        return all(verify(params, key, a, z)[0] for a, z in rows)
+        return all(_decide(params, key, a, z, None)[0] for a, z in zip(*_views(strings, params)))
 
     return DistinguisherOracle(func=func, q=q, advantage=1.0, seed=seed, params=params)
 
@@ -276,26 +256,23 @@ def ideal_distinguisher(
 class PassiveForger:
     """Observe q transcripts, then answer one challenge matrix.
 
-    Subclasses fill in ``_forge``; ``reset`` refixes the coins so a wrapping
-    distinguisher stays deterministic per call.
+    Subclasses fill in ``forge``, and ``observe`` if they learn from the
+    transcripts; ``reset`` refixes the coins so a wrapping distinguisher
+    stays deterministic per call.  Both receive views of a checked batch.
     """
 
     def __init__(self, params: ProtocolParams, q: int = 0):
+        _single_secret(params)
         self.params = params
         self.q = q
-        self._seen: list = []
 
     def reset(self, seed: int) -> None:
-        self._seen = []
         self._rng = RandomSource(seed)
 
-    def observe(self, transcripts) -> None:
-        self._seen.extend(transcripts)
+    def observe(self, strings) -> None:
+        """Take the q training transcripts as one (q, k*n + D) batch."""
 
-    def forge(self, a) -> np.ndarray:
-        return self._forge(as_bit_matrix(a))
-
-    def _forge(self, a):  # pragma: no cover - abstract
+    def forge(self, a) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -304,23 +281,23 @@ class PerfectPassiveForger(PassiveForger):
 
     def __init__(self, params, key: SecretKey, q: int = 0):
         super().__init__(params, q)
-        self.key = key
+        self.key = _check_key(params, key)
 
-    def _forge(self, a):
-        return expected_response(self.params, self.key, a)
+    def forge(self, a):
+        return _image(self.params, self.key, a, None)
 
 
 class HonestPassiveForger(PerfectPassiveForger):
     """Knows the key but answers like the honest noisy prover."""
 
-    def _forge(self, a):
+    def forge(self, a):
         return respond(self.params, self.key, a, rng=self._rng)
 
 
 class RandomPassiveForger(PassiveForger):
     """Baseline with no information: uniform responses."""
 
-    def _forge(self, a):
+    def forge(self, a):
         return self._rng.uniform_bits(self.params.d)
 
 
@@ -361,15 +338,13 @@ def forger_to_distinguisher(
     u_dd, declared = _threshold(params, epsilon_dd, passive_distinguisher_interval(params))
 
     def func(strings):
+        a, z = _views(strings, params)
         z_oracle.reset(seed)
-        z_oracle.observe([unpack_transcript(row, params) for row in strings[:q]])
-        a_star, z_star = unpack_transcript(strings[q], params)
-        forged = z_oracle.forge(a_star)
-        return int(hamming(z_star, forged) <= u_dd)
+        z_oracle.observe(strings[:q])
+        forged = z_oracle.forge(a[q])
+        return int(np.count_nonzero(z[q] != forged) <= u_dd)
 
-    return DistinguisherOracle(
-        func=func, q=q + 1, advantage=declared, seed=seed, params=params
-    )
+    return DistinguisherOracle(func=func, q=q + 1, advantage=declared, seed=seed, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +358,8 @@ class ActiveForger:
     Challenge phase: ``commit_blinding() -> B_hat`` then ``respond(A) ->
     z_hat``, with ``snapshot``/``restore`` replaying identically on equal
     subsequent inputs.  The base class enforces the phase order and raises
-    on misuse.
+    on misuse.  Operands are views of the wrapper's checked batch or matrices
+    it drew, and are not checked again.
     """
 
     def __init__(self, params: ProtocolParams, q: int = 0):
@@ -408,13 +384,13 @@ class ActiveForger:
     def on_blinding(self, b) -> np.ndarray:
         self._require("query", None)
         self._state["awaiting"] = "response"
-        return self._on_blinding(as_bit_matrix(b))
+        return self._on_blinding(b)
 
     def on_response(self, z) -> None:
         self._require("query", "response")
         self._state["awaiting"] = None
         self._state["round"] += 1
-        self._on_response(as_bits(z))
+        self._on_response(z)
 
     def commit_blinding(self) -> np.ndarray:
         self._require("query", None)
@@ -426,7 +402,7 @@ class ActiveForger:
 
     def respond(self, a) -> np.ndarray:
         self._require("challenge", None)
-        return self._respond(as_bit_matrix(a))
+        return self._respond(a)
 
     def snapshot(self) -> dict:
         return dict(self._state)
@@ -447,7 +423,7 @@ class ActiveForger:
     def _respond(self, a):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _prover_response(self, key: SecretKey, a, noisy: bool) -> np.ndarray:
+    def _prover_response(self, key: SecretKey, a, noisy: bool = True) -> np.ndarray:
         """The honest blinded prover's answer to ``a`` under ``key`` and B_hat.
         Its noise comes from coins tied to ``a``, so a rewound replay repeats it."""
         b_hat = self._state["b_hat"]
@@ -507,12 +483,11 @@ class ExtractingActiveForger(ActiveForger):
     wrapper turns into a distinguisher.
     """
 
-    def __init__(self, params: ProtocolParams, s1, q: int = 5, noisy: bool = True):
+    def __init__(self, params: ProtocolParams, s1, q: int = 5):
         super().__init__(params, q)
         if params.k > 16:
             raise ParameterError("extraction brute-forces 2^k candidates; need k <= 16")
         self.s1 = as_bits(s1, params.k)
-        self.noisy = noisy
 
     def reset(self, seed: int) -> None:
         super().reset(seed)
@@ -528,7 +503,7 @@ class ExtractingActiveForger(ActiveForger):
         return self._state["a_star"]
 
     def _on_response(self, z):
-        known = apply_f(self.params.spec, mat_vec_mul(self.s1, self._state["b_bar"]))
+        known = _apply_f(self.params.spec, _mat_vec_mul(self.s1, self._state["b_bar"]))
         self._state["votes"] += z ^ known
         self._state["rounds_seen"] += 1
 
@@ -537,8 +512,9 @@ class ExtractingActiveForger(ActiveForger):
         if count == 0:
             raise ParameterError("extraction needs at least one query round")
         image = (2 * self._state["votes"] > count).astype(np.uint8)
-        best = int(np.argmin(key_distances(self.params.spec, self._state["a_star"], image)))
-        self._state["s2_hat"] = code_rows([best], self.params.k)[0]
+        self._state["s2_hat"], _ = brute_force_unld(
+            [(self._state["a_star"], image)], self.params.k, self.params.spec
+        )
 
     def snapshot(self) -> dict:
         state = dict(self._state)
@@ -547,7 +523,7 @@ class ExtractingActiveForger(ActiveForger):
 
     def _respond(self, a):
         key = SecretKey(s1=self.s1, s2=self._state["s2_hat"])
-        return self._prover_response(key, a, self.noisy)
+        return self._prover_response(key, a)
 
 
 def rewinding_distinguisher_interval(params: ProtocolParams):
@@ -587,10 +563,9 @@ def active_forger_to_distinguisher(
 
     def func(strings):
         zp.reset(seed)
-        for row in strings:
-            b_bar, z_bar = unpack_transcript(row, params)
+        for b_bar, z_bar in zip(*_views(strings, params)):
             a = zp.on_blinding(b_bar)
-            zp.on_response(z_bar ^ apply_f(params.spec, mat_vec_mul(s2, a)))
+            zp.on_response(z_bar ^ _apply_f(params.spec, _mat_vec_mul(s2, a)))
         zp.commit_blinding()
         challenge_rng = RandomSource(derive_seed(seed, strings.tobytes()))
         a1 = challenge_rng.uniform_matrix(params.k, params.n)
@@ -599,14 +574,12 @@ def active_forger_to_distinguisher(
         z1 = zp.respond(a1)
         zp.restore(state)
         z2 = zp.respond(a2)
-        target = apply_f(params.spec, mat_vec_mul(s2, a1)) ^ apply_f(
-            params.spec, mat_vec_mul(s2, a2)
+        target = _apply_f(params.spec, _mat_vec_mul(s2, a1)) ^ _apply_f(
+            params.spec, _mat_vec_mul(s2, a2)
         )
-        return int(hamming(z1 ^ z2, target) <= u_1)
+        return int(np.count_nonzero(z1 ^ z2 != target) <= u_1)
 
-    return DistinguisherOracle(
-        func=func, q=q, advantage=declared, seed=seed, params=params
-    )
+    return DistinguisherOracle(func=func, q=q, advantage=declared, seed=seed, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +601,7 @@ def default_batch_count(k: int, delta: float) -> int:
 
 
 def algorithm_x(
-    y_oracle: DistinguisherOracle,
-    transcript_source,
-    k: int,
-    *,
-    n_batches: int | None = None,
-    delta: float | None = None,
+    y_oracle: DistinguisherOracle, transcript_source, k: int, *, n_batches: int | None = None
 ) -> np.ndarray:
     """Extract the key from a transcript distinguisher, bit by bit.
 
@@ -642,11 +610,12 @@ def algorithm_x(
     When s_i = 1 the hybrid is exactly uniform, so p_i stays within delta/4
     of p and the bit is set to 1; when s_i = 0 the hybrid is exactly honest
     and the distinguisher's advantage pushes p_i away, so the bit is 0.
+    delta is the oracle's declared advantage.
     """
     params, q = y_oracle.params, y_oracle.q
     if k != params.k:
         raise ParameterError("k=%d disagrees with params.k=%d" % (k, params.k))
-    delta = y_oracle.advantage if delta is None else float(delta)
+    delta = y_oracle.advantage
     if n_batches is None:
         n_batches = default_batch_count(k, min(delta, 1.0))
     if n_batches < 1:
@@ -656,17 +625,11 @@ def algorithm_x(
     uniform = uniform_string_source(params, rng)
     p_base = sum(y_oracle(uniform(q)) for _ in range(n_batches)) / n_batches
 
-    length = string_length(params)
     recovered = np.zeros(k, dtype=np.uint8)
     for i in range(1, k + 1):
-        hits = 0
-        for _ in range(n_batches):
-            batch = np.array(transcript_source(q), dtype=np.uint8, copy=True)
-            if batch.shape != (q, length):
-                raise DimensionError("source must yield %d strings of %d bits" % (q, length))
-            row_lo = (i - 1) * params.n
-            batch[:, row_lo : row_lo + params.n] ^= rng.uniform_matrix(q, params.n)
-            hits += y_oracle(batch)
-        p_i = hits / n_batches
-        recovered[i - 1] = 0 if abs(p_i - p_base) >= delta / 4 else 1
+        hits = sum(
+            y_oracle(hybrid_sample(transcript_source(q), i, params, rng))
+            for _ in range(n_batches)
+        )
+        recovered[i - 1] = abs(hits / n_batches - p_base) < delta / 4
     return recovered

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import signal
 import threading
 import time
 import tracemalloc
@@ -9,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nlhb import authsvc, cli
 from nlhb.gf2core import RandomSource
@@ -376,6 +379,7 @@ _THM4 = ["reduce", "thm4", "--adversary", "learning", "--eps", "1/8", "--epsp", 
     (["simulate", "--sessions", "-3"], 2),
     (["attack", "--attack", "noisefree", "--proto", "nlhb", "--k", "8", "--samples", "-100000"], 2),
     (["reduce", "thm2", "--k", "8", "--n", "131", "--q", "0"], 1),
+    (["reduce", "embed", "--k", "0"], 1),
 ])
 def test_nonsense_counts_are_refused(argv, want):
     code, out, err = run_cli(argv + ["--seed", "1"])
@@ -390,6 +394,15 @@ def test_nonsense_counts_are_refused(argv, want):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--proto", "hb", "--k", "100000", "--n", "100000"],
     ["reduce", "embed", "--k", "100000", "--n", "100000"],
+    # count flags: the bits of all the matrices a count asks for are bounded
+    ["attack", "--attack", "lf2", "--proto", "hb", "--k", "8", "--samples", "2000000000"],
+    ["attack", "--attack", "noisefree", "--proto", "nlhb", "--k", "8", "--samples", "2000000000"],
+    ["attack", "--attack", "majority", "--proto", "hb", "--k", "8", "--reps", "2000000001"],
+    ["simulate", "--k", "16", "--sessions", "2000000000"],
+    ["reduce", "embed", "--instances", "2000000000"],
+    ["reduce", "thm2", "--q", "2147483648"],
+    ["reduce", "thm3", "--q", "2147483648"],
+    ["reduce", "thm4", "--q", "2147483648"],
 ])
 def test_oversized_matrix_is_refused_before_allocation(argv):
     tracemalloc.start()
@@ -403,6 +416,97 @@ def test_oversized_matrix_is_refused_before_allocation(argv):
     assert peak < 2**20
     assert code == 1
     assert err.startswith("error:") and "exceeds" in err
+
+
+# Every subcommand but serve and auth, drawn with small valid values or the
+# hostile ones.  Counts that only buy time (--trials, --batches) draw no huge
+# value: a valid request for 2^31 trials is slow, not wrong, like a k=26 key
+# search, which the small --k range never reaches either.
+HOSTILE = ["0", "-1", str(2**31), str(2**63), "1/0", "x"]
+_SLOW_COUNT_HOSTILE = ["0", "-1", "1/0", "x"]
+
+
+def _ints(lo, hi, hostile=HOSTILE):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(hostile))
+
+
+def _pick(*values):
+    return st.one_of(st.sampled_from(values), st.sampled_from(HOSTILE))
+
+
+_EPS = _pick("1/8", "1/4")
+_EPSP = _pick("3/8", "2/5")
+_SPEC = _pick("p=2; g=x1x2", "p=3; g=x1x2+x1x3+x2x3", "p=0; g=0")
+_TRIALS = _ints(1, 3, _SLOW_COUNT_HOSTILE)
+# Flags always given (so no slow default applies), then flags drawn or not.
+_SIZE = {"--k": _ints(1, 5), "--n": _ints(4, 24)}
+_FRACTIONS = {"--eps": _EPS, "--epsp": _EPSP}
+_COMMANDS = {
+    ("params",): ({"--eps": _EPS, "--epsp": _EPSP, "--pfa": _pick("-10", "-6"),
+                   "--pfr": _pick("-5", "-3")}, {"--dd": _ints(1, 64)}),
+    ("cost",): ({"--proto": _pick("hb", "nlhb+"), "--k": _ints(1, 16), "--dd": _ints(1, 64)},
+                {"--spec": _SPEC}),
+    ("analyze",): ({"--spec": _SPEC}, {"--balance-n": _ints(2, 8)}),
+    ("analyze", "--enumerate"): ({"--p": _ints(1, 3)}, {}),
+    ("simulate",): (_SIZE, dict(_FRACTIONS, **{"--proto": _pick("hb", "hb+", "nlhb", "nlhb+"),
+                                               "--sessions": _ints(1, 3)})),
+    ("attack",): (dict(_SIZE, **{"--attack": _pick("majority", "lf2", "noisefree"),
+                                 "--samples": _ints(1, 256), "--trials": _TRIALS}),
+                  dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb"), "--b": _ints(1, 4),
+                                      "--reps": _ints(1, 7)})),
+    ("reduce", "embed"): ({"--k": _ints(0, 4), "--nprime": _ints(1, 8), "--n": _ints(4, 24)},
+                          {"--eps": _EPS, "--instances": _ints(1, 3), "--spec": _SPEC}),
+    ("reduce", "hybrid"): (_SIZE, dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb+"),
+                                                      "--row": _ints(1, 6)})),
+    ("reduce", "thm2"): (dict(_SIZE, **{"--batches": _TRIALS}),
+                         dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb"), "--q": _ints(1, 3)})),
+    ("reduce", "thm3"): (dict(_SIZE, **{"--trials": _TRIALS}),
+                         dict(_FRACTIONS, **{"--adversary": _pick("perfect", "random", "honest"),
+                                             "--q": _ints(1, 3), "--epsdd": _pick("9/20", "2/5")})),
+    ("reduce", "thm4"): (dict(_SIZE, **{"--trials": _TRIALS}),
+                         dict(_FRACTIONS, **{"--proto": _pick("hb+", "nlhb+"),
+                                             "--adversary": _pick("perfect", "random", "honest",
+                                                                  "learning"),
+                                             "--q": _ints(1, 3),
+                                             "--eps1": _pick("9/20", "47/100")})),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    optional = dict(optional, **{"--format": _pick("tsv", "text")})
+    argv = list(command)
+    for flag in sorted(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        argv += [flag, draw({**required, **optional}[flag])]
+    if command[0] not in ("params", "cost", "analyze"):
+        argv += ["--seed", draw(_pick("1", "7"))]
+    return argv
+
+
+class _Overran(Exception):
+    pass
+
+
+def _overran(signum, frame):
+    raise _Overran()
+
+
+@given(_argv())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_ends_in_output_or_an_error(argv):
+    previous = signal.signal(signal.SIGALRM, _overran)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, _, err = run_cli(argv)
+    except _Overran:
+        pytest.fail("%r ran past 5 s" % (argv,))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_text_format_uses_aligned_columns():

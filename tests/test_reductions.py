@@ -144,9 +144,10 @@ def test_embed_validation():
         red.lpn_to_unld_embed(g, rng.uniform_bits(5), DEFAULT_SPEC, 21, rng, Fraction(1, 8))
     with pytest.raises(ParameterError):  # linear spec has no gaps to absorb
         red.lpn_to_unld_embed(g, z, parse_spec("p=0; g=0"), 21, rng, Fraction(1, 8))
-    with pytest.raises(ParameterError):  # layout shape mismatch
-        layout = red.default_layout(27, 6, 3)
-        red.lpn_to_unld_embed(g, z, DEFAULT_SPEC, 21, rng, Fraction(1, 8), layout=layout)
+    with pytest.raises(ParameterError, match="0 < k"):  # empty secret
+        red.lpn_to_unld_embed(
+            np.zeros((0, 6), dtype=np.uint8), z, DEFAULT_SPEC, 21, rng, Fraction(1, 8)
+        )
     with pytest.raises(ParameterError):
         red.brute_force_unld([], 4, DEFAULT_SPEC)
 
@@ -155,22 +156,52 @@ def test_embed_validation():
 # hybrid perturbation: exact distribution facts by full enumeration
 # ---------------------------------------------------------------------------
 
+def _hybrid_params():
+    return nlhb_params(3, 10, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
+
+
 def test_hybrid_noop_and_errors():
+    params = _hybrid_params()
     rng = RandomSource(104)
-    a = rng.uniform_matrix(3, 7)
-    z = rng.uniform_bits(4)
-    ap, zp = red.hybrid_sample((a, z), 2, c=np.zeros(7, dtype=np.uint8))
-    assert np.array_equal(ap, a) and np.array_equal(zp, z)
-    ap, zp = red.hybrid_sample((a, z), 1, rng=rng)
-    assert np.array_equal(ap[1:], a[1:]) and np.array_equal(zp, z)
+    strings = rng.uniform_matrix(4, red.string_length(params))
     with pytest.raises(ParameterError):
-        red.hybrid_sample((a, z), 0, rng=rng)
+        red.hybrid_sample(strings, 0, params, rng)
     with pytest.raises(ParameterError):
-        red.hybrid_sample((a, z), 4, rng=rng)
-    with pytest.raises(ParameterError):
-        red.hybrid_sample((a, z), 1)
+        red.hybrid_sample(strings, 4, params, rng)
     with pytest.raises(DimensionError):
-        red.hybrid_sample((a, z), 1, c=np.zeros(6, dtype=np.uint8))
+        red.hybrid_sample(strings[:, :-1], 1, params, rng)
+    with pytest.raises(DimensionError):
+        red.hybrid_sample(strings[0], 1, params, rng)
+    bad = strings.copy()
+    bad[2, 5] = 2
+    with pytest.raises(ParameterError):
+        red.hybrid_sample(bad, 1, params, rng)
+    before = strings.copy()
+    red.hybrid_sample(strings, 1, params, rng)
+    assert np.array_equal(strings, before)  # the input batch is not touched
+
+
+def test_one_string_hybrid_adds_uniform_bits_to_row_i():
+    params = _hybrid_params()
+    strings = RandomSource(105).uniform_matrix(1, red.string_length(params))
+    for i in range(1, params.k + 1):
+        out = red.hybrid_sample(strings, i, params, RandomSource(106))
+        diff = (out ^ strings)[0]
+        lo = (i - 1) * params.n
+        assert np.array_equal(diff[lo : lo + params.n], RandomSource(106).uniform_bits(params.n))
+        assert not diff[:lo].any() and not diff[lo + params.n :].any()
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_hybrid_changes_only_row_i_of_each_string(q, i, seed):
+    params = _hybrid_params()
+    strings = RandomSource(seed).uniform_matrix(q, red.string_length(params))
+    out = red.hybrid_sample(strings, i, params, RandomSource(seed + 1))
+    masks = RandomSource(seed + 1).uniform_matrix(q, params.n)
+    expected = strings.copy()
+    expected[:, (i - 1) * params.n : i * params.n] ^= masks
+    assert out.shape == strings.shape and np.array_equal(out, expected)
 
 
 def test_hybrid_is_exactly_uniform_when_bit_set():
@@ -190,21 +221,8 @@ def test_hybrid_equals_honest_when_bit_clear():
 
 
 # ---------------------------------------------------------------------------
-# packing and oracles
+# batches and oracles
 # ---------------------------------------------------------------------------
-
-def test_pack_unpack_round_trip():
-    params = nlhb_params(5, 11, Fraction(1, 4), Fraction(87, 250), DEFAULT_SPEC)
-    rng = RandomSource(105)
-    a = rng.uniform_matrix(5, 11)
-    z = rng.uniform_bits(params.d)
-    bits = red.pack_transcript(a, z)
-    assert bits.shape == (red.string_length(params),)
-    a2, z2 = red.unpack_transcript(bits, params)
-    assert np.array_equal(a2, a) and np.array_equal(z2, z)
-    with pytest.raises(DimensionError):
-        red.unpack_transcript(bits[:-1], params)
-
 
 def test_distinguisher_batch_size_enforced():
     params = nlhb_params(4, 131, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
@@ -214,6 +232,27 @@ def test_distinguisher_batch_size_enforced():
     assert oracle(src(2)) == 1
     with pytest.raises(ParameterError):
         oracle(src(3))
+
+
+def test_distinguisher_refuses_a_malformed_batch():
+    params = nlhb_params(4, 131, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
+    calls = []
+    oracle = red.DistinguisherOracle(
+        func=lambda strings: calls.append(strings) or 1, q=2, advantage=1.0, seed=0,
+        params=params,
+    )
+    batch = RandomSource(160).uniform_matrix(2, red.string_length(params))
+    with pytest.raises(DimensionError):
+        oracle(batch[:, :-1])
+    with pytest.raises(DimensionError):
+        oracle(np.hstack([batch, batch[:, :1]]))
+    bad = batch.copy()
+    bad[1, 7] = 2
+    with pytest.raises(ParameterError, match="0 or 1"):
+        oracle(bad)
+    assert calls == []
+    oracle(batch)
+    assert len(calls) == 1 and np.array_equal(calls[0], batch)
 
 
 def test_finite_source_exhaustion():
@@ -252,7 +291,7 @@ def test_algorithm_x_single_batch_noiseless():
         out = np.empty((count, red.string_length(params)), dtype=np.uint8)
         for row in range(count):
             a = rng.uniform_matrix(params.k, params.n)
-            out[row] = red.pack_transcript(a, expected_response(params, key, a))
+            out[row] = np.concatenate([a.reshape(-1), expected_response(params, key, a)])
         return out
 
     noiseless.rng = RandomSource(111)
@@ -262,16 +301,16 @@ def test_algorithm_x_single_batch_noiseless():
 
 
 def test_algorithm_x_vacuous_threshold_classifies_all_ones():
-    # an oracle with no advantage never moves the estimate, and delta=2 sets
-    # the decision threshold at 1/2 — nothing can cross it, so every bit
-    # lands in the "indistinguishable = 1" branch
+    # an oracle with no advantage never moves the estimate, and its declared
+    # advantage 2 sets the decision threshold at 1/2 — nothing can cross it,
+    # so every bit lands in the "indistinguishable = 1" branch
     params = nlhb_params(6, 13, Fraction(1, 4), Fraction(87, 250), DEFAULT_SPEC)
     key = generate_key(params, RandomSource(112))
     constant = red.DistinguisherOracle(
         func=lambda strings: 1, q=2, advantage=2.0, seed=0, params=params
     )
     src = red.honest_transcript_source(params, key, RandomSource(113))
-    recovered = red.algorithm_x(constant, src, 6, n_batches=4, delta=2.0)
+    recovered = red.algorithm_x(constant, src, 6, n_batches=4)
     assert recovered.tolist() == [1] * 6
 
 
@@ -528,7 +567,7 @@ def test_honest_source_packs_transcript_sampler(proto, count):
     key = generate_key(params, RandomSource(150))
     rows = red.honest_transcript_source(params, key, RandomSource(151))(count)
     sessions = transcript_sampler(params, key, RandomSource(151), count)
-    packed = [red.pack_transcript(t.a, t.z) for t in sessions]
+    packed = [np.concatenate([t.a.reshape(-1), t.z]) for t in sessions]
     expected = np.array(packed, dtype=np.uint8).reshape(count, red.string_length(params))
     assert rows.dtype == np.uint8 and np.array_equal(rows, expected)
 
