@@ -180,9 +180,10 @@ def _spec(args):
     return IDENTITY_SPEC if args.proto in ("hb", "hb+") else DEFAULT_SPEC
 
 
-# Bits a command may hold in count k x n matrices: 2^22 is about seven times
-# the paper's 512 x 1164, and keeps numpy from being asked for gigabytes.
-_MAX_BITS = 1 << 22
+# Bits a command may hold in all the count k x n matrices it asks for: 2^28
+# bits is 256 MB as uint8, room for 450 of the paper's 512 x 1164 challenges,
+# and keeps numpy from being asked for gigabytes.
+_MAX_BITS = 1 << 28
 
 
 def _check_size(k: int, n: int, count: int = 1) -> None:
@@ -399,9 +400,9 @@ def _cmd_reduce(args) -> int:
         params = _build_params(args)
         key = generate_key(params, root.derive("key"))
         t = run_session(params, key, root.derive("prover"), root.derive("verifier"))
-        strings = np.concatenate([t.a.reshape(-1), t.z])[None]
+        strings = reductions.transcript_batch(params, [t])
         hybrid = reductions.hybrid_sample(strings, args.row, params, root.derive("hybrid"))
-        a2, z2 = reductions._views(hybrid, params)
+        a2, z2 = reductions.batch_views(hybrid, params)
         report.row("row", args.row)
         report.row("original_row", _pack_hex(t.a[args.row - 1]))
         report.row("perturbed_row", _pack_hex(a2[0, args.row - 1]))

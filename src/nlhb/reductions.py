@@ -1,8 +1,9 @@
 """Executable security-reduction constructions.
 
 A batch of q transcripts is one (q, k*n + D) bit array, each row the
-challenge A row-major, then the response z.  It is checked where it enters
-(:class:`DistinguisherOracle`, :func:`hybrid_sample`) and read through views.
+challenge A row-major, then the response z (:func:`transcript_batch`).  It
+is checked once, where it enters (:class:`DistinguisherOracle`,
+:func:`hybrid_sample`), and read through :func:`batch_views`.
 
 Four drivers, each against pluggable adversary oracles:
 
@@ -63,11 +64,20 @@ def string_length(params: ProtocolParams) -> int:
     return params.k * params.n + params.d
 
 
-def _views(strings: np.ndarray, params: ProtocolParams):
+def batch_views(strings: np.ndarray, params: ProtocolParams):
     """The (q, k, n) challenges and (q, D) responses of a checked batch, as
     views: writing through them writes the batch."""
     split = params.k * params.n
     return strings[:, :split].reshape(len(strings), params.k, params.n), strings[:, split:]
+
+
+def transcript_batch(params: ProtocolParams, transcripts) -> np.ndarray:
+    """The batch of the given transcripts, one (A, z) row each."""
+    out = np.empty((len(transcripts), string_length(params)), dtype=np.uint8)
+    a, z = batch_views(out, params)
+    for row, t in enumerate(transcripts):
+        a[row], z[row] = t.a, t.z
+    return out
 
 
 def _single_secret(params: ProtocolParams) -> None:
@@ -82,11 +92,7 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
     _single_secret(params)
 
     def draw(count: int) -> np.ndarray:
-        out = np.empty((count, string_length(params)), dtype=np.uint8)
-        a, z = _views(out, params)
-        for row, t in enumerate(transcript_sampler(params, key, rng, count)):
-            a[row], z[row] = t.a, t.z
-        return out
+        return transcript_batch(params, transcript_sampler(params, key, rng, count))
 
     return draw
 
@@ -103,13 +109,17 @@ def hybrid_sample(strings, i: int, params: ProtocolParams, rng: RandomSource) ->
     if not 1 <= i <= params.k:
         raise ParameterError("row index %d outside 1..k=%d" % (i, params.k))
     out = strings.copy()
-    _views(out, params)[0][:, i - 1] ^= rng.uniform_matrix(len(out), params.n)
+    batch_views(out, params)[0][:, i - 1] ^= rng.uniform_matrix(len(out), params.n)
     return out
 
 
 def uniform_string_source(params: ProtocolParams, rng: RandomSource):
-    """Unbounded source of uniform batches of transcript-length strings."""
-    return lambda count: rng.uniform_matrix(count, string_length(params))
+    length = string_length(params)
+
+    def draw(count: int) -> np.ndarray:
+        return rng.uniform_matrix(count, length)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +244,12 @@ class DistinguisherOracle:
 
     def __call__(self, strings) -> int:
         strings = np.atleast_2d(np.asarray(strings, dtype=np.uint8))
+        self._check_count(strings)
+        return int(self.func(as_bit_matrix(strings, (self.q, string_length(self.params)))))
+
+    def _check_count(self, strings) -> None:
         if len(strings) != self.q:
             raise ParameterError("distinguisher takes %d strings, got %d" % (self.q, len(strings)))
-        return int(self.func(as_bit_matrix(strings, (self.q, string_length(self.params)))))
 
 
 def ideal_distinguisher(
@@ -248,7 +261,8 @@ def ideal_distinguisher(
     key = _check_key(params, key)
 
     def func(strings):
-        return all(_decide(params, key, a, z, None)[0] for a, z in zip(*_views(strings, params)))
+        a, z = batch_views(strings, params)
+        return all(_decide(params, key, a_i, z_i, None)[0] for a_i, z_i in zip(a, z))
 
     return DistinguisherOracle(func=func, q=q, advantage=1.0, seed=seed, params=params)
 
@@ -338,7 +352,7 @@ def forger_to_distinguisher(
     u_dd, declared = _threshold(params, epsilon_dd, passive_distinguisher_interval(params))
 
     def func(strings):
-        a, z = _views(strings, params)
+        a, z = batch_views(strings, params)
         z_oracle.reset(seed)
         z_oracle.observe(strings[:q])
         forged = z_oracle.forge(a[q])
@@ -423,7 +437,7 @@ class ActiveForger:
     def _respond(self, a):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _prover_response(self, key: SecretKey, a, noisy: bool = True) -> np.ndarray:
+    def _prover_response(self, key: SecretKey, a, noisy: bool) -> np.ndarray:
         """The honest blinded prover's answer to ``a`` under ``key`` and B_hat.
         Its noise comes from coins tied to ``a``, so a rewound replay repeats it."""
         b_hat = self._state["b_hat"]
@@ -495,7 +509,6 @@ class ExtractingActiveForger(ActiveForger):
             self.params.k, self.params.n
         )
         self._state["votes"] = np.zeros(self.params.d, dtype=np.int64)
-        self._state["rounds_seen"] = 0
         self._state["s2_hat"] = None
 
     def _on_blinding(self, b):
@@ -504,11 +517,11 @@ class ExtractingActiveForger(ActiveForger):
 
     def _on_response(self, z):
         known = _apply_f(self.params.spec, _mat_vec_mul(self.s1, self._state["b_bar"]))
-        self._state["votes"] += z ^ known
-        self._state["rounds_seen"] += 1
+        # a new array, so the base class's shallow snapshot stays intact
+        self._state["votes"] = self._state["votes"] + (z ^ known)
 
     def _commit_blinding(self):
-        count = self._state["rounds_seen"]
+        count = self._state["round"]
         if count == 0:
             raise ParameterError("extraction needs at least one query round")
         image = (2 * self._state["votes"] > count).astype(np.uint8)
@@ -516,14 +529,9 @@ class ExtractingActiveForger(ActiveForger):
             [(self._state["a_star"], image)], self.params.k, self.params.spec
         )
 
-    def snapshot(self) -> dict:
-        state = dict(self._state)
-        state["votes"] = self._state["votes"].copy()
-        return state
-
     def _respond(self, a):
         key = SecretKey(s1=self.s1, s2=self._state["s2_hat"])
-        return self._prover_response(key, a)
+        return self._prover_response(key, a, True)
 
 
 def rewinding_distinguisher_interval(params: ProtocolParams):
@@ -563,7 +571,7 @@ def active_forger_to_distinguisher(
 
     def func(strings):
         zp.reset(seed)
-        for b_bar, z_bar in zip(*_views(strings, params)):
+        for b_bar, z_bar in zip(*batch_views(strings, params)):
             a = zp.on_blinding(b_bar)
             zp.on_response(z_bar ^ _apply_f(params.spec, _mat_vec_mul(s2, a)))
         zp.commit_blinding()
@@ -627,9 +635,11 @@ def algorithm_x(
 
     recovered = np.zeros(k, dtype=np.uint8)
     for i in range(1, k + 1):
-        hits = sum(
-            y_oracle(hybrid_sample(transcript_source(q), i, params, rng))
-            for _ in range(n_batches)
-        )
+        hits = 0
+        for _ in range(n_batches):
+            # hybrid_sample checked the source's bits; only the count is left
+            batch = hybrid_sample(transcript_source(q), i, params, rng)
+            y_oracle._check_count(batch)
+            hits += y_oracle.func(batch)
         recovered[i - 1] = abs(hits / n_batches - p_base) < delta / 4
     return recovered

@@ -418,6 +418,22 @@ def test_oversized_matrix_is_refused_before_allocation(argv):
     assert err.startswith("error:") and "exceeds" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--proto", "hb", "--k", "512", "--n", "1164"],
+    ["simulate", "--proto", "nlhb", "--k", "128", "--n", "1164", "--sessions", "29"],
+])
+def test_paper_size_runs_pass_the_size_guard(argv):
+    code, out, err = run_cli(argv + ["--seed", "1"])
+    assert code == 0 and err == ""
+    assert "sessions accepted" in out
+
+
+def test_size_guard_admits_paper_size_counts():
+    # attack lf2 at the default --samples, and a thm batch of q = 100 strings
+    cli._check_size(512, 1164, -(-16384 // 1164))
+    cli._check_size(1, 128 * 1164 + 1161, 100 + 1)
+
+
 # Every subcommand but serve and auth, drawn with small valid values or the
 # hostile ones.  Counts that only buy time (--trials, --batches) draw no huge
 # value: a valid request for 2^31 trials is slow, not wrong, like a k=26 key
