@@ -258,3 +258,42 @@ def test_golden_loopback_server_log(proto, tmp_path):
         for i in range(3):
             authsvc.authenticate(running.address, "t", key, params, rng=RandomSource(103 + i))
     assert _digest(log_path.read_text(encoding="utf-8")) == SERVER_LOG_DIGESTS[proto]
+
+
+# The stdout of the other `nlhb` subcommands: the TSV of params, cost,
+# analyze, simulate (live, then a replay of its transcript file) and every
+# attack report.
+_TSV_ARGS = [
+    ["params", "--eps", "1/4", "--epsp", "348/1000"],
+    ["params", "--eps", "1/4", "--epsp", "348/1000", "--dd", "1164", "--format", "text"],
+    ["cost", "--proto", "nlhb+", "--k", "128", "--dd", "1164"],
+    ["analyze", "--enumerate", "--p", "2,3"],
+    ["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3", "--balance-n", "12"],
+    ["attack", "--attack", "lf2", "--proto", "hb", "--k", "12", "--b", "6", "--eps", "1/8",
+     "--seed", "11"],
+    ["attack", "--attack", "lf2", "--proto", "nlhb", "--k", "12", "--b", "6", "--eps", "1/8",
+     "--seed", "11"],
+    ["attack", "--attack", "majority", "--proto", "hb", "--k", "12", "--seed", "3"],
+    ["attack", "--attack", "majority", "--proto", "nlhb", "--k", "10", "--seed", "3"],
+    ["attack", "--attack", "noisefree", "--proto", "hb", "--k", "10", "--eps", "1/8",
+     "--seed", "5"],
+    ["attack", "--attack", "noisefree", "--proto", "nlhb", "--k", "10", "--eps", "1/8",
+     "--seed", "5"],
+]
+
+
+def _cli_stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def test_golden_cli_tsv(tmp_path):
+    path = str(tmp_path / "sessions.log")
+    simulate = ["simulate", "--proto", "nlhb", "--k", "16", "--sessions", "5", "--seed", "7"]
+    runs = [(argv, _cli_stdout(argv)) for argv in _TSV_ARGS]
+    runs.append((simulate, _cli_stdout(simulate + ["--out", path]).replace(path, "PATH")))
+    runs.append((["simulate", "--replay"], _cli_stdout(["simulate", "--replay", path])))
+    text = "".join("$ %s\n%s" % (" ".join(argv), out) for argv, out in runs)
+    assert _digest(text) == "a8447abf557c17d80d84d15ab2ad1f8c"
