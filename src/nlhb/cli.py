@@ -175,7 +175,7 @@ def _address(text: str) -> tuple[str, int]:
 
 def _spec(args):
     """The --spec map, or the protocol's default one."""
-    if args.spec:
+    if args.spec is not None:
         return parse_spec(args.spec)
     return IDENTITY_SPEC if args.proto in ("hb", "hb+") else DEFAULT_SPEC
 
@@ -265,7 +265,7 @@ def _cmd_analyze(args) -> int:
                 report.row(p, "%g" % best, len(winners), format_spec(spec))
         report.emit()
         return 0
-    if not args.spec:
+    if args.spec is None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
     dist = merge_error_distribution(spec)
@@ -274,7 +274,7 @@ def _cmd_analyze(args) -> int:
     report.row("support", len(dist.probabilities))
     for outcome, prob in sorted(dist.probabilities.items()):
         report.row("P[%s]" % "".join(map(str, outcome)), prob)
-    if args.balance_n:
+    if args.balance_n is not None:
         check = balance_check(spec, args.balance_n)
         report.row("balanced_at_n_%d" % args.balance_n, check.is_uniform)
     report.emit()
@@ -283,7 +283,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simulate(args) -> int:
     report = Report(args.format, None)
-    if args.replay:
+    if args.replay is not None:
         transcripts = read_transcripts(args.replay)
         report.row("record", "proto", "k", "n", "decision", "distance")
         for i, t in enumerate(transcripts):
@@ -371,7 +371,7 @@ def _cmd_reduce(args) -> int:
     mode = args.mode
 
     if mode == "embed":
-        spec = parse_spec(args.spec) if args.spec else DEFAULT_SPEC
+        spec = parse_spec(args.spec) if args.spec is not None else DEFAULT_SPEC
         eps = args.eps if args.eps is not None else Fraction(1, 8)
         _check_size(args.k, max(args.n, args.nprime), args.instances)
         secret = root.derive("secret").uniform_bits(args.k)

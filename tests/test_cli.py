@@ -391,6 +391,31 @@ def test_nonsense_counts_are_refused(argv, want):
         assert "expected a positive integer" in err
 
 
+_BALANCED = ["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--replay", "", "--k", "8", "--seed", "1"],
+    ["simulate", "--spec", "", "--k", "8", "--seed", "1"],
+    ["attack", "--attack", "lf2", "--spec", "", "--k", "8", "--seed", "1"],
+    ["cost", "--proto", "nlhb", "--k", "8", "--dd", "16", "--spec", ""],
+    ["reduce", "embed", "--spec", "", "--seed", "1"],
+    ["reduce", "hybrid", "--spec", "", "--seed", "1"],
+    ["reduce", "thm2", "--spec", "", "--seed", "1"],
+    ["reduce", "thm3", "--spec", "", "--seed", "1"],
+    ["reduce", "thm4", "--spec", "", "--seed", "1"],
+    ["analyze", "--spec", ""],
+    _BALANCED + ["--balance-n", "0"],
+    _BALANCED + ["--balance-n", "1"],
+    _BALANCED + ["--balance-n", "-3"],
+])
+def test_empty_or_zero_flag_is_not_read_as_absent(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--proto", "hb", "--k", "100000", "--n", "100000"],
     ["reduce", "embed", "--k", "100000", "--n", "100000"],
