@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import fwht, hamming_rows
+from ._kernels import fwht
 from .gf2core import (
     ParameterError,
     RandomSource,
@@ -38,7 +38,8 @@ from .gf2core import (
     _packed_rows,
     _xor_basis,
 )
-from .nlfunc import apply_f_batch, key_distances
+from .nlfunc import key_distances
+from .params import false_reject
 from .protocols import ProtocolParams, SecretKey, respond, verify
 
 DESK_SCALE_K = 24
@@ -89,25 +90,15 @@ def make_prover_oracle(params: ProtocolParams, key: SecretKey, rng: RandomSource
 def default_majority_reps(eps, log2_target: int = -20) -> int:
     """Smallest odd repetition count with per-bit majority error <= 2^log2_target.
 
-    The error is the exact upper binomial tail P[B(reps, eps) >= ceil(reps/2)].
+    The error is the exact upper binomial tail P[B(reps, eps) >= ceil(reps/2)],
+    which for odd reps is the false-reject tail at u = floor(reps/2).
     """
-    eps = Fraction(eps)
-    if not Fraction(0) < eps < Fraction(1, 2):
-        raise ParameterError("majority voting needs 0 < eps < 1/2")
     if log2_target >= 0:
         raise ParameterError("log2_target must be negative")
     target = Fraction(1, 2 ** (-log2_target))
-    comp = 1 - eps
-    reps = 1
-    while reps < 100001:
-        need = (reps + 1) // 2
-        tail = sum(
-            math.comb(reps, i) * eps**i * comp ** (reps - i)
-            for i in range(need, reps + 1)
-        )
-        if tail <= target:
+    for reps in range(1, 100001, 2):
+        if false_reject(reps, eps, reps // 2).exact <= target:
             return reps
-        reps += 2
     raise ParameterError("no odd reps below 100001 reaches the target; eps too close to 1/2")
 
 
@@ -336,11 +327,8 @@ def lf2_attack(
     candidate = None
     sel = _independent_columns(x, k, scan_limit=10 * k + 64)
     if sel is not None:
-        try:
-            exact = gaussian_solve(x[:, sel], y[sel])
-        except SingularSystemError:
-            exact = None
-        if exact is not None and np.array_equal(mat_vec_mul(exact, x), y):
+        exact = gaussian_solve(x[:, sel], y[sel])
+        if np.array_equal(mat_vec_mul(exact, x), y):
             candidate = exact
             stats["fast_path"] = True
 
@@ -457,9 +445,7 @@ def noise_free_selection_attack(
         for t in pool[1:]:
             if alive.shape[0] <= 1:
                 break
-            images = np.stack([mat_vec_mul(key, t.a) for key in code_rows(alive, k)])
-            images = apply_f_batch(params.spec, images)
-            alive = alive[hamming_rows(images, t.z) <= params.u]
+            alive = alive[key_distances(params.spec, t.a, t.z)[alive] <= params.u]
             used += 1
         stats["bruteforce_evaluations"] = 1 << k
         stats["bruteforce_transcripts_used"] = used
@@ -479,14 +465,16 @@ def noise_free_selection_attack(
         "per_trial_success_estimate": per_trial,
     }
     for trial in range(1, trials + 1):
+        # a square selection solves exactly when it has full rank
         while True:
             idx = _sample_distinct(rng, k, n_samples)
-            if gf2_rank(x[:, idx]) == k:
+            try:
+                candidate = gaussian_solve(x[:, idx], y[idx])
                 break
-            resampled += 1
-            if resampled > 10000:
-                raise ParameterError("could not find a full-rank selection")
-        candidate = gaussian_solve(x[:, idx], y[idx])
+            except SingularSystemError:
+                resampled += 1
+                if resampled > 10000:
+                    raise ParameterError("could not find a full-rank selection")
         accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
         won = dict(stats, trials_used=trial, selections_resampled=resampled)
         if _verified(won, accepts, len(verify_transcripts)):

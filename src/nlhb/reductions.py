@@ -26,7 +26,7 @@ Oracles are trusted in-process callables, deterministic given their seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -48,7 +48,6 @@ from .nlfunc import NonlinearFunctionSpec, _apply_f, key_distances
 from .protocols import (
     ProtocolParams,
     SecretKey,
-    expected_response,
     respond,
     transcript_sampler,
     _check_key,
@@ -139,19 +138,7 @@ class EmbeddingLayout:
     n_prime: int
     p: int
     gaps: tuple[int, ...]
-    positions: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        if len(self.gaps) != self.n_prime - 1:
-            raise ParameterError("need n'-1 gap sizes")
-        if any(g < self.p - 1 for g in self.gaps):
-            raise ParameterError("every gap must be at least p-1")
-        if sum(self.gaps) != self.n - self.p - self.n_prime:
-            raise ParameterError("gaps must sum to n - p - n'")
-        pos = [1]
-        for g in self.gaps:
-            pos.append(pos[-1] + 1 + g)
-        object.__setattr__(self, "positions", tuple(pos))
+    positions: tuple[int, ...]
 
 
 def embedding_feasible(n: int, n_prime: int, p: int) -> bool:
@@ -170,7 +157,10 @@ def default_layout(n: int, n_prime: int, p: int) -> EmbeddingLayout:
         gaps[0] += (n - p - n_prime) - (p - 1) * (n_prime - 1)
     elif n - p - n_prime:
         raise ParameterError("n' = 1 requires n = p + 1")
-    return EmbeddingLayout(n=n, n_prime=n_prime, p=p, gaps=tuple(gaps))
+    positions = [1]
+    for g in gaps:
+        positions.append(positions[-1] + 1 + g)
+    return EmbeddingLayout(n=n, n_prime=n_prime, p=p, gaps=tuple(gaps), positions=tuple(positions))
 
 
 def lpn_to_unld_embed(g, z, spec: NonlinearFunctionSpec, n: int, rng: RandomSource, eps):
@@ -440,10 +430,11 @@ class ActiveForger:
     def _prover_response(self, key: SecretKey, a, noisy: bool) -> np.ndarray:
         """The honest blinded prover's answer to ``a`` under ``key`` and B_hat.
         Its noise comes from coins tied to ``a``, so a rewound replay repeats it."""
-        b_hat = self._state["b_hat"]
-        if not noisy:
-            return expected_response(self.params, key, a, b=b_hat)
-        return respond(self.params, key, a, b=b_hat, rng=self._message_rng("noise", a.tobytes()))
+        params = self.params
+        image = _image(params, key, a, self._state["b_hat"])
+        if noisy:
+            image ^= self._message_rng("noise", a.tobytes()).bernoulli_bits(params.d, params.eps)
+        return image
 
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the
@@ -458,9 +449,7 @@ class HonestActiveForger(ActiveForger):
 
     def __init__(self, params, key: SecretKey, q: int = 0, noisy: bool = True):
         super().__init__(params, q)
-        if key.s2 is None:
-            raise ParameterError("blinded prover needs a two-part key")
-        self.key = key
+        self.key = _check_key(params, key)
         self.noisy = noisy
 
     def _on_blinding(self, b):

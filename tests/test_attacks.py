@@ -48,7 +48,13 @@ def exact_majority_tail_leq(reps, eps, log2_target):
 
 
 def test_default_majority_reps_is_minimal_odd():
-    for eps, frozen in ((Fraction(1, 4), 79), (Fraction(1, 8), 27)):
+    for eps, frozen in (
+        (Fraction(1, 4), 79),
+        (Fraction(1, 8), 27),
+        (Fraction(1, 3), 193),
+        (Fraction(3, 10), 131),
+        (Fraction(2, 5), 557),
+    ):
         reps = default_majority_reps(eps)
         assert reps == frozen
         assert exact_majority_tail_leq(reps, eps, -20)
