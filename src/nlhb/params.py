@@ -101,7 +101,10 @@ class ThresholdSearch:
     fr: TailProbability
 
 
-MAX_D = 100000  # the exact tails take seconds here, and their cost grows as D^2
+# One pair of exact tails at D costs ~D^2 bit operations and takes seconds
+# here.  find_min_D evaluates them from scratch for every D it scans, so a
+# scan's cost adds up over every D below the one it stops at (~D^3 in all).
+MAX_D = 100000
 
 
 def find_min_D(

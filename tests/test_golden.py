@@ -209,11 +209,15 @@ REDUCE_DIGESTS = {
 }
 
 
-def _cli_digest(argv) -> str:
+def _cli_stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
-    return _digest(out.getvalue())
+    return out.getvalue()
+
+
+def _cli_digest(argv) -> str:
+    return _digest(_cli_stdout(argv))
 
 
 @pytest.mark.parametrize("mode, adversary", sorted(REDUCE_DIGESTS))
@@ -280,13 +284,6 @@ _TSV_ARGS = [
     ["attack", "--attack", "noisefree", "--proto", "nlhb", "--k", "10", "--eps", "1/8",
      "--seed", "5"],
 ]
-
-
-def _cli_stdout(argv) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.main(argv) == 0
-    return out.getvalue()
 
 
 def test_golden_cli_tsv(tmp_path):
