@@ -7,9 +7,12 @@ first bit); numpy indexing is 0-based, so x_j lives at index j-1.  Functions
 here never mutate their inputs.
 
 Serialized form is a header line ``bits <len>`` or ``mat <rows> <cols>``
-followed by one line of lowercase hex.  The bitstream is row-major with the
-most significant bit of the first hex byte holding index 1, zero-padded at
-the end to a byte boundary.
+followed by one line of lowercase hex that spells the array's *payload*.
+The payload layout is defined here, by :func:`_pack_payload` and
+:func:`_unpack_payload`, and nowhere else: the bits row-major, the most
+significant bit of the first byte holding index 1, zero-padded at the end to
+a whole byte.  Transcript records hold their matrices and responses as
+payloads (:class:`nlhb.protocols.SessionTranscript`).
 
 Line rule of these forms and of transcript, keystore and ``--config`` text
 (:class:`LineReader`): a line ends at ``\n`` and nothing else, each line is
@@ -239,11 +242,24 @@ def row_codes(m) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _pack_hex(bits: np.ndarray) -> str:
-    return np.packbits(bits).tobytes().hex()
+def _pack_payload(bits: np.ndarray) -> bytes:
+    """The payload of a checked bit vector or matrix (see the module docstring)."""
+    return np.packbits(bits).tobytes()
 
 
-def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray:
+def _unpack_payload(payload: bytes, shape: tuple) -> np.ndarray:
+    """The fresh bit array of the given ``shape`` that a checked payload encodes."""
+    nbits = math.prod(shape)
+    # Unpack every byte, then copy out the first nbits.  Unpacking with
+    # ``count=nbits`` and no copy replayed ~3% faster, but it raised the
+    # benchmark's ``drivers`` peak RSS from 55.6 to 61.5 MB (medians, higher
+    # in 5 of 5 alternated pairs; numpy 2.4.6, 2 shared cores).
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:nbits].copy().reshape(shape)
+
+
+def _hex_payload(hexline: str, nbits: int, line: int | None = None) -> bytes:
+    """The payload that a hex line of ``nbits`` bits spells, after checking its
+    digits, its length and its zero padding."""
     try:
         raw = binascii.a2b_hex(hexline)
     except ValueError:  # binascii.Error, or a non-ASCII character
@@ -260,24 +276,32 @@ def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray
         )
     if nbits % 8 and raw[-1] & (0xFF >> nbits % 8):
         raise FormatError("nonzero padding bits past the end of the payload", line)
-    # Unpack every byte, then copy out the first nbits.  Without the copy
-    # (``unpackbits(count=nbits)``) no replay batch of the benchmark's
-    # ``sessions`` workload was free of minor page faults (~2,000 each), and
-    # its best replay read 2.57k-2.93k/s in 5 of 5 runs, against 3.45k-4.42k/s
-    # with the copy (numpy 2.4.6, 2 shared cores).
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:nbits].copy()
+    return raw
+
+
+def _pack_hex(bits: np.ndarray) -> str:
+    return _pack_payload(bits).hex()
+
+
+def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray:
+    return _unpack_payload(_hex_payload(hexline, nbits, line), (nbits,))
+
+
+def _block_text(want: str, dims: tuple, payload: bytes) -> str:
+    """The two-line ``bits``/``mat`` form of a payload of the given dims."""
+    return "%s %s\n%s\n" % (want, " ".join(map(str, dims)), payload.hex())
 
 
 def dump_bits(v) -> str:
     """Serialize a bit vector to the two-line ``bits <len>`` text form."""
     v = as_bits(v)
-    return "bits %d\n%s\n" % (v.shape[0], _pack_hex(v))
+    return _block_text("bits", v.shape, _pack_payload(v))
 
 
 def dump_matrix(m) -> str:
     """Serialize a bit matrix to the two-line ``mat <rows> <cols>`` text form."""
     m = as_bit_matrix(m)
-    return "mat %d %d\n%s\n" % (m.shape[0], m.shape[1], _pack_hex(m.reshape(-1)))
+    return _block_text("mat", m.shape, _pack_payload(m))
 
 
 class LineReader:
@@ -315,10 +339,10 @@ class LineReader:
         raise StopIteration
 
 
-def read_block(reader: LineReader, want: str, shape: tuple | None = None) -> np.ndarray:
-    """The array of the next block in ``reader``: a ``bits <len>`` or ``mat
-    <rows> <cols>`` header as ``want`` names, of the given ``shape`` if one is
-    given, then its hex line.
+def read_payload(reader: LineReader, want: str, shape: tuple | None = None) -> tuple[bytes, tuple]:
+    """The (payload, dims) of the next block in ``reader``: a ``bits <len>``
+    or ``mat <rows> <cols>`` header as ``want`` names, of the given ``shape``
+    if one is given, then its hex line.
 
     An absent hex line reads as empty, which only a 0-bit payload passes."""
     header = next(reader, None)
@@ -336,13 +360,13 @@ def read_block(reader: LineReader, want: str, shape: tuple | None = None) -> np.
         expected = " ".join(map(str, (want,) + shape))
         raise FormatError("expected %s, got %r" % (expected, header), line)
     hexline = next(reader, "")
-    return _unpack_hex(hexline, math.prod(dims), reader.number).reshape(dims)
+    return _hex_payload(hexline, math.prod(dims), reader.number), dims
 
 
 def _load(text: str, want: str, shape: tuple | None) -> np.ndarray:
     """The one block of the two-line ``bits``/``mat`` form."""
     reader = LineReader(text)
-    value = read_block(reader, want, shape)
+    value = _unpack_payload(*read_payload(reader, want, shape))
     if next(reader, None) is not None:
         raise FormatError("expected header plus one hex line", reader.number)
     return value

@@ -31,11 +31,12 @@ from .gf2core import (
     RandomSource,
     as_bit_matrix,
     as_bits,
-    dump_bits,
-    dump_matrix,
-    read_block,
+    read_payload,
     read_text,
+    _block_text,
     _mat_vec_mul,
+    _pack_payload,
+    _unpack_payload,
 )
 from .nlfunc import (
     IDENTITY_SPEC,
@@ -136,18 +137,56 @@ def generate_key(params: ProtocolParams, rng: RandomSource) -> SecretKey:
     return SecretKey(s1=s1, s2=s2)
 
 
-@dataclass
 class SessionTranscript:
-    params: ProtocolParams
-    b: np.ndarray | None
-    a: np.ndarray
-    z: np.ndarray
-    accepted: bool
-    distance: int
+    """One session's record: the parameters, the blinding matrix B (blinded
+    variants only, else None), the challenge A, the response z and the
+    verifier's decision.
+
+    B, A and z are held as their packed payloads (:mod:`nlhb.gf2core`), eight
+    bits to a byte, so a paper-size record keeps ~19 KB per matrix, not
+    ~149 KB.  ``b``, ``a`` and ``z`` unpack a fresh read-only uint8 array on
+    each access; nothing caches it.  The constructor takes bit arrays and
+    checks their shape and their 0/1 entries."""
+
+    __slots__ = ("params", "_b", "_a", "_z", "accepted", "distance")
+
+    def __init__(self, params: ProtocolParams, b, a, z, accepted: bool, distance: int):
+        a, b = _check_matrices(params, a, b)
+        z = as_bits(z, params.d)
+        self._fill(params, b if b is None else _pack_payload(b), _pack_payload(a),
+                   _pack_payload(z), accepted, distance)
+
+    def _fill(self, params, b, a, z, accepted, distance) -> "SessionTranscript":
+        self.params, self._b, self._a, self._z = params, b, a, z
+        self.accepted, self.distance = accepted, distance
+        return self
 
     @property
     def proto(self) -> str:
         return self.params.proto
+
+    @property
+    def b(self) -> np.ndarray | None:
+        return None if self._b is None else _read_only(self._b, (self.params.k, self.params.n))
+
+    @property
+    def a(self) -> np.ndarray:
+        return _read_only(self._a, (self.params.k, self.params.n))
+
+    @property
+    def z(self) -> np.ndarray:
+        return _read_only(self._z, (self.params.d,))
+
+
+def _record(params, b, a, z, accepted, distance) -> SessionTranscript:
+    """A record of checked payloads, built without the constructor's checks."""
+    return SessionTranscript.__new__(SessionTranscript)._fill(params, b, a, z, accepted, distance)
+
+
+def _read_only(payload: bytes, shape: tuple) -> np.ndarray:
+    bits = _unpack_payload(payload, shape)
+    bits.flags.writeable = False
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +200,8 @@ def _check_key(params: ProtocolParams, key: SecretKey) -> SecretKey:
     return SecretKey(s1=s1, s2=as_bits(key.s2, params.k) if params.blinded else None)
 
 
-def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
-    """Validated (key, a, b) for one exchange; b is None when unblinded."""
+def _check_matrices(params: ProtocolParams, a, b):
+    """Validated (a, b) of one exchange; b is None when unblinded."""
     shape = (params.k, params.n)
     a = as_bit_matrix(a, shape)
     if params.blinded:
@@ -171,7 +210,12 @@ def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
         b = as_bit_matrix(b, shape)
     elif b is not None:
         raise ParameterError("%s has no blinding matrix" % params.proto)
-    return _check_key(params, key), a, b
+    return a, b
+
+
+def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
+    """Validated (key, a, b) for one exchange; b is None when unblinded."""
+    return (_check_key(params, key), *_check_matrices(params, a, b))
 
 
 def _image(params: ProtocolParams, key: SecretKey, a, b) -> np.ndarray:
@@ -243,15 +287,25 @@ def run_session(
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
+    b, a, z, dist = _exchange(params, key, rng_prover, rng_verifier, noise)
+    return _record(
+        params,
+        b if b is None else _pack_payload(b),
+        _pack_payload(a),
+        _pack_payload(z),
+        dist <= params.u,
+        dist,
+    )
+
+
+def _exchange(params, key, rng_prover, rng_verifier, noise=None):
+    """The bit arrays (b, a, z) and the distance of :func:`run_session`, for
+    a checked key and noise."""
     b = rng_prover.uniform_matrix(params.k, params.n) if params.blinded else None
     a = rng_verifier.uniform_matrix(params.k, params.n)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
-    z = _image(params, key, a, b) ^ noise
-    dist = int(np.count_nonzero(noise))
-    return SessionTranscript(
-        params=params, b=b, a=a, z=z, accepted=dist <= params.u, distance=dist
-    )
+    return b, a, _image(params, key, a, b) ^ noise, int(np.count_nonzero(noise))
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):
@@ -265,12 +319,13 @@ def transcript_sampler(params, key, rng: RandomSource, count: int):
 # ---------------------------------------------------------------------------
 
 def format_transcript(t: SessionTranscript) -> str:
+    shape = (t.params.k, t.params.n)
     return "proto=%s\n%s\n%s%s%sdecision=%s distance=%d\n" % (
         t.proto,
         t.params._params_line,
-        dump_matrix(t.b) if t.params.blinded else "",
-        dump_matrix(t.a),
-        dump_bits(t.z),
+        "" if t._b is None else _block_text("mat", shape, t._b),
+        _block_text("mat", shape, t._a),
+        _block_text("bits", (t.params.d,), t._z),
         "accept" if t.accepted else "reject",
         t.distance,
     )
@@ -359,9 +414,9 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
         if params is None:
             params = parsed[proto, params_text] = _parse_params(proto, params_text, pline)
         shape = (params.k, params.n)
-        b = read_block(reader, "mat", shape) if params.blinded else None
-        a = read_block(reader, "mat", shape)
-        z = read_block(reader, "bits", (params.d,))
+        b = read_payload(reader, "mat", shape)[0] if params.blinded else None
+        a = read_payload(reader, "mat", shape)[0]
+        z = read_payload(reader, "bits", (params.d,))[0]
         decision_text = next(reader, None)
         dline = reader.number
         if decision_text is None:
@@ -381,11 +436,7 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
             raise FormatError("distance %d outside 0..D" % distance, dline)
         if (distance <= params.u) != (decision == "accept"):
             raise FormatError("decision disagrees with distance and threshold", dline)
-        records.append(
-            SessionTranscript(
-                params=params, b=b, a=a, z=z, accepted=decision == "accept", distance=distance
-            )
-        )
+        records.append(_record(params, b, a, z, decision == "accept", distance))
     return records
 
 

@@ -48,10 +48,9 @@ from .nlfunc import NonlinearFunctionSpec, _apply_f, key_distances
 from .protocols import (
     ProtocolParams,
     SecretKey,
-    respond,
-    transcript_sampler,
     _check_key,
     _decide,
+    _exchange,
     _image,
 )
 
@@ -89,9 +88,14 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
     :func:`transcript_sampler` on ``rng``, one (A, z) row each, so a draw of
     c rows equals any split of c into smaller draws."""
     _single_secret(params)
+    key = _check_key(params, key)
 
     def draw(count: int) -> np.ndarray:
-        return transcript_batch(params, transcript_sampler(params, key, rng, count))
+        out = np.empty((count, string_length(params)), dtype=np.uint8)
+        a, z = batch_views(out, params)
+        for row in range(count):
+            _, a[row], z[row], _ = _exchange(params, key, rng, rng)
+        return out
 
     return draw
 
@@ -295,7 +299,8 @@ class HonestPassiveForger(PerfectPassiveForger):
     """Knows the key but answers like the honest noisy prover."""
 
     def forge(self, a):
-        return respond(self.params, self.key, a, rng=self._rng)
+        noise = self._rng.bernoulli_bits(self.params.d, self.params.eps)
+        return _image(self.params, self.key, a, None) ^ noise
 
 
 class RandomPassiveForger(PassiveForger):

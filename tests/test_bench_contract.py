@@ -1,4 +1,5 @@
-"""Every package name that the traced benchmark wraps or reads must exist.
+"""Every package name that the traced benchmark wraps or reads must exist,
+and the benchmark's correctness gates pass on the package at smoke size.
 
 ``perfbench/layers.py`` wraps package functions by dotted name, the
 benchmark stamps its records with ``_kernels.BACKEND``, and every
@@ -11,19 +12,24 @@ call that ``perfbench/*.py`` makes to a package name against its signature.
 
 import ast
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from nlhb import _kernels, attacks, authsvc, gf2core, nlfunc, params, protocols, reductions
+from nlhb.gf2core import RandomSource
 
 BENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+_PATH = list(sys.path)
 sys.path.insert(0, BENCH)
 try:
+    import harness
     import layers  # read only: the module only defines names until install() is called
+    import workloads  # read only: the module only defines the phases and their inputs
 finally:
-    sys.path.remove(BENCH)
+    sys.path[:] = _PATH
 
 PACKAGE = (_kernels, attacks, authsvc, gf2core, nlfunc, params, protocols, reductions)
 MODULES = layers._by_name(PACKAGE)
@@ -150,3 +156,31 @@ def test_read_calls_found():
 )
 def test_read_call_binds(name, positional, keywords):
     inspect.signature(_resolve(name)).bind(*range(positional), **dict.fromkeys(keywords))
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's correctness gates, in-process at smoke size
+# ---------------------------------------------------------------------------
+
+def test_sessions_batch_passes_its_gates_and_pinned_digest():
+    tally = harness.Tally()
+    phase = workloads.SessionsPhase(workloads.sessions_inputs(1, workloads.SMOKE), tally)
+    phase.batch()
+    assert tally.correct and tally.failed == 0, tally.errors
+    assert tally.attempted == workloads.SMOKE.batch
+    pinned = json.loads((Path(BENCH) / "pinned.json").read_text())
+    assert phase.digest == pinned["sessions/smoke"]["1"]
+
+
+def test_check_log_counts_and_re_verifies_every_record(tmp_path):
+    inp = workloads.handshake_inputs(1, workloads.SMOKE)
+    rng = RandomSource(5)
+    sessions = [
+        protocols.run_session(e.params, e.key, rng, rng) for _ in range(3) for e in inp.entries
+    ]
+    log = tmp_path / "sessions.log"
+    protocols.write_transcripts(str(log), sessions)
+    tally = harness.Tally()
+    outcomes = [(t.proto, t.accepted, t.distance) for t in sessions]
+    assert workloads.check_log(inp, log, outcomes, tally) == len(sessions)
+    assert tally.correct, tally.errors

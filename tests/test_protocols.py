@@ -490,6 +490,98 @@ def test_transcript_parse_peak_memory_without_line_copies():
     assert peak < 15.5e6, "parsing 64 records peaked at %.1f MB" % (peak / 1e6)
 
 
+def _paper_sessions(seed, count):
+    """``count`` paper-size sessions, round-robin over the four protocols."""
+    plist = [
+        hb_params(128, 1164, EPS, EPSP),
+        hb_params(128, 1164, EPS, EPSP, blinded=True),
+        nlhb_params(128, 1167, EPS, EPSP, DEFAULT_SPEC),
+        nlhb_params(128, 1167, EPS, EPSP, DEFAULT_SPEC, blinded=True),
+    ]
+    keys = [generate_key(p, RandomSource(i)) for i, p in enumerate(plist)]
+    rng = RandomSource(seed)
+    return [run_session(plist[i % 4], keys[i % 4], rng, rng) for i in range(count)]
+
+
+def _retained(build):
+    """The records ``build()`` returns and the bytes they keep alive."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        records = build()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return records, kept
+
+
+def test_records_keep_packed_payloads():
+    # 64 paper-size records hold ~1.6 MB of payloads; as uint8 bit arrays,
+    # one byte per bit, they would keep ~14.4 MB.
+    text = transcripts_to_text(_paper_sessions(70, 64))
+    parsed, kept = _retained(lambda: transcripts_from_text(text))
+    assert len(parsed) == 64
+    assert kept < 2.5e6, "64 parsed records keep %.1f MB" % (kept / 1e6)
+    drawn, kept = _retained(lambda: _paper_sessions(71, 64))
+    assert len(drawn) == 64
+    assert kept < 2.5e6, "64 run_session records keep %.1f MB" % (kept / 1e6)
+
+
+@pytest.mark.parametrize("proto", ["hb", "hb+", "nlhb", "nlhb+"])
+def test_record_arrays_are_the_drawn_bits_read_only(proto):
+    blinded = proto.endswith("+")
+    if proto.startswith("nlhb"):
+        p = nlhb_params(5, 19, EPS, EPSP, DEFAULT_SPEC, blinded=blinded)  # 95 bits: padded
+    else:
+        p = hb_params(5, 19, EPS, EPSP, blinded=blinded)
+    key = generate_key(p, RandomSource(80))
+    t = run_session(p, key, RandomSource(81), RandomSource(82))
+    prover = RandomSource(81)
+    b = prover.uniform_matrix(5, 19) if blinded else None
+    a = RandomSource(82).uniform_matrix(5, 19)
+    z = expected_response(p, key, a, b) ^ prover.bernoulli_bits(p.d, p.eps)
+    drawn = {"a": a, "z": z} if b is None else {"a": a, "b": b, "z": z}
+    for record in (t, transcripts_from_text(format_transcript(t))[0]):
+        assert (record.b is None) == (b is None)
+        for name, want in drawn.items():
+            got = getattr(record, name)
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert got is not getattr(record, name)
+            with pytest.raises(ValueError):
+                got[0] ^= 1
+            with pytest.raises(AttributeError):
+                setattr(record, name, want)
+            assert np.array_equal(getattr(record, name), want)
+
+
+def test_record_constructor_checks_shape_and_bits():
+    p = small_nlhb()
+    plus = nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True)
+    a = np.zeros((8, 19), dtype=np.uint8)
+    z = np.zeros(p.d, dtype=np.uint8)
+    two = a.copy()
+    two[3, 4] = 2
+    bad = [
+        (p, None, two, z),
+        (p, None, a, np.full(p.d, 2, dtype=np.uint8)),
+        (plus, two, a, z),
+        (p, None, a[:, :18], z),
+        (p, None, a[:7], z),
+        (p, None, a.reshape(-1), z),
+        (p, None, a, z[:-1]),
+        (p, None, a, a),
+        (plus, a[:, :18], a, z),
+        (plus, None, a, z),
+        (p, a, a, z),
+    ]
+    for params, b, m, v in bad:
+        with pytest.raises((ParameterError, DimensionError)):
+            SessionTranscript(params, b, m, v, True, 0)
+    t = SessionTranscript(params=plus, b=a, a=a, z=z, accepted=True, distance=0)
+    assert np.array_equal(t.b, a) and np.array_equal(t.z, z)
+
+
 def _mixed_transcript_text():
     plus = hb_params(4, 15, EPS, EPSP, blinded=True)
     ts = transcript_sampler(plus, generate_key(plus, RandomSource(90)), RandomSource(91), 1)
