@@ -11,14 +11,14 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def apply_window_batch(x, offsets, degrees, d):
+def apply_window_batch(x, monomials, d):
     """Evaluate the sliding-window response map on a batch of inputs.
 
     Args:
         x: uint8 array of shape (batch, n) with entries in {0, 1}.
-        offsets: int64 array (num_monomials, max_degree); row m holds the
-            window offsets (1-based, i.e. 1..p) of monomial m, zero-padded.
-        degrees: int64 array (num_monomials,); degree of each monomial.
+        monomials: the monomials of g, each a tuple of its window offsets
+            (1-based, i.e. 1..p), as ``NonlinearFunctionSpec.monomials``
+            holds them.
         d: number of output bits per row (d <= n - p).
 
     Returns:
@@ -26,11 +26,9 @@ def apply_window_batch(x, offsets, degrees, d):
         monomial products over the window x[b, i+1 .. i+p].
     """
     out = x[:, :d].copy()
-    for m in range(degrees.shape[0]):
-        o = int(offsets[m, 0])
-        term = x[:, o:o + d].copy()
-        for j in range(1, int(degrees[m])):
-            o = int(offsets[m, j])
+    for first, *rest in monomials:
+        term = x[:, first:first + d].copy()
+        for o in rest:
             term &= x[:, o:o + d]
         out ^= term
     return out

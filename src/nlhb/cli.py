@@ -63,8 +63,9 @@ _DOMAIN_ERRORS = (
 # ---------------------------------------------------------------------------
 
 def _merge_config(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` into flags placed before the explicit ones,
-    so the command line wins on conflicts."""
+    """Expand ``--config FILE`` into flags placed after the subcommand path
+    (the leading tokens that are not flags, e.g. ``reduce thm2``) and before
+    the explicit flags, so the command line wins on conflicts."""
     out = list(argv)
     for i, token in enumerate(out):
         path = None
@@ -93,7 +94,10 @@ def _merge_config(argv: list[str]) -> list[str]:
                     flags.append("--%s" % key)
             else:
                 flags.extend(["--%s" % key, value])
-        return rest[:1] + flags + rest[1:]
+        head = 0
+        while head < len(rest) and not rest[head].startswith("-"):
+            head += 1
+        return rest[:head] + flags + rest[head:]
     return out
 
 
@@ -168,9 +172,25 @@ def _widths(text: str) -> list[int]:
 
 def _address(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise argparse.ArgumentTypeError("expected host:port, got %r" % text)
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise argparse.ArgumentTypeError(
+            "expected host:port with a port up to 65535, got %r" % text
+        )
     return host or "127.0.0.1", int(port)
+
+
+# Longest --timeout accepted: a day.  Far longer ones overflow the socket
+# layer's time_t (1e10 s already does on Linux).
+_MAX_TIMEOUT = 86400.0
+
+
+def _timeout(text: str) -> float:
+    value = float(text)
+    if not 0 < value <= _MAX_TIMEOUT:  # also refuses nan
+        raise argparse.ArgumentTypeError(
+            "expected seconds above 0 and at most %g, got %r" % (_MAX_TIMEOUT, text)
+        )
+    return value
 
 
 def _spec(args):
@@ -642,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--server", type=_address, required=True)
     p.add_argument("--identity", required=True)
     p.add_argument("--key-file", required=True, help="keystore file holding the identity")
-    p.add_argument("--timeout", type=float, default=10.0)
+    p.add_argument("--timeout", type=_timeout, default=10.0)
     _add_common(p)
     p.set_defaults(func=_cmd_auth)
 

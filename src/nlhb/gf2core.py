@@ -68,27 +68,36 @@ class SingularSystemError(ValueError):
 def as_bits(values, length: int | None = None) -> np.ndarray:
     """Coerce a sequence/array of 0-1 values to a 1-D uint8 bit vector, of
     ``length`` bits when a length is given."""
-    v = np.asarray(values, dtype=np.uint8)
+    v = np.asarray(values)
     if v.ndim != 1:
         raise DimensionError("expected a 1-D bit vector, got shape %r" % (v.shape,))
     if length is not None and v.shape[0] != length:
         raise DimensionError("expected a bit vector of length %d, got %d bits" % (length, v.shape[0]))
-    if v.size and v.max() > 1:
-        raise ParameterError("bit vector entries must be 0 or 1")
-    return v
+    return _bits_uint8(v, "bit vector")
 
 
 def as_bit_matrix(values, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Coerce a nested sequence/array of 0-1 values to a 2-D uint8 matrix, of
     the (rows, cols) ``shape`` when a shape is given."""
-    m = np.asarray(values, dtype=np.uint8)
+    m = np.asarray(values)
     if m.ndim != 2:
         raise DimensionError("expected a 2-D bit matrix, got shape %r" % (m.shape,))
     if shape is not None and m.shape != shape:
         raise DimensionError("expected a bit matrix of shape %r, got %r" % (shape, m.shape))
-    if m.size and m.max() > 1:
-        raise ParameterError("bit matrix entries must be 0 or 1")
-    return m
+    return _bits_uint8(m, "bit matrix")
+
+
+def _bits_uint8(v: np.ndarray, what: str) -> np.ndarray:
+    """``v`` as uint8, refusing any entry that is not 0 or 1 rather than
+    letting the cast wrap, truncate or fail on it.  A uint8 array takes one
+    pass, for its maximum."""
+    if v.dtype == np.uint8:
+        if v.size and v.max() > 1:
+            raise ParameterError("%s entries must be 0 or 1" % what)
+        return v
+    if v.dtype.kind not in "biuf" or not ((v == 0) | (v == 1)).all():
+        raise ParameterError("%s entries must be 0 or 1" % what)
+    return v.astype(np.uint8)
 
 
 def mat_vec_mul(s, a) -> np.ndarray:

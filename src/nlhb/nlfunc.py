@@ -19,7 +19,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -114,26 +113,10 @@ def parse_spec(text: str) -> NonlinearFunctionSpec:
         raise FormatError("invalid function spec %r: %s" % (text, exc)) from None
 
 
-@lru_cache(maxsize=None)
-def _encoded(spec: NonlinearFunctionSpec):
-    """Kernel encoding of the monomial set: (offsets matrix, degree vector)."""
-    if not spec.monomials:
-        return np.zeros((0, 1), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    md = max(len(m) for m in spec.monomials)
-    offs = np.zeros((len(spec.monomials), md), dtype=np.int64)
-    degs = np.zeros(len(spec.monomials), dtype=np.int64)
-    for r, mono in enumerate(spec.monomials):
-        degs[r] = len(mono)
-        offs[r, : len(mono)] = mono
-    return offs, degs
-
-
 def apply_f_batch(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     """Apply the response map to every row of a (batch, n) bit matrix."""
     x = as_bit_matrix(x)
-    d = spec.output_length(x.shape[1])
-    offs, degs = _encoded(spec)
-    return _kernels.apply_window_batch(x, offs, degs, d)
+    return _kernels.apply_window_batch(x, spec.monomials, spec.output_length(x.shape[1]))
 
 
 # key bits enumerated inside one chunk of :func:`key_distances`: a chunk is
@@ -153,14 +136,16 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
     a = as_bit_matrix(a)
     k, n = a.shape
     check_enumerable(k)
-    target = as_bits(target, spec.output_length(n))
+    d = spec.output_length(n)
+    target = as_bits(target, d)
     low = min(k, _CHUNK_BITS)
     inner = key_table(a[k - low :])
     chunk = np.empty_like(inner)
     out = np.empty(1 << k, dtype=np.int64)
     for h, row in enumerate(key_table(a[: k - low])):
         np.bitwise_xor(inner, row, out=chunk)
-        out[h << low : (h + 1) << low] = _kernels.hamming_rows(apply_f_batch(spec, chunk), target)
+        y = _kernels.apply_window_batch(chunk, spec.monomials, d)
+        out[h << low : (h + 1) << low] = _kernels.hamming_rows(y, target)
     return out
 
 
@@ -174,8 +159,7 @@ def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:
 def _apply_f(spec: NonlinearFunctionSpec, x: np.ndarray) -> np.ndarray:
     """:func:`apply_f` for a bit vector already checked against the spec's
     window."""
-    offs, degs = _encoded(spec)
-    return _kernels.apply_window_batch(x[None, :], offs, degs, x.shape[0] - spec.p)[0]
+    return _kernels.apply_window_batch(x[None, :], spec.monomials, x.shape[0] - spec.p)[0]
 
 
 # ---------------------------------------------------------------------------

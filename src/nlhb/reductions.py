@@ -237,7 +237,7 @@ class DistinguisherOracle:
             raise ParameterError("a distinguisher batch needs q >= 1 strings, not %d" % self.q)
 
     def __call__(self, strings) -> int:
-        strings = np.atleast_2d(np.asarray(strings, dtype=np.uint8))
+        strings = np.atleast_2d(strings)
         self._check_count(strings)
         return int(self.func(as_bit_matrix(strings, (self.q, string_length(self.params)))))
 

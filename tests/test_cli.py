@@ -3,6 +3,7 @@
 import contextlib
 import io
 import signal
+import socket
 import threading
 import time
 import tracemalloc
@@ -311,6 +312,28 @@ def test_config_flags_lose_to_explicit_ones(tmp_path):
     assert len([r for r in table if len(r) == 3 and r[0].isdigit()]) == 6
 
 
+@pytest.mark.parametrize("mode, flags", [
+    ("thm2", ["--k", "8", "--n", "131", "--batches", "4"]),
+    ("embed", ["--k", "6", "--nprime", "8", "--instances", "2"]),
+])
+def test_config_flags_follow_the_reduce_mode(tmp_path, mode, flags):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join("%s=%s\n" % (f[2:], v) for f, v in zip(flags[::2], flags[1::2])))
+    explicit = run_cli(["reduce", mode] + flags + ["--seed", "1"])
+    assert explicit[0] == 0
+    assert run_cli(["reduce", mode, "--config", str(cfg), "--seed", "1"]) == explicit
+    assert run_cli(["reduce", "--config", str(cfg), mode, "--seed", "1"]) == explicit
+
+
+def test_explicit_flag_beats_the_config_under_reduce(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=8\nn=131\nbatches=4\n")
+    got = run_cli(["reduce", "thm2", "--config", str(cfg), "--k", "12", "--seed", "1"])
+    assert got[0] == 0
+    assert got == run_cli(["reduce", "thm2", "--k", "12", "--n", "131", "--batches", "4", "--seed", "1"])
+    assert len(kv(got[1])["planted"]) == 4  # 12 key bits are 2 hex bytes; the file's 8 are 1
+
+
 def test_config_supports_boolean_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("enumerate=true\np=2\n")
@@ -600,6 +623,29 @@ def service(tmp_path_factory):
         }
     finally:
         svc.shutdown()
+
+
+@pytest.mark.parametrize("argv", [
+    ["auth", "--server", "127.0.0.1:1", "--timeout", "-1"],
+    ["auth", "--server", "127.0.0.1:1", "--timeout", "nan"],
+    ["auth", "--server", "127.0.0.1:1", "--timeout", "inf"],
+    ["auth", "--server", "127.0.0.1:1", "--timeout", "0"],
+    ["auth", "--server", "127.0.0.1:1", "--timeout", "1e10"],
+    ["auth", "--server", "127.0.0.1:70000"],
+    ["serve", "--bind", "127.0.0.1:70000"],
+], ids=" ".join)
+def test_bad_address_or_timeout_is_a_usage_error_before_any_socket(argv, monkeypatch, tmp_path):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "create_connection", no_socket)
+    keys = str(tmp_path / "keys.txt")
+    rest = ["--keystore", keys] if argv[0] == "serve" else ["--identity", "tag-01", "--key-file", keys]
+    code, _, err = run_cli(argv + rest)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "argument --" in err
 
 
 def test_auth_accepts_the_right_key(service):

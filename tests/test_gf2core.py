@@ -13,6 +13,7 @@ from nlhb.gf2core import (
     RandomSource,
     SingularSystemError,
     all_bit_vectors,
+    as_bit_matrix,
     as_bits,
     code_rows,
     dump_bits,
@@ -142,6 +143,33 @@ def test_hamming_rejects_bad_operands():
         hamming([[1, 0]], [[1, 0]])
     with pytest.raises(ParameterError):
         hamming([1, 2], [1, 0])
+
+
+# entries a uint8 cast would wrap (256, -255), truncate (0.5, 1.9) or cannot
+# make at all ("a", None) are refused, not turned into bits
+@pytest.mark.parametrize("values", [
+    np.array([256, 1]),
+    np.array([-255]),
+    np.array([0.5, 1.9]),
+    [0.5, 1.0],
+    [256],
+    ["a"],
+    [None],
+], ids=repr)
+def test_non_bits_are_refused_not_cast(values):
+    with pytest.raises(ParameterError, match="entries must be 0 or 1"):
+        as_bits(values)
+    with pytest.raises(ParameterError, match="entries must be 0 or 1"):
+        as_bit_matrix([values])
+
+
+def test_exact_bits_of_any_numeric_dtype_are_accepted():
+    for values in ([1, 0], [True, False], [1.0, 0.0], np.array([1, 0], dtype=np.int8)):
+        got = as_bits(values)
+        assert got.dtype == np.uint8 and got.tolist() == [1, 0]
+        assert as_bit_matrix([values]).tolist() == [[1, 0]]
+    bits = np.array([1, 0], dtype=np.uint8)
+    assert as_bits(bits) is bits
 
 
 def test_mat_vec_shape_mismatch():

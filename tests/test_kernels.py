@@ -5,7 +5,7 @@ import pytest
 
 from nlhb import _kernels as K
 from nlhb.gf2core import RandomSource
-from nlhb.nlfunc import NonlinearFunctionSpec, _encoded
+from nlhb.nlfunc import NonlinearFunctionSpec
 
 
 def slow_window_eval(x, monomials, d):
@@ -39,9 +39,9 @@ def test_apply_window_batch_matches_oracle_and_backends(monomials):
     d = n - p
     rng = RandomSource(17 + p)
     x = rng.uniform_matrix(9, n)
-    offs, degs = _encoded(NonlinearFunctionSpec(p, tuple(monomials)))
+    spec = NonlinearFunctionSpec(p, tuple(monomials))
     ref = np.array([slow_window_eval(row, monomials, d) for row in x], dtype=np.uint8)
-    assert np.array_equal(K.apply_window_batch(x, offs, degs, d), ref)
+    assert np.array_equal(K.apply_window_batch(x, spec.monomials, d), ref)
 
 
 def test_hamming_rows_matches_oracle():

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from support import layouts_st, operand
 
+from nlhb import nlfunc
 from nlhb._kernels import hamming_rows
 from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource, key_table
 from nlhb.nlfunc import (
@@ -151,6 +153,26 @@ def test_apply_f_batch_matches_slow_oracle(seed, n):
     got = apply_f_batch(DEFAULT_SPEC, x)
     for row_in, row_out in zip(x, got):
         assert list(row_out) == slow_f(DEFAULT_SPEC, row_in)
+
+
+def test_apply_f_batch_keeps_nothing_per_spec():
+    # nothing may stay alive per spec evaluated (a per-spec cache of the
+    # kernel's encoding kept 1.2 MB here); any cache the module has starts
+    # cold, whatever ran before this test
+    for obj in vars(nlfunc).values():
+        getattr(obj, "cache_clear", lambda: None)()
+    specs = enumerate_functions(4)
+    x = RandomSource(4).uniform_matrix(3, 9)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for spec in specs:
+            apply_f_batch(spec, x)
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 64 * 2**10
 
 
 # --- exhaustive key distances ------------------------------------------------
