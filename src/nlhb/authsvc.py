@@ -200,7 +200,7 @@ def read_keystore(path) -> dict[str, KeystoreEntry]:
 # verifier service
 # ---------------------------------------------------------------------------
 
-class AuthService:
+class AuthService(socketserver.ThreadingTCPServer):
     """Threaded verifier bound to ``bind_address`` with a parsed keystore.
 
     Each connection runs one handshake on its own RandomSource derived from
@@ -209,6 +209,9 @@ class AuthService:
     transcript log at ``log_path``, if any, and count in ``logged``; aborted
     handshakes log nothing.  The service keeps no transcript in memory.
     """
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(
         self,
@@ -226,22 +229,15 @@ class AuthService:
         self._root = RandomSource(seed)
         self._counter = 0
         self._lock = threading.Lock()
-        service = self
-
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                service._handle(self.request)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server(bind_address, Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        super().__init__(bind_address, None)  # no handler class: see finish_request
 
     @property
     def address(self) -> tuple[str, int]:
-        return self._server.server_address
+        return self.server_address
+
+    def finish_request(self, request, client_address) -> None:
+        self._handle(request)
 
     def start(self) -> "AuthService":
         self._thread.start()
@@ -249,9 +245,9 @@ class AuthService:
 
     def shutdown(self) -> None:
         if self._thread.is_alive():  # BaseServer.shutdown waits for serve_forever
-            self._server.shutdown()
+            super().shutdown()
             self._thread.join(timeout=5)
-        self._server.server_close()
+        self.server_close()
 
     def __enter__(self):
         return self.start()

@@ -461,10 +461,10 @@ def _cmd_reduce(args) -> int:
     else:  # thm4: the parser admits only hb+ and nlhb+
         forced = SecretKey(s1=key.s1, s2=reductions.rewinding_s2(params, seed))
         forger = {
-            "perfect": lambda: reductions.HonestActiveForger(params, forced, q=args.q, noisy=False),
-            "honest": lambda: reductions.HonestActiveForger(params, forced, q=args.q),
-            "random": lambda: reductions.RandomActiveForger(params, q=args.q),
-            "learning": lambda: reductions.ExtractingActiveForger(params, key.s1, q=args.q),
+            "perfect": lambda: reductions.HonestActiveForger(params, forced, noisy=False),
+            "honest": lambda: reductions.HonestActiveForger(params, forced),
+            "random": lambda: reductions.RandomActiveForger(params),
+            "learning": lambda: reductions.ExtractingActiveForger(params, key.s1),
         }[args.adversary]()
         oracle = reductions.active_forger_to_distinguisher(forger, args.q, args.eps1, seed=seed)
         low, high = reductions.rewinding_distinguisher_interval(params)
@@ -493,23 +493,17 @@ def _cmd_serve(args) -> int:
     keystore = authsvc.read_keystore(args.keystore)
     seed = _resolve_seed(args)
     service = authsvc.AuthService(
-        args.bind,
-        keystore,
-        seed=seed,
-        mute_decisions=args.mute_decisions,
-        log_path=args.log,
-    ).start()
+        args.bind, keystore, seed=seed, mute_decisions=args.mute_decisions, log_path=args.log
+    )
     host, port = service.address
-    sys.stdout.write("seed\t%d\nlistening\t%s:%d\n" % (seed, host, port))
-    sys.stdout.flush()
+    print("seed\t%d\nlistening\t%s:%d" % (seed, host, port), flush=True)
     try:
-        while service._thread.is_alive():
-            service._thread.join(timeout=3600)
+        service.serve_forever()
     except KeyboardInterrupt:
         return 0
     finally:
-        service.shutdown()
-    sys.stderr.write("error: the server thread stopped\n")
+        service.server_close()
+    sys.stderr.write("error: the server stopped\n")
     return 1
 
 

@@ -68,9 +68,7 @@ class SingularSystemError(ValueError):
 def as_bits(values, length: int | None = None) -> np.ndarray:
     """Coerce a sequence/array of 0-1 values to a 1-D uint8 bit vector, of
     ``length`` bits when a length is given."""
-    v = np.asarray(values)
-    if v.ndim != 1:
-        raise DimensionError("expected a 1-D bit vector, got shape %r" % (v.shape,))
+    v = _array(values, 1, "bit vector")
     if length is not None and v.shape[0] != length:
         raise DimensionError("expected a bit vector of length %d, got %d bits" % (length, v.shape[0]))
     return _bits_uint8(v, "bit vector")
@@ -79,12 +77,21 @@ def as_bits(values, length: int | None = None) -> np.ndarray:
 def as_bit_matrix(values, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Coerce a nested sequence/array of 0-1 values to a 2-D uint8 matrix, of
     the (rows, cols) ``shape`` when a shape is given."""
-    m = np.asarray(values)
-    if m.ndim != 2:
-        raise DimensionError("expected a 2-D bit matrix, got shape %r" % (m.shape,))
+    m = _array(values, 2, "bit matrix")
     if shape is not None and m.shape != shape:
         raise DimensionError("expected a bit matrix of shape %r, got %r" % (shape, m.shape))
     return _bits_uint8(m, "bit matrix")
+
+
+def _array(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` as an ``ndim``-D array; ragged nesting is a DimensionError."""
+    try:
+        v = np.asarray(values)
+    except ValueError as exc:
+        raise DimensionError("ragged %s: %s" % (what, exc)) from None
+    if v.ndim != ndim:
+        raise DimensionError("expected a %d-D %s, got shape %r" % (ndim, what, v.shape))
+    return v
 
 
 def _bits_uint8(v: np.ndarray, what: str) -> np.ndarray:
@@ -466,8 +473,6 @@ class RandomSource:
         """Draw a uniform bit vector of the given length."""
         if length < 0:
             raise ParameterError("length must be nonnegative")
-        if length == 0:
-            return np.zeros(0, dtype=np.uint8)
         words = self.u64((length + 63) // 64)
         return np.unpackbits(words.astype(">u8").view(np.uint8), count=length)
 

@@ -220,7 +220,6 @@ class MergeErrorDistribution:
     outcome to its exact probability under uniform state bits.
     """
 
-    p: int
     probabilities: dict[tuple[int, ...], Fraction]
 
     def entropy_exact(self) -> Fraction | None:
@@ -283,11 +282,10 @@ def merge_error_distribution(
     total = assign.shape[0]
     counts = np.bincount(row_codes(err).astype(np.int64), minlength=1 << (p + 1))
     seen = np.flatnonzero(counts)
-    probabilities = {
+    return MergeErrorDistribution({
         tuple(outcome.tolist()): Fraction(int(counts[code]), total)
         for code, outcome in zip(seen, code_rows(seen, p + 1))
-    }
-    return MergeErrorDistribution(p=p, probabilities=probabilities)
+    })
 
 
 def enumerate_functions(p: int) -> list[NonlinearFunctionSpec]:

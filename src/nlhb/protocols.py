@@ -16,7 +16,6 @@ path, which the tests pin down bit-for-bit.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -335,9 +334,8 @@ def write_transcripts(fp, transcripts) -> None:
     """Write records separated by blank lines to a path or text file object."""
     if isinstance(fp, (str, bytes, os.PathLike)):
         with open(fp, "w", encoding="utf-8") as handle:
-            write_transcripts(handle, transcripts)
-            return
-    fp.write("\n".join(format_transcript(t) for t in transcripts))
+            return write_transcripts(handle, transcripts)
+    fp.write(transcripts_to_text(transcripts))
 
 
 def _expect_kv(token: str, key: str, line: int) -> str:
@@ -441,6 +439,4 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
 
 
 def transcripts_to_text(transcripts) -> str:
-    buf = io.StringIO()
-    write_transcripts(buf, transcripts)
-    return buf.getvalue()
+    return "\n".join(format_transcript(t) for t in transcripts)

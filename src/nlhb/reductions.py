@@ -138,9 +138,6 @@ class EmbeddingLayout:
     columns; p more zero columns trail the last one.
     """
 
-    n: int
-    n_prime: int
-    p: int
     gaps: tuple[int, ...]
     positions: tuple[int, ...]
 
@@ -164,7 +161,7 @@ def default_layout(n: int, n_prime: int, p: int) -> EmbeddingLayout:
     positions = [1]
     for g in gaps:
         positions.append(positions[-1] + 1 + g)
-    return EmbeddingLayout(n=n, n_prime=n_prime, p=p, gaps=tuple(gaps), positions=tuple(positions))
+    return EmbeddingLayout(gaps=tuple(gaps), positions=tuple(positions))
 
 
 def lpn_to_unld_embed(g, z, spec: NonlinearFunctionSpec, n: int, rng: RandomSource, eps):
@@ -371,11 +368,10 @@ class ActiveForger:
     it drew, and are not checked again.
     """
 
-    def __init__(self, params: ProtocolParams, q: int = 0):
+    def __init__(self, params: ProtocolParams):
         if not params.blinded:
             raise ParameterError("active forgers target the blinded protocols")
         self.params = params
-        self.q = q
         self._state: dict = {}
 
     def reset(self, seed: int) -> None:
@@ -452,8 +448,8 @@ class HonestActiveForger(ActiveForger):
     (s1, s2).  Noise is drawn from message-tied coins so rewinding
     reproduces it exactly on a replayed challenge."""
 
-    def __init__(self, params, key: SecretKey, q: int = 0, noisy: bool = True):
-        super().__init__(params, q)
+    def __init__(self, params, key: SecretKey, noisy: bool = True):
+        super().__init__(params)
         self.key = _check_key(params, key)
         self.noisy = noisy
 
@@ -491,8 +487,8 @@ class ExtractingActiveForger(ActiveForger):
     wrapper turns into a distinguisher.
     """
 
-    def __init__(self, params: ProtocolParams, s1, q: int = 5):
-        super().__init__(params, q)
+    def __init__(self, params: ProtocolParams, s1):
+        super().__init__(params)
         if params.k > 16:
             raise ParameterError("extraction brute-forces 2^k candidates; need k <= 16")
         self.s1 = as_bits(s1, params.k)

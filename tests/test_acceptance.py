@@ -278,7 +278,7 @@ def test_criterion_10_reduction_pipeline():
                               DEFAULT_SPEC, blinded=True)
         plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
         s1 = RandomSource(136).uniform_bits(12)
-        forger = red.ExtractingActiveForger(blinded, s1, q=5)
+        forger = red.ExtractingActiveForger(blinded, s1)
         oracle = red.active_forger_to_distinguisher(
             forger, 5, Fraction(91, 200), seed=99
         )

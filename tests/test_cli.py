@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,14 @@ def cells(text):
 def kv(text):
     """Two-column rows as a dict; later duplicates would clobber, none exist."""
     return {r[0]: r[1] for r in cells(text) if len(r) == 2}
+
+
+def _one_key_keystore(path):
+    """A keystore file holding one nlhb key, for identity tag-01."""
+    params = nlhb_params(16, 259, Fraction(1, 4), Fraction(87, 250), DEFAULT_SPEC)
+    key = generate_key(params, RandomSource(1))
+    authsvc.write_keystore(str(path), [authsvc.KeystoreEntry("tag-01", params, key)])
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +491,10 @@ def test_size_guard_admits_paper_size_counts():
     cli._check_size(1, 128 * 1164 + 1161, 100 + 1)
 
 
-# Every subcommand but serve and auth, drawn with small valid values or the
-# hostile ones.  Counts that only buy time (--trials, --batches) draw no huge
-# value: a valid request for 2^31 trials is slow, not wrong, like a k=26 key
-# search, which the small --k range never reaches either.
+# Every subcommand, drawn with small valid values or the hostile ones.
+# Counts that only buy time (--trials, --batches) draw no huge value: a valid
+# request for 2^31 trials is slow, not wrong, like a k=26 key search, which
+# the small --k range never reaches either.
 HOSTILE = ["0", "-1", str(2**31), str(2**63), "1/0", "x"]
 _SLOW_COUNT_HOSTILE = ["0", "-1", "1/0", "x"]
 
@@ -494,14 +503,16 @@ def _ints(lo, hi, hostile=HOSTILE):
     return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(hostile))
 
 
-def _pick(*values):
-    return st.one_of(st.sampled_from(values), st.sampled_from(HOSTILE))
+def _pick(*values, hostile=HOSTILE):
+    return st.one_of(st.sampled_from(values), st.sampled_from(hostile))
 
 
 _EPS = _pick("1/8", "1/4")
 _EPSP = _pick("3/8", "2/5")
 _SPEC = _pick("p=2; g=x1x2", "p=3; g=x1x2+x1x3+x2x3", "p=0; g=0")
 _TRIALS = _ints(1, 3, _SLOW_COUNT_HOSTILE)
+_PATHS = st.sampled_from(["<keys>", "<missing>"])
+_BAD_ADDRESSES = HOSTILE + ["127.0.0.1:65536", "127.0.0.1", ":", "127.0.0.1:x"]
 # Flags always given (so no slow default applies), then flags drawn or not.
 _SIZE = {"--k": _ints(1, 5), "--n": _ints(4, 24)}
 _FRACTIONS = {"--eps": _EPS, "--epsp": _EPSP}
@@ -533,6 +544,16 @@ _COMMANDS = {
                                                                   "learning"),
                                              "--q": _ints(1, 3),
                                              "--eps1": _pick("9/20", "47/100")})),
+    # serve and auth run with the server loop returning at once and every
+    # connection refused.  A valid bind takes port 0; every host is a literal
+    # address, so nothing is looked up.  <keys>, <missing> and <log> stand for
+    # paths the test fills in; None marks a flag that takes no value.
+    ("serve",): ({"--bind": _pick("127.0.0.1:0", ":0", hostile=_BAD_ADDRESSES),
+                  "--keystore": _PATHS},
+                 {"--mute-decisions": st.none(), "--log": st.just("<log>")}),
+    ("auth",): ({"--server": _pick("127.0.0.1:1", ":9630", hostile=_BAD_ADDRESSES),
+                 "--key-file": _PATHS, "--identity": st.sampled_from(["tag-01", "nobody"])},
+                {"--timeout": _pick("0.5", "30", hostile=HOSTILE + ["nan", "inf", "1e10"])}),
 }
 
 
@@ -540,10 +561,12 @@ _COMMANDS = {
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     required, optional = _COMMANDS[command]
-    optional = dict(optional, **{"--format": _pick("tsv", "text")})
+    if command != ("serve",):
+        optional = dict(optional, **{"--format": _pick("tsv", "text")})
     argv = list(command)
     for flag in sorted(required) + draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
-        argv += [flag, draw({**required, **optional}[flag])]
+        value = draw({**required, **optional}[flag])
+        argv += [flag] if value is None else [flag, value]
     if command[0] not in ("params", "cost", "analyze"):
         argv += ["--seed", draw(_pick("1", "7"))]
     return argv
@@ -557,13 +580,27 @@ def _overran(signum, frame):
     raise _Overran()
 
 
+def _refused(*args, **kwargs):
+    raise ConnectionRefusedError("connection refused")
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    return {"<keys>": _one_key_keystore(tmp / "keys.txt"), "<missing>": str(tmp / "missing.txt"),
+            "<log>": str(tmp / "log.txt")}
+
+
 @given(_argv())
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_any_argv_ends_in_output_or_an_error(argv):
+@settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_ends_in_output_or_an_error(argv_paths, argv):
+    argv = [argv_paths.get(token, token) for token in argv]
     previous = signal.signal(signal.SIGALRM, _overran)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        code, _, err = run_cli(argv)
+        with mock.patch.object(authsvc.AuthService, "serve_forever", lambda service: None), \
+                mock.patch.object(socket, "create_connection", _refused):
+            code, _, err = run_cli(argv)
     except _Overran:
         pytest.fail("%r ran past 5 s" % (argv,))
     finally:
@@ -716,28 +753,31 @@ def test_auth_muted_service_reports_muted(tmp_path):
     assert kv(out)["decision"] == "muted"
 
 
-def test_serve_exits_one_when_the_server_thread_stops(tmp_path, monkeypatch):
-    params = nlhb_params(16, 259, Fraction(1, 4), Fraction(87, 250), DEFAULT_SPEC)
-    keystore = tmp_path / "keys.txt"
-    key = generate_key(params, RandomSource(1))
-    authsvc.write_keystore(str(keystore), [authsvc.KeystoreEntry("tag-01", params, key)])
-    start = authsvc.AuthService.start
-
-    def start_then_stop(service):
-        start(service)
-        service._server.shutdown()  # serve_forever returns, so the thread ends
-        return service
-
-    monkeypatch.setattr(authsvc.AuthService, "start", start_then_stop)
-    argv = ["serve", "--bind", "127.0.0.1:0", "--keystore", str(keystore), "--seed", "1"]
+def test_serve_exits_one_when_the_server_stops(tmp_path, monkeypatch):
+    monkeypatch.setattr(authsvc.AuthService, "serve_forever", lambda service: None)
+    keystore = _one_key_keystore(tmp_path / "keys.txt")
+    argv = ["serve", "--bind", "127.0.0.1:0", "--keystore", keystore, "--seed", "1"]
     result = []
     command = threading.Thread(target=lambda: result.append(run_cli(argv)), daemon=True)
     command.start()
     command.join(timeout=10)
-    assert not command.is_alive(), "nlhb serve kept waiting on a stopped server thread"
+    assert not command.is_alive(), "nlhb serve kept waiting on a stopped server"
     code, _, err = result[0]
     assert code == 1
-    assert err == "error: the server thread stopped\n"
+    assert err == "error: the server stopped\n"
+
+
+def test_serve_exits_zero_on_ctrl_c_and_releases_its_port(tmp_path, monkeypatch):
+    def interrupted(service):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(authsvc.AuthService, "serve_forever", interrupted)
+    keystore = _one_key_keystore(tmp_path / "keys.txt")
+    code, out, err = run_cli(["serve", "--bind", "127.0.0.1:0", "--keystore", keystore, "--seed", "1"])
+    assert (code, err) == (0, "")
+    host, port = kv(out)["listening"].rsplit(":", 1)
+    with socket.socket() as fresh:
+        fresh.bind((host, int(port)))  # refused while the service still held it
 
 
 def _config_flags(tmp_path, data: bytes):

@@ -172,6 +172,32 @@ def test_exact_bits_of_any_numeric_dtype_are_accepted():
     assert as_bits(bits) is bits
 
 
+@pytest.mark.parametrize("values", [
+    [[0, 1], [1]],
+    [0, [1]],
+    [[[0], [1]], [1]],
+], ids=repr)
+def test_ragged_input_is_a_dimension_error(values):
+    for length in (None, 2):
+        with pytest.raises(DimensionError, match="ragged bit vector"):
+            as_bits(values, length)
+    for shape in (None, (2, 2)):
+        with pytest.raises(DimensionError, match="ragged bit matrix"):
+            as_bit_matrix(values, shape)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_bits([[0, 1]]), "expected a 1-D bit vector, got shape (1, 2)"),
+    (lambda: as_bits([0, 1], 3), "expected a bit vector of length 3, got 2 bits"),
+    (lambda: as_bit_matrix([0, 1]), "expected a 2-D bit matrix, got shape (2,)"),
+    (lambda: as_bit_matrix([[0, 1]], (2, 2)), "expected a bit matrix of shape (2, 2), got (1, 2)"),
+])
+def test_shape_errors_keep_their_messages(call, message):
+    with pytest.raises(DimensionError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_mat_vec_shape_mismatch():
     with pytest.raises(DimensionError):
         mat_vec_mul([1, 0], np.zeros((3, 4), dtype=np.uint8))

@@ -167,7 +167,7 @@ def test_golden_rewinding_distinguisher():
     blinded = nlhb_params(10, 131, SMALL_EPS, SMALL_EPSP, DEFAULT_SPEC, blinded=True)
     plain = nlhb_params(10, 131, SMALL_EPS, SMALL_EPSP, DEFAULT_SPEC)
     s1 = RandomSource(81).uniform_bits(10)
-    forger = red.ExtractingActiveForger(blinded, s1, q=5)
+    forger = red.ExtractingActiveForger(blinded, s1)
     oracle = red.active_forger_to_distinguisher(forger, 5, Fraction(91, 200), seed=9)
     honest = red.honest_transcript_source(plain, SecretKey(s1=s1), RandomSource(82))
     uniform = red.uniform_string_source(plain, RandomSource(83))

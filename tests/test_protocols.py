@@ -107,6 +107,14 @@ def test_verify_rejects_malformed_length():
         verify(p, key, a, np.zeros(p.d + 1, dtype=np.uint8))
 
 
+def test_verify_ragged_challenge_is_a_dimension_error():
+    p = small_nlhb()
+    key = generate_key(p, RandomSource(2))
+    ragged = [[0] * p.n] * (p.k - 1) + [[0] * (p.n - 1)]
+    with pytest.raises(DimensionError, match="ragged bit matrix"):
+        verify(p, key, ragged, np.zeros(p.d, dtype=np.uint8))
+
+
 def _bad_exchanges(p, key):
     """(description, key, a, z, b, expected error) for malformed inputs."""
     rng = RandomSource(9)

@@ -417,12 +417,12 @@ def test_rewinding_interval_and_validation():
     low, high = red.rewinding_distinguisher_interval(params)
     assert low == (1 - (1 - 2 * params.eps_prime) ** 2) / 2
     key = generate_key(params, RandomSource(125))
-    forger = red.HonestActiveForger(params, key, q=1)
+    forger = red.HonestActiveForger(params, key)
     with pytest.raises(ParameterError):
         red.active_forger_to_distinguisher(forger, 1, low)
     plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     with pytest.raises(ParameterError):
-        red.HonestActiveForger(plain, key, q=1)
+        red.HonestActiveForger(plain, key)
 
     bad = SimpleNamespace(params=params, reset=lambda seed: None)
     with pytest.raises(ParameterError, match="snapshot"):
@@ -432,7 +432,7 @@ def test_rewinding_interval_and_validation():
 def test_active_forger_phase_misuse_flagged():
     params = _blinded()
     key = generate_key(params, RandomSource(126))
-    forger = red.HonestActiveForger(params, key, q=2)
+    forger = red.HonestActiveForger(params, key)
     with pytest.raises(ParameterError, match="before reset"):
         forger.on_blinding(np.zeros((12, 515), dtype=np.uint8))
     forger.reset(1)
@@ -451,7 +451,7 @@ def test_active_forger_phase_misuse_flagged():
 def test_snapshot_restore_replays_identically():
     params = _blinded()
     key = generate_key(params, RandomSource(128))
-    forger = red.HonestActiveForger(params, key, q=0)
+    forger = red.HonestActiveForger(params, key)
     forger.reset(9)
     forger.commit_blinding()
     a1 = RandomSource(129).uniform_matrix(12, 515)
@@ -470,7 +470,7 @@ def test_forced_key_forger_accepts_honest_and_uniform_alike():
     params = _blinded()
     s1 = RandomSource(131).uniform_bits(12)
     s2 = RandomSource(77).derive("rewind-s2").uniform_bits(12)
-    forger = red.HonestActiveForger(params, SecretKey(s1=s1, s2=s2), q=2)
+    forger = red.HonestActiveForger(params, SecretKey(s1=s1, s2=s2))
     oracle = red.active_forger_to_distinguisher(forger, 2, seed=77)  # midpoint
     plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     src = red.honest_transcript_source(plain, SecretKey(s1=s1), RandomSource(132))
@@ -484,7 +484,7 @@ def test_unforced_uniform_rate_coheres_with_exact_tail():
     params = _blinded()
     s1 = RandomSource(133).uniform_bits(12)
     own = generate_key(params, RandomSource(134))
-    forger = red.HonestActiveForger(params, SecretKey(s1=s1, s2=own.s2), q=1)
+    forger = red.HonestActiveForger(params, SecretKey(s1=s1, s2=own.s2))
     epsilon_1 = Fraction(91, 200)
     oracle = red.active_forger_to_distinguisher(forger, 1, epsilon_1, seed=88)
     exact = float(false_accept(params.d, int(epsilon_1 * params.d)).exact)
@@ -506,7 +506,7 @@ def test_learning_forger_separates_honest_from_uniform():
     acceptance on honest input, tail-rate acceptance on uniform input."""
     params = _blinded()
     s1 = RandomSource(136).uniform_bits(12)
-    forger = red.ExtractingActiveForger(params, s1, q=5)
+    forger = red.ExtractingActiveForger(params, s1)
     oracle = red.active_forger_to_distinguisher(forger, 5, Fraction(91, 200), seed=99)
     plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     honest_src = red.honest_transcript_source(plain, SecretKey(s1=s1), RandomSource(137))
@@ -532,7 +532,7 @@ def test_learning_forger_validation():
 
 def test_random_active_forger_rate_is_negligible():
     params = _blinded()
-    forger = red.RandomActiveForger(params, q=1)
+    forger = red.RandomActiveForger(params)
     oracle = red.active_forger_to_distinguisher(forger, 1, Fraction(91, 200), seed=12)
     plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     src = red.honest_transcript_source(
@@ -545,7 +545,7 @@ def test_random_active_forger_rate_is_negligible():
 def test_deterministic_given_seed_and_input():
     params = _blinded()
     key = generate_key(params, RandomSource(143))
-    forger = red.HonestActiveForger(params, key, q=2)
+    forger = red.HonestActiveForger(params, key)
     oracle = red.active_forger_to_distinguisher(forger, 2, seed=5)
     plain = nlhb_params(12, 515, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     batch = red.honest_transcript_source(plain, SecretKey(s1=key.s1), RandomSource(144))(2)

@@ -1,0 +1,114 @@
+"""Two structural rules for ``src/nlhb``, checked with ``ast``.
+
+- No ``class`` statement sits inside a function body: a class built per call
+  is a new type each time, which nothing can patch or subclass.
+- Every top-level ``def`` and ``class`` has a caller: its name appears in the
+  package outside its own definition, or in the benchmark (``perfbench/*.py``),
+  which wraps some functions by their dotted names.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nlhb"
+MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+# Names with no caller in the package or the benchmark; only tests and the
+# README call these.
+NO_CALLER = {"authsvc.write_keystore"}
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
+
+
+def _nested_classes(source: str) -> list[int]:
+    """Lines of the class statements inside a function body."""
+    return sorted({
+        inner.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, _FUNCTIONS)
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.ClassDef)
+    })
+
+
+def _references(nodes) -> set[str]:
+    """Names that ``nodes`` use: identifiers, attributes, imported names and
+    each part of a string that is a dotted name (``"gf2core.hamming"``)."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.match(node.value):
+            out.update(node.value.split("."))
+    return out
+
+
+def _unreferenced(package: dict[str, str], bench: list[str]) -> list[str]:
+    """``module.name`` of each top-level def or class in ``package`` (module
+    name -> source) that no other code there, nor any ``bench`` source, names."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    # the names each top-level statement of each module uses
+    refs = {name: [_references(ast.walk(node)) for node in tree.body] for name, tree in trees.items()}
+    bench_refs = set()
+    for source in bench:
+        bench_refs |= _references(ast.walk(ast.parse(source)))
+    found = []
+    for module, tree in trees.items():
+        elsewhere = bench_refs.union(*(r for other in refs if other != module for r in refs[other]))
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+                continue
+            used = elsewhere.union(*(r for j, r in enumerate(refs[module]) if j != i))
+            if node.name not in used:
+                found.append("%s.%s" % (module, node.name))
+    return found
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("class A:\n    def f(self): pass\n", []),
+    ("def f():\n    class A: pass\n", [2]),
+    ("class S:\n    def __init__(self):\n        class H: pass\n", [3]),
+    ("def f():\n    def g():\n        class A: pass\n", [3]),
+    ("async def f():\n    class A: pass\n", [2]),
+])
+def test_the_nested_class_check_reads_each_form(source, lines):
+    assert _nested_classes(source) == lines
+
+
+@pytest.mark.parametrize("package, bench, found", [
+    ({"a": "def f(): pass\n"}, [], ["a.f"]),
+    ({"a": "def f():\n    return f()\n"}, [], ["a.f"]),
+    ({"a": "def f(): pass\ndef g():\n    return f()\n"}, [], ["a.g"]),
+    ({"a": "class C: pass\n", "b": "from .a import C\n"}, [], []),
+    ({"a": "def f(): pass\n", "b": "import a\na.f()\n"}, [], []),
+    ({"a": "def f(): pass\n"}, ["wrap(mod, 'f')\n"], []),
+    ({"a": "def f(): pass\n"}, ["NAMES = ['a.f']\n"], []),
+    ({"a": "def f():\n    '''calls f'''\n"}, ["doc = 'see f here'\n"], ["a.f"]),
+])
+def test_the_caller_check_reads_each_form(package, bench, found):
+    assert _unreferenced(package, bench) == found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_class_is_defined_inside_a_function(path):
+    lines = _nested_classes(path.read_text(encoding="utf-8"))
+    assert not lines, "%s defines a class inside a function at line(s) %s" % (
+        path.name, ", ".join(map(str, lines))
+    )
+
+
+def test_every_top_level_name_has_a_caller():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = set(_unreferenced(package, [p.read_text(encoding="utf-8") for p in BENCH]))
+    assert not found - NO_CALLER, "no caller in src/nlhb or perfbench: %s" % sorted(found - NO_CALLER)
+    assert not NO_CALLER - found, "these now have a caller; drop them from NO_CALLER: %s" % sorted(
+        NO_CALLER - found
+    )
