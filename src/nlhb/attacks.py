@@ -41,6 +41,7 @@ from .gf2core import (
 from .nlfunc import key_distances
 from .params import false_reject
 from .protocols import ProtocolParams, SecretKey, respond, verify
+from .reductions import batch_views, transcript_batch
 
 DESK_SCALE_K = 24
 
@@ -52,7 +53,6 @@ class NeedMoreSamplesError(RuntimeError):
     def __init__(self, have: int, need: int, stage: str):
         self.have = have
         self.need = need
-        self.stage = stage
         super().__init__(
             "need more samples at %s: have %d, want >= %d" % (stage, have, need)
         )
@@ -102,21 +102,14 @@ def default_majority_reps(eps, log2_target: int = -20) -> int:
     raise ParameterError("no odd reps below 100001 reaches the target; eps too close to 1/2")
 
 
-def _verified(stats: dict, accepts: int, count: int) -> bool:
-    """Record a candidate's verification in ``stats``; True when at least 99%
-    of the ``count`` sessions accepted it."""
-    stats["verify_accepts"] = accepts
-    stats["verify_count"] = count
-    return accepts >= math.ceil(0.99 * count)
-
-
-def _verify_against_oracle(params, candidate, prover_oracle, rng, count):
+def _verified(stats: dict, params: ProtocolParams, candidate, sessions) -> bool:
+    """Verify ``candidate`` on each (A, z) of ``sessions`` and record the
+    counts in ``stats``; True when at least 99% of the sessions accepted it."""
     key = SecretKey(s1=candidate)
-    accepts = 0
-    for _ in range(count):
-        a = rng.uniform_matrix(params.k, params.n)
-        accepts += verify(params, key, a, prover_oracle(a))[0]
-    return accepts
+    accepted = [verify(params, key, a, z)[0] for a, z in sessions]
+    stats["verify_accepts"] = accepts = sum(accepted)
+    stats["verify_count"] = len(accepted)
+    return accepts >= math.ceil(0.99 * len(accepted))
 
 
 def majority_vote_attack(
@@ -182,10 +175,10 @@ def majority_vote_attack(
         stats["failure"] = "no usable denoised system within %d rounds" % max_rounds
         return AttackReport("majority", params, queries, False, None, stats)
 
-    verify_count = 100  # fresh sessions the candidate must pass
-    accepts = _verify_against_oracle(params, candidate, prover_oracle, rng, verify_count)
-    queries += verify_count
-    success = _verified(stats, accepts, verify_count)
+    # 100 fresh sessions the candidate must pass; each A is drawn before it is answered
+    challenges = (rng.uniform_matrix(k, params.n) for _ in range(100))
+    success = _verified(stats, params, candidate, ((a, prover_oracle(a)) for a in challenges))
+    queries += stats["verify_count"]
     return AttackReport("majority", params, queries, success, candidate, stats)
 
 
@@ -247,15 +240,15 @@ def _needed_samples(width: int, bias: float) -> int:
     return int(math.ceil((math.sqrt(2.0 * width * math.log(2.0)) + 4.0) ** 2 / bias**2))
 
 
+def _sessions(params: ProtocolParams, transcripts) -> list:
+    """Each record's (A, z), as views of one batch under ``params``."""
+    return list(zip(*batch_views(transcript_batch(params, transcripts), params)))
+
+
 def _pool_samples(transcripts):
     params = transcripts[0].params
-    cols, bits = [], []
-    for t in transcripts:
-        if t.params != params:
-            raise ParameterError("transcripts mix protocol parameters")
-        cols.append(t.a[:, : params.d])
-        bits.append(t.z)
-    return np.concatenate(cols, axis=1), np.concatenate(bits)
+    a, z = batch_views(transcript_batch(params, transcripts), params)
+    return a[:, :, : params.d].transpose(1, 0, 2).reshape(params.k, -1), z.reshape(-1)
 
 
 def _independent_columns(x, k, scan_limit=None):
@@ -269,11 +262,6 @@ def _independent_columns(x, k, scan_limit=None):
     joined = (j for j, v in _xor_basis(_packed_rows(x[:, :limit].T)) if v)
     picked = list(itertools.islice(joined, k))
     return np.array(picked) if len(picked) == k else None
-
-
-def _verify_against_transcripts(params, candidate, transcripts):
-    key = SecretKey(s1=candidate)
-    return sum(verify(params, key, t.a, t.z)[0] for t in transcripts)
 
 
 def lf2_attack(
@@ -311,6 +299,7 @@ def lf2_attack(
         transcripts = transcripts[:-carve]
 
     x, y = _pool_samples(transcripts)
+    checks = _sessions(params, verify_transcripts)
     n_samples = x.shape[1]
     queries = len(transcripts) + len(verify_transcripts)
     eps = float(params.eps)
@@ -370,8 +359,7 @@ def lf2_attack(
             remaining = remaining[width:]
         candidate = known
 
-    accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
-    success = _verified(stats, accepts, len(verify_transcripts))
+    success = _verified(stats, params, candidate, checks)
     return AttackReport("lf2", params, queries, success, candidate, stats)
 
 
@@ -427,6 +415,7 @@ def noise_free_selection_attack(
         split = max(1, len(transcripts) // 4)
         verify_transcripts = transcripts[split:]
         transcripts = transcripts[:split]
+    checks = _sessions(params, verify_transcripts)
     queries = len(transcripts) + len(verify_transcripts)
     per_trial = float((1 - Fraction(params.eps)) ** k)
 
@@ -439,22 +428,18 @@ def noise_free_selection_attack(
             stats["bruteforce"] = "skipped: 2^%d evaluations over desk budget" % k
             return AttackReport("noisefree", params, queries, False, None, stats)
         # the first transcript filters all 2^k keys; only survivors go on
-        pool = list(transcripts) + list(verify_transcripts)
-        alive = np.flatnonzero(key_distances(params.spec, pool[0].a, pool[0].z) <= params.u)
-        used = 1
-        for t in pool[1:]:
+        alive = np.arange(1 << k)
+        for used, (a, z) in enumerate(_sessions(params, transcripts) + checks, 1):
+            alive = alive[key_distances(params.spec, a, z)[alive] <= params.u]
             if alive.shape[0] <= 1:
                 break
-            alive = alive[key_distances(params.spec, t.a, t.z)[alive] <= params.u]
-            used += 1
         stats["bruteforce_evaluations"] = 1 << k
         stats["bruteforce_transcripts_used"] = used
         if alive.shape[0] != 1:
             stats["bruteforce"] = "left %d consistent candidates" % alive.shape[0]
             return AttackReport("noisefree", params, queries, False, None, stats)
         candidate = code_rows(alive, k)[0]
-        accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
-        success = _verified(stats, accepts, len(verify_transcripts))
+        success = _verified(stats, params, candidate, checks)
         return AttackReport("noisefree", params, queries, success, candidate, stats)
 
     x, y = _pool_samples(transcripts)
@@ -475,9 +460,8 @@ def noise_free_selection_attack(
                 resampled += 1
                 if resampled > 10000:
                     raise ParameterError("could not find a full-rank selection")
-        accepts = _verify_against_transcripts(params, candidate, verify_transcripts)
         won = dict(stats, trials_used=trial, selections_resampled=resampled)
-        if _verified(won, accepts, len(verify_transcripts)):
+        if _verified(won, params, candidate, checks):
             return AttackReport("noisefree", params, queries, True, candidate, won)
     stats["trials_used"] = trials
     stats["selections_resampled"] = resampled

@@ -193,6 +193,13 @@ def _timeout(text: str) -> float:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not abs(value) < float("inf"):  # also refuses nan
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
+
+
 def _spec(args):
     """The --spec map, or the protocol's default one."""
     if args.spec is not None:
@@ -552,8 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--epsp", type=_fraction, required=True)
     p.add_argument("--dd", type=int, help="certify this D instead of searching")
-    p.add_argument("--pfa", type=float, default=-80.0, help="log2 false-accept target")
-    p.add_argument("--pfr", type=float, default=-40.0, help="log2 false-reject target")
+    p.add_argument("--pfa", type=_finite, default=-80.0, help="log2 false-accept target")
+    p.add_argument("--pfr", type=_finite, default=-40.0, help="log2 false-reject target")
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_params)
 

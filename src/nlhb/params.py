@@ -58,16 +58,20 @@ def _check_d_u(d: int, u: int):
         raise ParameterError("threshold u=%d outside 0..D=%d" % (u, d))
 
 
+def _binomial_sum(d: int, lo: int, hi: int, num: int, comp: int) -> int:
+    """sum_{lo <= i <= hi} C(d, i) num**i comp**(d-i), each term from the one
+    before it; an empty range sums to 0."""
+    acc = term = math.comb(d, lo) * num**lo * comp ** (d - lo) if lo <= hi else 0
+    for i in range(lo + 1, hi + 1):
+        term = term * ((d - i + 1) * num) // (i * comp)
+        acc += term
+    return acc
+
+
 def false_accept(d: int, u: int) -> TailProbability:
     """Probability that a uniform response verifies: sum_{i<=u} C(D,i) / 2**D."""
     _check_d_u(d, u)
-    acc = 0
-    term = 1  # C(d, 0)
-    for i in range(u + 1):
-        if i:
-            term = term * (d - i + 1) // i
-        acc += term
-    return TailProbability.of(Fraction(acc, 1 << d))
+    return TailProbability.of(Fraction(_binomial_sum(d, 0, u, 1, 1), 1 << d))
 
 
 def false_reject(d: int, eps, u: int) -> TailProbability:
@@ -76,19 +80,8 @@ def false_reject(d: int, eps, u: int) -> TailProbability:
     eps = Fraction(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ParameterError("eps must satisfy 0 < eps < 1/2")
-    num = eps.numerator
-    comp = eps.denominator - num  # (1 - eps) numerator over the same denominator
-    if u == d:
-        return TailProbability.of(Fraction(0))
-    # term_i = C(d,i) * num**i * comp**(d-i); start at i = u+1 and walk up.
-    i = u + 1
-    term = math.comb(d, i) * num**i * comp ** (d - i)
-    acc = term
-    while i < d:
-        term = term * ((d - i) * num) // ((i + 1) * comp)
-        acc += term
-        i += 1
-    return TailProbability.of(Fraction(acc, eps.denominator**d))
+    num, den = eps.numerator, eps.denominator  # 1 - eps is (den - num) / den
+    return TailProbability.of(Fraction(_binomial_sum(d, u + 1, d, num, den - num), den**d))
 
 
 @dataclass(frozen=True)
@@ -118,13 +111,17 @@ def find_min_D(
 
     Scans D = 1, 2, ... exhaustively rather than bisecting: with u tied to
     floor(eps' D) the tails are *not* monotone in D (they jump where u
-    steps), so each candidate is evaluated exactly.  Raises when the cap is
-    exceeded.
+    steps), so each candidate is evaluated exactly.  Raises when no D <= cap
+    meets the targets; at once when a target is not finite or below its floor.
     """
     eps = Fraction(eps)
     eps_prime = Fraction(eps_prime)
-    if not eps < eps_prime < Fraction(1, 2):
-        raise ParameterError("need eps < eps' < 1/2")
+    if not 0 < eps < eps_prime < Fraction(1, 2):
+        raise ParameterError("need 0 < eps < eps' < 1/2")
+    # FA(D, u) >= 2^-D, FR(D, u) >= eps^D (its i = D term: u < D); 1 bit for rounding
+    fa_floor, fr_floor = -cap - 1, cap * exact_log2(eps) - 1
+    if not (fa_floor <= log2_fa_target < math.inf and fr_floor <= log2_fr_target < math.inf):
+        raise ParameterError("need finite log2 targets of at least %g / %g" % (fa_floor, fr_floor))
     for d in range(1, cap + 1):
         u = threshold_u(eps_prime, d)
         fa = false_accept(d, u)

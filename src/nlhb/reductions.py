@@ -70,10 +70,12 @@ def batch_views(strings: np.ndarray, params: ProtocolParams):
 
 
 def transcript_batch(params: ProtocolParams, transcripts) -> np.ndarray:
-    """The batch of the given transcripts, one (A, z) row each."""
+    """The batch of the given transcripts, one (A, z) row each, all under ``params``."""
     out = np.empty((len(transcripts), string_length(params)), dtype=np.uint8)
     a, z = batch_views(out, params)
     for row, t in enumerate(transcripts):
+        if t.params != params:
+            raise ParameterError("transcripts mix protocol parameters")
         a[row], z[row] = t.a, t.z
     return out
 

@@ -366,6 +366,28 @@ def test_noise_free_nlhb_bruteforce_path():
     assert report.stats["linear_solve"].startswith("inapplicable")
 
 
+@pytest.mark.parametrize("attack", ["lf2", "noisefree"])
+@pytest.mark.parametrize("proto", ["hb", "nlhb"])
+@pytest.mark.parametrize("other", [
+    dict(eps=Fraction(1, 16)),  # the same shape, another eps
+    dict(n=68),  # another shape
+])
+def test_verification_records_of_other_params_are_refused(attack, proto, other):
+    def make(k=8, n=67, eps=Fraction(1, 8)):
+        if proto == "hb":
+            return hb_params(k, n - 3, eps, Fraction(1, 4))
+        return nlhb_params(k, n, eps, Fraction(1, 4), DEFAULT_SPEC)
+
+    p, q = make(), make(**other)
+    ts = transcript_sampler(p, generate_key(p, RandomSource(60)), RandomSource(61), 16)
+    vts = transcript_sampler(q, generate_key(q, RandomSource(62)), RandomSource(63), 4)
+    with pytest.raises(ParameterError, match="transcripts mix protocol parameters"):
+        if attack == "lf2":
+            lf2_attack(ts, 4, p, verify_transcripts=vts)
+        else:
+            noise_free_selection_attack(ts, 8, 3, rng=RandomSource(64), verify_transcripts=vts)
+
+
 def test_noise_free_trials_exhausted():
     p = hb_params(10, 64, Fraction(1, 4), EPSP)
     key = generate_key(p, RandomSource(46))

@@ -517,8 +517,10 @@ _BAD_ADDRESSES = HOSTILE + ["127.0.0.1:65536", "127.0.0.1", ":", "127.0.0.1:x"]
 _SIZE = {"--k": _ints(1, 5), "--n": _ints(4, 24)}
 _FRACTIONS = {"--eps": _EPS, "--epsp": _EPSP}
 _COMMANDS = {
-    ("params",): ({"--eps": _EPS, "--epsp": _EPSP, "--pfa": _pick("-10", "-6"),
-                   "--pfr": _pick("-5", "-3")}, {"--dd": _ints(1, 64)}),
+    ("params",): ({"--eps": _EPS, "--epsp": _EPSP,
+                   "--pfa": _pick("-10", "-6", hostile=HOSTILE + ["nan", "inf"]),
+                   "--pfr": _pick("-5", "-3", hostile=HOSTILE + ["nan", "inf"])},
+                  {"--dd": _ints(1, 64)}),
     ("cost",): ({"--proto": _pick("hb", "nlhb+"), "--k": _ints(1, 16), "--dd": _ints(1, 64)},
                 {"--spec": _SPEC}),
     ("analyze",): ({"--spec": _SPEC}, {"--balance-n": _ints(2, 8)}),
@@ -591,22 +593,39 @@ def argv_paths(tmp_path_factory):
             "<log>": str(tmp / "log.txt")}
 
 
-@given(_argv())
-@settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_any_argv_ends_in_output_or_an_error(argv_paths, argv):
-    argv = [argv_paths.get(token, token) for token in argv]
+def _run_cli_within_5s(argv):
+    """:func:`run_cli`, failing the test if it runs past 5 s."""
     previous = signal.signal(signal.SIGALRM, _overran)
     signal.setitimer(signal.ITIMER_REAL, 5.0)
     try:
-        with mock.patch.object(authsvc.AuthService, "serve_forever", lambda service: None), \
-                mock.patch.object(socket, "create_connection", _refused):
-            code, _, err = run_cli(argv)
+        return run_cli(argv)
     except _Overran:
         pytest.fail("%r ran past 5 s" % (argv,))
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@given(_argv())
+@settings(max_examples=140, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_any_argv_ends_in_output_or_an_error(argv_paths, argv):
+    argv = [argv_paths.get(token, token) for token in argv]
+    with mock.patch.object(authsvc.AuthService, "serve_forever", lambda service: None), \
+            mock.patch.object(socket, "create_connection", _refused):
+        code, _, err = _run_cli_within_5s(argv)
     assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# A separate "-inf" token reads as a flag; the "=" form reaches the type check.
+# A finite target no D <= MAX_D can meet is find_min_D's error (exit 1).
+@pytest.mark.parametrize("flag, code", [
+    ("--pfa=-inf", 2), ("--pfa=nan", 2), ("--pfa=inf", 2), ("--pfr=nan", 2), ("--pfr=-inf", 2),
+    ("--pfa=-1e9", 1), ("--pfr=-1e9", 1),
+])
+def test_params_refuses_targets_it_can_never_meet(flag, code):
+    got, out, err = _run_cli_within_5s(["params", "--eps", "1/4", "--epsp", "348/1000", flag])
+    assert (got, out) == (code, "")
     assert "Traceback" not in err
 
 

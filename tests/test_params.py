@@ -124,6 +124,29 @@ def test_find_min_d_for_deployed_targets():
 def test_find_min_d_cap():
     with pytest.raises(ParameterError):
         find_min_D(Fraction(1, 4), Fraction(348, 1000), -800.0, -400.0, cap=50)
+    # targets above both floors: the scan runs to the cap and finds no D
+    with pytest.raises(ParameterError, match="no D <= 200 meets"):
+        find_min_D(Fraction(1, 4), Fraction(348, 1000), -80.0, -40.0, cap=200)
+
+
+@pytest.mark.parametrize("fa, fr", [
+    (math.nan, -40.0), (-80.0, math.nan), (math.inf, -40.0), (-80.0, math.inf),
+    (-math.inf, -40.0), (-80.0, -math.inf),
+    (-52.0, -40.0),  # below -cap - 1: FA(D, u) >= 2^-D
+    (-80.0, -102.0),  # below cap * log2(1/4) - 1: FR(D, u) >= (1/4)^D
+])
+def test_find_min_d_refuses_targets_no_d_meets(fa, fr):
+    with pytest.raises(ParameterError, match="finite log2 targets"):
+        find_min_D(Fraction(1, 4), Fraction(348, 1000), fa, fr, cap=50)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 8), Fraction(2, 5)])
+def test_tails_stay_above_the_find_min_d_floors(eps):
+    # the floors find_min_D refuses below hold with the one bit to spare
+    for d in range(1, 80):
+        u = threshold_u((eps + Fraction(1, 2)) / 2, d)
+        assert false_accept(d, u).log2 >= -d
+        assert false_reject(d, eps, u).log2 >= d * math.log2(eps)
 
 
 def test_find_min_d_rejects_bad_rates():

@@ -230,6 +230,18 @@ def test_distinguisher_batch_size_enforced():
         oracle(src(3))
 
 
+@pytest.mark.parametrize("other", [
+    hb_params(4, 33, Fraction(1, 8), Fraction(1, 4)),  # another shape
+    hb_params(4, 32, Fraction(1, 16), Fraction(1, 4)),  # the same shape, another eps
+])
+def test_transcript_batch_refuses_records_of_other_params(other):
+    params = hb_params(4, 32, Fraction(1, 8), Fraction(1, 4))
+    records = transcript_sampler(params, generate_key(params, RandomSource(161)), RandomSource(162), 2)
+    stray = transcript_sampler(other, generate_key(other, RandomSource(163)), RandomSource(164), 1)
+    with pytest.raises(ParameterError, match="transcripts mix protocol parameters"):
+        red.transcript_batch(params, records + stray)
+
+
 def test_distinguisher_refuses_a_malformed_batch():
     params = nlhb_params(4, 131, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
     calls = []

@@ -1,10 +1,13 @@
-"""Two structural rules for ``src/nlhb``, checked with ``ast``.
+"""Three structural rules for ``src/nlhb``, checked with ``ast``.
 
 - No ``class`` statement sits inside a function body: a class built per call
   is a new type each time, which nothing can patch or subclass.
 - Every top-level ``def`` and ``class`` has a caller: its name appears in the
   package outside its own definition, or in the benchmark (``perfbench/*.py``),
   which wraps some functions by their dotted names.
+- Every attribute the package stores on ``self`` is read somewhere: some
+  ``.name`` in the package, the tests or the benchmark loads it.  Storing it
+  is not a read.
 """
 
 import ast
@@ -17,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nlhb"
 MODULES = sorted(PACKAGE.glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # Names with no caller in the package or the benchmark; only tests and the
 # README call these.
 NO_CALLER = {"authsvc.write_keystore"}
@@ -72,6 +76,27 @@ def _unreferenced(package: dict[str, str], bench: list[str]) -> list[str]:
     return found
 
 
+def _unread_attributes(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module.name`` of each ``self.name = ...`` in ``package`` (module name
+    -> source) whose ``.name`` neither the package nor any ``readers`` source
+    loads."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    loaded = {
+        node.attr
+        for tree in list(trees.values()) + [ast.parse(source) for source in readers]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted({
+        "%s.%s" % (module, node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in loaded
+    })
+
+
 @pytest.mark.parametrize("source, lines", [
     ("class A:\n    def f(self): pass\n", []),
     ("def f():\n    class A: pass\n", [2]),
@@ -112,3 +137,21 @@ def test_every_top_level_name_has_a_caller():
     assert not NO_CALLER - found, "these now have a caller; drop them from NO_CALLER: %s" % sorted(
         NO_CALLER - found
     )
+
+
+@pytest.mark.parametrize("package, readers, found", [
+    ({"a": "class C:\n    def __init__(self):\n        self.x = 1\n"}, [], ["a.x"]),
+    ({"a": "class C:\n    def f(self):\n        self.x = 1\n        return self.x\n"}, [], []),
+    ({"a": "class C:\n    def f(self):\n        self.x, self.y = 1, 2\n"}, ["c.y\n"], ["a.x"]),
+    ({"a": "class C:\n    def f(self):\n        self.n += 1\n"}, [], ["a.n"]),
+    ({"a": "class C:\n    def f(self):\n        self.x = 1\n"}, ["print(err.x)\n"], []),
+    ({"a": "class C:\n    def f(self, o):\n        o.x = 1\n"}, [], []),
+])
+def test_the_unread_attribute_check_reads_each_form(package, readers, found):
+    assert _unread_attributes(package, readers) == found
+
+
+def test_every_stored_attribute_is_read():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = _unread_attributes(package, [p.read_text(encoding="utf-8") for p in BENCH + TESTS])
+    assert not found, "stored on self and read nowhere: %s" % found
