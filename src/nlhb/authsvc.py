@@ -26,11 +26,11 @@ from .gf2core import (
     RandomSource,
     as_bits,
     dump_bits,
-    dump_matrix,
-    load_bits,
     load_matrix,
     read_entries,
     read_text,
+    _block_text,
+    _load,
     _pack_hex,
     _unpack_hex,
 )
@@ -42,6 +42,7 @@ from .protocols import (
     format_transcript,
     respond,
     verify,
+    _record,
 )
 
 HELLO, BLIND, CHALLENGE, RESPONSE, DECISION, ERROR = 1, 2, 3, 4, 5, 6
@@ -281,24 +282,19 @@ class AuthService(socketserver.ThreadingTCPServer):
             rng = self._session_rng()
             shape = (params.k, params.n)
 
-            b = None
+            b = b_payload = None
             if params.blinded:
-                b = load_matrix(_text(_expect(sock, BLIND)), shape)
+                b_payload, b = _load(_text(_expect(sock, BLIND)), "mat", shape)
 
-            a = rng.uniform_matrix(*shape)
-            _send(sock, CHALLENGE, dump_matrix(a).encode("utf-8"))
-            z = load_bits(_text(_expect(sock, RESPONSE)), params.d)
+            a, a_payload = rng._bits_and_payload(*shape)
+            a_payload = a_payload.tobytes()
+            _send(sock, CHALLENGE, _block_text("mat", shape, a_payload).encode("utf-8"))
+            z_payload, z = _load(_text(_expect(sock, RESPONSE)), "bits", (params.d,))
 
             accepted, distance = verify(params, key, a, z, b=b)
-            self._log(SessionTranscript(params, b, a, z, accepted, distance))
-            if self.mute_decisions:
-                _send(sock, DECISION, b"muted")
-            else:
-                _send(
-                    sock,
-                    DECISION,
-                    b"%s distance=%d" % (b"accept" if accepted else b"reject", distance),
-                )
+            self._log(_record(params, b_payload, a_payload, z_payload, accepted, distance))
+            decision = b"%s distance=%d" % (b"accept" if accepted else b"reject", distance)
+            _send(sock, DECISION, b"muted" if self.mute_decisions else decision)
         except OversizeError:
             pass  # drop the connection without a reply
         except (FormatError, ServiceError, DimensionError, ParameterError) as exc:
@@ -345,8 +341,9 @@ def authenticate(
             _send(sock, HELLO, identity.encode("utf-8"), frame_log)
             b = None
             if params.blinded:
-                b = rng.uniform_matrix(params.k, params.n)
-                _send(sock, BLIND, dump_matrix(b).encode("utf-8"), frame_log)
+                b, payload = rng._bits_and_payload(params.k, params.n)
+                blind = _block_text("mat", b.shape, payload.tobytes())
+                _send(sock, BLIND, blind.encode("utf-8"), frame_log)
             payload = _expect(sock, CHALLENGE, frame_log)
             a = load_matrix(_text(payload), (params.k, params.n))
             z = respond(params, key, a, b=b, rng=rng)

@@ -9,10 +9,10 @@ here never mutate their inputs.
 Serialized form is a header line ``bits <len>`` or ``mat <rows> <cols>``
 followed by one line of lowercase hex that spells the array's *payload*.
 The payload layout is defined here, by :func:`_pack_payload` and
-:func:`_unpack_payload`, and nowhere else: the bits row-major, the most
-significant bit of the first byte holding index 1, zero-padded at the end to
-a whole byte.  Transcript records hold their matrices and responses as
-payloads (:class:`nlhb.protocols.SessionTranscript`).
+:func:`_unpack_payload`: the bits row-major, the most significant bit of the
+first byte holding index 1, zero-padded at the end to a whole byte.  Its one
+other producer is :meth:`RandomSource._bits_and_payload`, bound to them by
+``test_draw_payload_is_the_packed_bits``; transcript records hold payloads.
 
 Line rule of these forms and of transcript, keystore and ``--config`` text
 (:class:`LineReader`): a line ends at ``\n`` and nothing else, each line is
@@ -379,25 +379,25 @@ def read_payload(reader: LineReader, want: str, shape: tuple | None = None) -> t
     return _hex_payload(hexline, math.prod(dims), reader.number), dims
 
 
-def _load(text: str, want: str, shape: tuple | None) -> np.ndarray:
-    """The one block of the two-line ``bits``/``mat`` form."""
+def _load(text: str, want: str, shape: tuple | None) -> tuple[bytes, np.ndarray]:
+    """The (payload, bits) of the one block of the two-line ``bits``/``mat`` form."""
     reader = LineReader(text)
-    value = _unpack_payload(*read_payload(reader, want, shape))
+    payload, dims = read_payload(reader, want, shape)
     if next(reader, None) is not None:
         raise FormatError("expected header plus one hex line", reader.number)
-    return value
+    return payload, _unpack_payload(payload, dims)
 
 
 def load_bits(text: str, length: int | None = None) -> np.ndarray:
     """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits),
     of ``length`` bits when a length is given."""
-    return _load(text, "bits", None if length is None else (length,))
+    return _load(text, "bits", None if length is None else (length,))[1]
 
 
 def load_matrix(text: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix),
     of the (rows, cols) ``shape`` when a shape is given."""
-    return _load(text, "mat", shape)
+    return _load(text, "mat", shape)[1]
 
 
 def read_entries(text: str):
@@ -448,6 +448,8 @@ class RandomSource:
     reproducible bit-for-bit from its seed.  Every draw consumes raw PCG64
     output words (``random_raw``), the same words numpy's
     ``Generator.integers(0, 2**64, dtype=uint64)`` returns for that seed.
+    Uniform bits are the words' big-endian bits; :meth:`_bits_and_payload`
+    hands them out both unpacked and as their payload, never repacked.
 
     Bernoulli sampling is exact for rational eps: each bit consumes one
     64-bit uniform word compared against floor(eps * 2**64), and the
@@ -473,14 +475,23 @@ class RandomSource:
         """Draw a uniform bit vector of the given length."""
         if length < 0:
             raise ParameterError("length must be nonnegative")
-        words = self.u64((length + 63) // 64)
-        return np.unpackbits(words.astype(">u8").view(np.uint8), count=length)
+        return self._bits_and_payload(1, length)[0][0]
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Draw a uniform bit matrix of shape (rows, cols)."""
+        return self._bits_and_payload(rows, cols)[0]
+
+    def _bits_and_payload(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """A uniform (rows, cols) bit matrix and its payload as a uint8 array:
+        one draw of ceil(rows*cols / 64) words, read both ways, pad bits zero."""
         if rows < 0 or cols < 0:
             raise ParameterError("matrix shape must be nonnegative, got (%d, %d)" % (rows, cols))
-        return self.uniform_bits(rows * cols).reshape(rows, cols)
+        nbits = rows * cols
+        raw = self.u64((nbits + 63) // 64).astype(">u8").view(np.uint8)
+        bits = np.unpackbits(raw, count=nbits).reshape(rows, cols)
+        if nbits % 8:
+            raw[nbits // 8] &= (0xFF00 >> nbits % 8) & 0xFF
+        return bits, raw[: (nbits + 7) // 8]
 
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:
         """Draw ``length`` i.i.d. Bernoulli(eps) bits for rational 0 < eps < 1/2."""

@@ -282,29 +282,26 @@ def run_session(
     The image is computed once: z = image ^ noise differs from the image
     exactly where the noise is 1, so the verifier's distance is the weight
     of the prover's noise, the same (accepted, distance) that :func:`verify`
-    returns for the transcript."""
+    returns for the transcript.  B and A are drawn with their payloads
+    (:meth:`RandomSource._bits_and_payload`), so only z is packed."""
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
-    b, a, z, dist = _exchange(params, key, rng_prover, rng_verifier, noise)
-    return _record(
-        params,
-        b if b is None else _pack_payload(b),
-        _pack_payload(a),
-        _pack_payload(z),
-        dist <= params.u,
-        dist,
-    )
+    b, a, z, dist, b_payload, a_payload = _exchange(params, key, rng_prover, rng_verifier, noise)
+    return _record(params, b if b is None else b_payload.tobytes(), a_payload.tobytes(),
+                   _pack_payload(z), dist <= params.u, dist)
 
 
 def _exchange(params, key, rng_prover, rng_verifier, noise=None):
-    """The bit arrays (b, a, z) and the distance of :func:`run_session`, for
-    a checked key and noise."""
-    b = rng_prover.uniform_matrix(params.k, params.n) if params.blinded else None
-    a = rng_verifier.uniform_matrix(params.k, params.n)
+    """The bit arrays (b, a, z), the distance, and the payloads of B and A as
+    uint8 arrays, of :func:`run_session` for a checked key and noise."""
+    shape = (params.k, params.n)
+    b, b_payload = rng_prover._bits_and_payload(*shape) if params.blinded else (None, None)
+    a, a_payload = rng_verifier._bits_and_payload(*shape)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
-    return b, a, _image(params, key, a, b) ^ noise, int(np.count_nonzero(noise))
+    z = _image(params, key, a, b) ^ noise
+    return b, a, z, int(np.count_nonzero(noise)), b_payload, a_payload
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):

@@ -96,7 +96,7 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
         out = np.empty((count, string_length(params)), dtype=np.uint8)
         a, z = batch_views(out, params)
         for row in range(count):
-            _, a[row], z[row], _ = _exchange(params, key, rng, rng)
+            _, a[row], z[row], *_ = _exchange(params, key, rng, rng)
         return out
 
     return draw
@@ -342,6 +342,8 @@ def forger_to_distinguisher(
     so the distance is a fair coin per bit and the accept rate is exactly
     the false-accept tail at the threshold.
     """
+    if q < 0:
+        raise ParameterError("a passive forger trains on q >= 0 transcripts, not %d" % q)
     params = z_oracle.params
     u_dd, declared = _threshold(params, epsilon_dd, passive_distinguisher_interval(params))
 

@@ -10,6 +10,7 @@ lf2 merge, ``finite_transcript_source`` for a source that runs dry).
 import numpy as np
 from hypothesis import strategies as st
 
+from nlhb import gf2core, protocols
 from nlhb.attacks import _buckets, _pairs
 from nlhb.gf2core import ParameterError, as_bit_matrix, as_bits
 from nlhb.nlfunc import DEFAULT_SPEC, apply_f_batch
@@ -22,6 +23,22 @@ def operand(rng, rows, cols, layout):
     if layout == "strided":
         return rng.uniform_matrix(rows, 2 * cols)[:, ::2]
     return rng.uniform_matrix(rows, cols)
+
+
+def counted_packs(monkeypatch) -> list:
+    """The shapes of the arrays that ``_pack_payload`` packs from now on, as
+    ``gf2core`` (``dump_bits``, ``dump_matrix``, ``_pack_hex``) and
+    ``protocols`` call it."""
+    shapes = []
+    pack = gf2core._pack_payload
+
+    def counted(bits):
+        shapes.append(bits.shape)
+        return pack(bits)
+
+    monkeypatch.setattr(gf2core, "_pack_payload", counted)
+    monkeypatch.setattr(protocols, "_pack_payload", counted)
+    return shapes
 
 
 layouts_st = st.sampled_from(["contiguous", "transposed", "strided"])

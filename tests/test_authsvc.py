@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from support import edited_text
+from support import counted_packs, edited_text
 
 from nlhb.gf2core import (
     DimensionError,
@@ -24,8 +24,10 @@ from nlhb.protocols import (
     expected_response,
     format_transcript,
     generate_key,
+    hb_params,
     nlhb_params,
     read_transcripts,
+    verify,
 )
 from nlhb import authsvc as svc
 
@@ -246,6 +248,43 @@ def test_blinded_handshake_and_transcript(tmp_path):
     with open(log_path, "r", encoding="utf-8") as fp:
         logged = read_transcripts(fp)
     assert len(logged) == 1 and logged[0].accepted
+
+
+def _odd_size_entries():
+    """An hb 5x19 and an nlhb+ 3x23 entry: k*n is 95 and 69 bits, so the
+    challenge and blinding payloads end in a masked byte."""
+    eps, epsp = Fraction(1, 4), Fraction(348, 1000)
+    params = [hb_params(5, 19, eps, epsp), nlhb_params(3, 23, eps, epsp, DEFAULT_SPEC, blinded=True)]
+    return {
+        p.proto: svc.KeystoreEntry(p.proto, p, generate_key(p, RandomSource(20 + j)))
+        for j, p in enumerate(params)
+    }
+
+
+def test_odd_size_log_parses_and_reverifies(tmp_path):
+    entries = _odd_size_entries()
+    log_path = tmp_path / "sessions.log"
+    with svc.AuthService(("127.0.0.1", 0), entries, seed=7, log_path=log_path) as running:
+        for j, entry in enumerate(entries.values()):
+            svc.authenticate(running.address, entry.identity, entry.key, entry.params,
+                             rng=RandomSource(30 + j))
+    logged = read_transcripts(str(log_path))
+    assert [t.proto for t in logged] == list(entries)
+    for t, entry in zip(logged, entries.values()):
+        assert verify(t.params, entry.key, t.a, t.z, b=t.b) == (t.accepted, t.distance)
+
+
+def test_handshake_packs_no_matrix(monkeypatch):
+    # the server sends and logs A, and the client sends B, from the payload
+    # their draw produced: the client's response is the one thing packed
+    entries = _odd_size_entries()
+    packed = counted_packs(monkeypatch)
+    with svc.AuthService(("127.0.0.1", 0), entries, seed=8) as running:
+        for j, entry in enumerate(entries.values()):
+            svc.authenticate(running.address, entry.identity, entry.key, entry.params,
+                             rng=RandomSource(40 + j))
+        assert running.logged == 2
+    assert packed == [(entry.params.d,) for entry in entries.values()]
 
 
 def test_muted_service_returns_no_decision(service_factory=None):

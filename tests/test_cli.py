@@ -423,6 +423,12 @@ def test_nonsense_counts_are_refused(argv, want):
         assert "expected a positive integer" in err
 
 
+def test_thm3_negative_q_names_the_given_q():
+    code, out, err = run_cli(_THM3 + ["--q", "-5", "--seed", "1"])
+    assert code == 1 and out == ""
+    assert "-5" in err and "-4" not in err
+
+
 _BALANCED = ["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3"]
 
 

@@ -501,6 +501,36 @@ def test_u64_matches_generator_integers(seed):
     assert np.array_equal(rng.u64(3), _generator_words(gen, 3))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 90), st.integers(0, 2**64 - 1))
+@example(0, 7, 0)
+@example(1, 1, 1)
+@example(3, 5, 2)
+@example(5, 19, 3)
+@example(16, 67, 4)
+@example(128, 1164, 5)
+@example(128, 1167, 6)
+def test_draw_payload_is_the_packed_bits(rows, cols, seed):
+    # the draw's bits are uniform_matrix's, its payload is _pack_payload of
+    # them (the words' leading big-endian bytes, pad bits zero), and the
+    # stream advances as far as uniform_matrix takes it
+    drawn, plain = RandomSource(seed), RandomSource(seed)
+    bits, payload = drawn._bits_and_payload(rows, cols)
+    want = plain.uniform_matrix(rows, cols)
+    assert bits.dtype == np.uint8 and bits.shape == (rows, cols)
+    assert np.array_equal(bits, want)
+    nbits = rows * cols
+    assert payload.dtype == np.uint8 and payload.shape == ((nbits + 7) // 8,)
+    assert payload.tobytes() == gf2core._pack_payload(want)
+    words = RandomSource(seed).u64((nbits + 63) // 64)
+    leading = b"".join(int(w).to_bytes(8, "big") for w in words)[: len(payload)]
+    if nbits % 8:
+        assert payload[-1] & 0xFF >> nbits % 8 == 0
+        leading = leading[:-1] + bytes([leading[-1] & 0xFF00 >> nbits % 8 & 0xFF])
+    assert payload.tobytes() == leading
+    assert drawn.u64(1) == plain.u64(1)
+
+
 def test_random_source_deterministic():
     a = RandomSource(12345)
     b = RandomSource(12345)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import edited_text
+from support import counted_packs, edited_text
 
 from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC
@@ -561,6 +561,28 @@ def test_record_arrays_are_the_drawn_bits_read_only(proto):
             with pytest.raises(AttributeError):
                 setattr(record, name, want)
             assert np.array_equal(getattr(record, name), want)
+
+
+# k*n is 95 and 69 bits: the drawn payloads of B and A end in a masked byte
+ODD_SIZES = [hb_params(5, 19, EPS, EPSP), nlhb_params(3, 23, EPS, EPSP, DEFAULT_SPEC, blinded=True)]
+
+
+@pytest.mark.parametrize("p", ODD_SIZES, ids=lambda p: p.proto)
+def test_drawn_payloads_format_like_the_constructor(p):
+    key = generate_key(p, RandomSource(83))
+    for seed in range(0, 16, 2):
+        t = run_session(p, key, RandomSource(seed), RandomSource(seed + 1))
+        public = SessionTranscript(p, t.b, t.a, t.z, t.accepted, t.distance)
+        assert format_transcript(t) == format_transcript(public)
+
+
+@pytest.mark.parametrize("p", ODD_SIZES, ids=lambda p: p.proto)
+def test_run_session_packs_only_the_response(p, monkeypatch):
+    # B and A come packed from their draw; only z is packed
+    key = generate_key(p, RandomSource(84))
+    packed = counted_packs(monkeypatch)
+    run_session(p, key, RandomSource(85), RandomSource(86))
+    assert packed == [(p.d,)]
 
 
 def test_record_constructor_checks_shape_and_bits():
