@@ -13,6 +13,9 @@ The payload layout is defined here, by :func:`_pack_payload` and
 first byte holding index 1, zero-padded at the end to a whole byte.  Its one
 other producer is :meth:`RandomSource._bits_and_payload`, bound to them by
 ``test_draw_payload_is_the_packed_bits``; transcript records hold payloads.
+A block's text is three pieces, its header line, hex and newline
+(:func:`_block_pieces`), so a writer joins each hex into its text once.
+Integers there and in transcript text are ASCII decimal (:func:`_decimal`).
 
 Line rule of these forms and of transcript, keystore and ``--config`` text
 (:class:`LineReader`): a line ends at ``\n`` and nothing else, each line is
@@ -266,10 +269,11 @@ def _pack_payload(bits: np.ndarray) -> bytes:
 def _unpack_payload(payload: bytes, shape: tuple) -> np.ndarray:
     """The fresh bit array of the given ``shape`` that a checked payload encodes."""
     nbits = math.prod(shape)
-    # Unpack every byte, then copy out the first nbits.  Unpacking with
-    # ``count=nbits`` and no copy replayed ~3% faster, but it raised the
-    # benchmark's ``drivers`` peak RSS from 55.6 to 61.5 MB (medians, higher
-    # in 5 of 5 alternated pairs; numpy 2.4.6, 2 shared cores).
+    # Unpack every byte, then copy out the first nbits.  Over 6 alternated
+    # ``sessions`` pairs (numpy 2.4.6, 2 shared cores), ``count=nbits`` with no
+    # copy replayed at 6,516/s against 6,319 (higher in 5), a gap inside the
+    # 6,144-6,490 IQR, with ``sessions_per_s`` 15,070 vs 14,920 (higher in 3)
+    # and peak RSS 53.8 vs 54.1 MB; no gain is shown, so the copy stays.
     return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:nbits].copy().reshape(shape)
 
 
@@ -295,6 +299,13 @@ def _hex_payload(hexline: str, nbits: int, line: int | None = None) -> bytes:
     return raw
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an int if it spells ``0`` or ``[1-9][0-9]*``, else a ValueError."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError("not an ASCII decimal integer: %r" % text)
+    return int(text)
+
+
 def _pack_hex(bits: np.ndarray) -> str:
     return _pack_payload(bits).hex()
 
@@ -303,9 +314,14 @@ def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray
     return _unpack_payload(_hex_payload(hexline, nbits, line), (nbits,))
 
 
+def _block_pieces(want: str, dims: tuple, payload: bytes) -> tuple[str, str, str]:
+    """The pieces of a block's text: its header line, its hex and a newline."""
+    return "%s %s\n" % (want, " ".join(map(str, dims))), payload.hex(), "\n"
+
+
 def _block_text(want: str, dims: tuple, payload: bytes) -> str:
     """The two-line ``bits``/``mat`` form of a payload of the given dims."""
-    return "%s %s\n%s\n" % (want, " ".join(map(str, dims)), payload.hex())
+    return "".join(_block_pieces(want, dims, payload))
 
 
 def dump_bits(v) -> str:
@@ -367,10 +383,10 @@ def read_payload(reader: LineReader, want: str, shape: tuple | None = None) -> t
         raise FormatError("unexpected end of text, expected a %s block" % want, line)
     name, *fields = header.split()
     try:
-        dims = tuple(map(int, fields))
+        dims = tuple(map(_decimal, fields))
     except ValueError:
         dims = ()
-    if name != want or len(dims) != (1 if want == "bits" else 2) or min(dims) < 0:
+    if name != want or len(dims) != (1 if want == "bits" else 2):
         raise FormatError("bad %s header %r" % (want, header), line)
     if shape is not None and dims != shape:
         expected = " ".join(map(str, (want,) + shape))

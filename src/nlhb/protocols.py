@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .gf2core import (
     as_bits,
     read_payload,
     read_text,
-    _block_text,
+    _block_pieces,
+    _decimal,
     _mat_vec_mul,
     _pack_payload,
     _unpack_payload,
@@ -196,7 +197,8 @@ def _check_key(params: ProtocolParams, key: SecretKey) -> SecretKey:
     if params.blinded and key.s2 is None:
         raise ParameterError("%s requires a two-part key" % params.proto)
     s1 = as_bits(key.s1, params.k)
-    return SecretKey(s1=s1, s2=as_bits(key.s2, params.k) if params.blinded else None)
+    s2 = as_bits(key.s2, params.k) if params.blinded else None
+    return key if s1 is key.s1 and s2 is key.s2 else SecretKey(s1=s1, s2=s2)
 
 
 def _check_matrices(params: ProtocolParams, a, b):
@@ -315,16 +317,7 @@ def transcript_sampler(params, key, rng: RandomSource, count: int):
 # ---------------------------------------------------------------------------
 
 def format_transcript(t: SessionTranscript) -> str:
-    shape = (t.params.k, t.params.n)
-    return "proto=%s\n%s\n%s%s%sdecision=%s distance=%d\n" % (
-        t.proto,
-        t.params._params_line,
-        "" if t._b is None else _block_text("mat", shape, t._b),
-        _block_text("mat", shape, t._a),
-        _block_text("bits", (t.params.d,), t._z),
-        "accept" if t.accepted else "reject",
-        t.distance,
-    )
+    return transcripts_to_text((t,))
 
 
 def write_transcripts(fp, transcripts) -> None:
@@ -344,37 +337,37 @@ def _expect_kv(token: str, key: str, line: int) -> str:
     return value
 
 
-def _parse_params(proto: str, line_text: str, line: int) -> ProtocolParams:
+@lru_cache(maxsize=64)
+def _cached_params(proto: str, line_text: str) -> ProtocolParams:
+    """:func:`_parse_params`, run once per cached line; errors are not cached."""
+    return _parse_params(proto, line_text)
+
+
+def _parse_params(proto: str, line_text: str) -> ProtocolParams:
     fields = {}
     for token in line_text.split():
         if "=" not in token:
-            raise FormatError("bad params token %r" % token, line)
+            raise FormatError("bad params token %r" % token)
         name, value = token.split("=", 1)
         if name in fields:
-            raise FormatError("params field %r repeated" % name, line)
+            raise FormatError("params field %r repeated" % name)
         fields[name] = value
     try:
-        k = int(fields["k"])
-        n = int(fields["n"])
-        p = int(fields["p"])
-        d = int(fields["d"])
-        u = int(fields["u"])
+        k, n, p, d, u = (_decimal(fields[name]) for name in "knpdu")
         eps = Fraction(fields["eps"])
         epsp = Fraction(fields["epsp"])
         g = fields["g"]
     except KeyError as exc:
-        raise FormatError("params line missing %s" % exc, line) from None
+        raise FormatError("params line missing %s" % exc) from None
     except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("bad params value: %s" % exc, line) from None
+        raise FormatError("bad params value: %s" % exc) from None
     try:
         params = ProtocolParams(proto, k, n, eps, epsp, parse_spec("p=%d; g=%s" % (p, g)))
     except ValueError as exc:  # a bad spec, or params outside their domain
-        raise FormatError(str(exc), line) from None
+        raise FormatError(str(exc)) from None
     if params.d != d or params.u != u:
-        raise FormatError(
-            "stated d=%d u=%d disagree with derived d=%d u=%d" % (d, u, params.d, params.u),
-            line,
-        )
+        raise FormatError("stated d=%d u=%d disagree with derived d=%d u=%d"
+                          % (d, u, params.d, params.u))
     return params
 
 
@@ -395,7 +388,6 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
     Lines follow the :mod:`nlhb.gf2core` line rule: they end at ``\n`` only."""
     reader = LineReader(text)
     records = []
-    parsed = {}  # each distinct (proto, params line) is parsed once
     for first in reader:
         line = reader.number
         proto = _expect_kv(first, "proto", line)
@@ -405,9 +397,10 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
         pline = reader.number
         if params_text is None:
             raise FormatError("missing params line", pline)
-        params = parsed.get((proto, params_text))
-        if params is None:
-            params = parsed[proto, params_text] = _parse_params(proto, params_text, pline)
+        try:
+            params = _cached_params(proto, params_text)
+        except FormatError as exc:
+            raise FormatError(str(exc), pline) from None
         shape = (params.k, params.n)
         b = read_payload(reader, "mat", shape)[0] if params.blinded else None
         a = read_payload(reader, "mat", shape)[0]
@@ -424,10 +417,10 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
             raise FormatError("decision must be accept or reject", dline)
         distance_text = _expect_kv(tokens[1], "distance", dline)
         try:
-            distance = int(distance_text)
+            distance = _decimal(distance_text)
         except ValueError:
             raise FormatError("bad distance %r" % distance_text, dline) from None
-        if not 0 <= distance <= params.d:
+        if distance > params.d:
             raise FormatError("distance %d outside 0..D" % distance, dline)
         if (distance <= params.u) != (decision == "accept"):
             raise FormatError("decision disagrees with distance and threshold", dline)
@@ -436,4 +429,14 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
 
 
 def transcripts_to_text(transcripts) -> str:
-    return "\n".join(format_transcript(t) for t in transcripts)
+    """The records' text, blank-line separated; one join copies each hex once."""
+    out: list[str] = []
+    for t in transcripts:
+        shape = (t.params.k, t.params.n)
+        out.append("%sproto=%s\n%s\n" % ("\n" if out else "", t.proto, t.params._params_line))
+        if t._b is not None:
+            out += _block_pieces("mat", shape, t._b)
+        out += _block_pieces("mat", shape, t._a)
+        out += _block_pieces("bits", (t.params.d,), t._z)
+        out.append("decision=%s distance=%d\n" % ("accept" if t.accepted else "reject", t.distance))
+    return "".join(out)

@@ -379,6 +379,18 @@ def test_non_utf8_blind_gets_error_frame(tmp_path):
         assert running.logged == 0
 
 
+def test_blind_with_non_decimal_dims_gets_error_frame(tmp_path):
+    params = _blinded_params()
+    entry = svc.KeystoreEntry("plus-07", params, generate_key(params, RandomSource(15)))
+    with svc.AuthService(("127.0.0.1", 0), {"plus-07": entry}, seed=5) as running:
+        with socket.create_connection(running.address, timeout=5) as sock:
+            sock.sendall(svc.encode_frame(svc.HELLO, b"plus-07"))
+            sock.sendall(svc.encode_frame(svc.BLIND, ("mat %d 0%d\n00\n" % (params.k, params.n)).encode()))
+            tag, message = svc.read_frame(sock)
+            assert tag == svc.ERROR and b"bad mat header" in message
+        assert running.logged == 0
+
+
 def test_concurrent_sessions(service):
     running, entry = service
     params = entry.params

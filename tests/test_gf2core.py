@@ -589,9 +589,18 @@ def test_derive_deterministic_and_distinct():
 
 
 @pytest.mark.parametrize(
-    "text", ["bits +\n", "bits -8\n00\n", "mat 2\n00\n", "bits 1 2\n00\n", "bits %s\n00\n" % ("9" * 5000)]
+    "text",
+    ["bits +\n", "bits -8\n00\n", "mat 2\n00\n", "bits 1 2\n00\n", "bits %s\n00\n" % ("9" * 5000),
+     "mat 4 1_9\n", "bits \u0661\u0669\n", "bits 08\n00\n", "bits +8\n00\n", "mat 00 1\n"],
 )
 def test_load_rejects_bad_headers(text):
     with pytest.raises(FormatError, match="bad bits header|bad mat header") as err:
         (load_matrix if text.startswith("mat") else load_bits)(text)
     assert err.value.line == 1
+
+
+def test_decimal_reads_only_canonical_ascii():
+    assert [gf2core._decimal(text) for text in ("0", "7", "1164")] == [0, 7, 1164]
+    for text in ("", "00", "012", "+1", "-1", "1_0", " 1", "\u0661", "\u00b2", "0x1"):
+        with pytest.raises(ValueError):
+            gf2core._decimal(text)

@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import counted_packs, edited_text
 
-from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource
+from nlhb import protocols
+from nlhb.gf2core import (
+    DimensionError,
+    FormatError,
+    ParameterError,
+    RandomSource,
+    _block_text,
+    dump_bits,
+    dump_matrix,
+)
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC
 from nlhb.protocols import (
     ProtocolParams,
@@ -174,6 +183,17 @@ def test_run_session_checks_key_and_noise():
     plus = nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True)
     with pytest.raises(ParameterError):
         run_session(plus, SecretKey(s1=key.s1), RandomSource(0), RandomSource(1))
+
+
+def test_checked_key_is_the_callers_own_when_nothing_converts():
+    p, plus = small_nlhb(), nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True)
+    key, plus_key = generate_key(p, RandomSource(3)), generate_key(plus, RandomSource(3))
+    assert protocols._check_key(p, key) is key
+    assert protocols._check_key(plus, plus_key) is plus_key
+    # a list must be converted, and an unblinded key drops a stray s2
+    checked = protocols._check_key(p, SecretKey(s1=[1, 0] * 4))
+    assert checked.s1.dtype == np.uint8 and checked.s1.tolist() == [1, 0] * 4
+    assert protocols._check_key(p, plus_key).s2 is None
 
 
 def test_session_matches_public_respond_and_verify():
@@ -653,3 +673,82 @@ def test_transcript_params_field_repeated_is_format_error():
     with pytest.raises(FormatError, match="'k' repeated") as err:
         transcripts_from_text("\n".join(lines))
     assert err.value.line == 2
+
+
+def _four_protocol_sessions(count):
+    """``count`` sessions over hb 5x19, hb+ 6x15, nlhb 8x19 and nlhb+ 3x23 in turn."""
+    plist = [
+        hb_params(5, 19, EPS, EPSP),
+        hb_params(6, 15, EPS, EPSP, blinded=True),
+        small_nlhb(),
+        nlhb_params(3, 23, EPS, EPSP, DEFAULT_SPEC, blinded=True),
+    ]
+    keys = [generate_key(p, RandomSource(100 + i)) for i, p in enumerate(plist)]
+    rng = RandomSource(104)
+    return [run_session(plist[i % 4], keys[i % 4], rng, rng) for i in range(count)]
+
+
+def test_transcript_writer_has_one_grammar():
+    ts = _four_protocol_sessions(9)
+    text = transcripts_to_text(ts)
+    assert text == "\n".join(map(format_transcript, ts))
+    records = text.split("\n\n")
+    assert len(records) == len(ts)
+    for t, record in zip(ts, records):
+        lines = record.rstrip("\n").split("\n")
+        blocks = ["%s\n%s\n" % (lines[i], lines[i + 1]) for i in range(2, len(lines) - 1, 2)]
+        shape = (t.params.k, t.params.n)
+        payloads = [] if t._b is None else [("mat", shape, t._b)]
+        payloads += [("mat", shape, t._a), ("bits", (t.params.d,), t._z)]
+        assert blocks == [_block_text(*payload) for payload in payloads]
+        assert blocks[-2:] == [dump_matrix(t.a), dump_bits(t.z)]
+
+
+def test_params_lines_are_parsed_once_across_reads(monkeypatch):
+    calls = []
+    parse = protocols._parse_params
+    monkeypatch.setattr(protocols, "_parse_params", lambda *args: calls.append(args) or parse(*args))
+    protocols._cached_params.cache_clear()
+    text = transcripts_to_text(_four_protocol_sessions(16))
+    reads = [transcripts_from_text(text) for _ in range(3)]
+    assert len(calls) == 4
+    assert all(len(records) == 16 for records in reads)
+    assert all(x.params is y.params for x, y in zip(reads[0], reads[1]))
+
+
+def test_bad_params_line_names_its_line_on_every_read():
+    lines = transcripts_to_text(_four_protocol_sessions(4)).split("\n")
+    assert lines[1].startswith("k=5 n=19 ") and " u=6 " in lines[1]
+    lines[1] = lines[1].replace(" u=6 ", " u=7 ")
+    text = "\n".join(lines)
+    for _ in range(2):
+        with pytest.raises(FormatError, match="disagree") as err:
+            transcripts_from_text(text)
+        assert err.value.line == 2
+
+
+def _hb_record_lines():
+    """The lines of one hb 4x19 record at distance 2."""
+    p = hb_params(4, 19, EPS, EPSP)
+    noise = np.zeros(p.d, dtype=np.uint8)
+    noise[:2] = 1
+    t = run_session(p, generate_key(p, RandomSource(94)), RandomSource(95), RandomSource(96), noise=noise)
+    return format_transcript(t).split("\n")
+
+
+@pytest.mark.parametrize("index, old, new", [
+    (2, "mat 4 19", "mat 4 1_9"),
+    (4, "bits 19", "bits \u0661\u0669"),
+    (1, "k=4 ", "k=\u0664 "),
+    (1, "k=4 ", "k=04 "),
+    (6, "distance=2", "distance=+2"),
+    (6, "distance=2", "distance=0_2"),
+])
+def test_transcript_integers_are_ascii_decimal(index, old, new):
+    lines = _hb_record_lines()
+    assert transcripts_from_text("\n".join(lines))[0].distance == 2
+    assert old in lines[index]
+    lines[index] = lines[index].replace(old, new)
+    with pytest.raises(FormatError) as err:
+        transcripts_from_text("\n".join(lines))
+    assert err.value.line == index + 1
