@@ -17,7 +17,6 @@ import socket
 import socketserver
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gf2core import (
     DimensionError,
@@ -34,7 +33,6 @@ from .gf2core import (
     _pack_hex,
     _unpack_hex,
 )
-from .nlfunc import format_spec, parse_spec
 from .protocols import (
     ProtocolParams,
     SecretKey,
@@ -42,6 +40,9 @@ from .protocols import (
     format_transcript,
     respond,
     verify,
+    _param_fields,
+    _params_from_fields,
+    _parse_decision,
     _record,
 )
 
@@ -140,21 +141,16 @@ class KeystoreEntry:
     key: SecretKey
 
 
+def _entry_fields(entry: KeystoreEntry) -> dict[str, str]:
+    """The ``key=value`` fields of an entry, in the order they are written."""
+    fields = {"identity": entry.identity, **_param_fields(entry.params), "s1": _pack_hex(as_bits(entry.key.s1))}
+    if entry.params.blinded:
+        fields["s2"] = _pack_hex(as_bits(entry.key.s2))
+    return fields
+
+
 def format_keystore_entry(entry: KeystoreEntry) -> str:
-    p = entry.params
-    lines = [
-        "identity=%s" % entry.identity,
-        "proto=%s" % p.proto,
-        "k=%d" % p.k,
-        "n=%d" % p.n,
-        "eps=%s" % p.eps,
-        "epsp=%s" % p.eps_prime,
-        "spec=%s" % format_spec(p.spec),
-        "s1=%s" % _pack_hex(as_bits(entry.key.s1)),
-    ]
-    if p.blinded:
-        lines.append("s2=%s" % _pack_hex(as_bits(entry.key.s2)))
-    return "\n".join(lines) + "\n"
+    return "".join("%s=%s\n" % field for field in _entry_fields(entry).items())
 
 
 def write_keystore(path, entries) -> None:
@@ -163,33 +159,29 @@ def write_keystore(path, entries) -> None:
 
 
 def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
-    """Keystore entries by identity; the grammar is :func:`gf2core.read_entries`."""
+    """Keystore entries by identity: :func:`gf2core.read_entries` entries exactly as written."""
     entries: dict[str, KeystoreEntry] = {}
     for fields in read_entries(text):
-        missing = {"identity", "proto", "k", "n", "eps", "epsp", "spec", "s1"} - fields.keys()
-        if missing:
-            raise FormatError("keystore entry missing %s" % ", ".join(sorted(missing)))
-        try:
-            params = ProtocolParams(
-                proto=fields["proto"],
-                k=int(fields["k"]),
-                n=int(fields["n"]),
-                eps=Fraction(fields["eps"]),
-                eps_prime=Fraction(fields["epsp"]),
-                spec=parse_spec(fields["spec"]),
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError("keystore entry %r: %s" % (fields["identity"], exc)) from None
-        s1 = _unpack_hex(fields["s1"], params.k)
-        s2 = None
-        if params.blinded:
-            if "s2" not in fields:
-                raise FormatError("blinded entry %r lacks s2" % fields["identity"])
-            s2 = _unpack_hex(fields["s2"], params.k)
+        if "identity" not in fields:
+            raise FormatError("keystore entry missing 'identity'")
         identity = fields["identity"]
+        try:
+            params = _params_from_fields(fields)
+            s1 = _unpack_hex(fields["s1"], params.k)
+            s2 = _unpack_hex(fields["s2"], params.k) if params.blinded else None
+        except KeyError as exc:
+            raise FormatError("keystore entry %r: missing %s" % (identity, exc)) from None
+        except FormatError as exc:
+            raise FormatError("keystore entry %r: %s" % (identity, exc)) from None
+        entry = KeystoreEntry(identity, params, SecretKey(s1=s1, s2=s2))
+        written = _entry_fields(entry)
+        if fields != written:
+            name = next(name for name in fields if fields[name] != written.get(name))
+            spelling = "written %s=%s" % (name, written[name]) if name in written else "not written"
+            raise FormatError("keystore entry %r: %s=%s is %s" % (identity, name, fields[name], spelling))
         if identity in entries:
             raise FormatError("duplicate identity %r" % identity)
-        entries[identity] = KeystoreEntry(identity, params, SecretKey(s1=s1, s2=s2))
+        entries[identity] = entry
     return entries
 
 
@@ -273,7 +265,7 @@ class AuthService(socketserver.ThreadingTCPServer):
 
     def _handle(self, sock: socket.socket) -> None:
         try:
-            identity = _expect(sock, HELLO).decode("utf-8", "replace")
+            identity = _text(_expect(sock, HELLO))
             entry = self.keystore.get(identity)
             if entry is None:
                 _send(sock, ERROR, b"unknown identity %s" % identity.encode())
@@ -354,13 +346,9 @@ def authenticate(
     except ConnectionError as exc:
         raise ServiceError("connection failed: %s" % exc) from exc
 
-    text = payload.decode("utf-8", "replace")
-    if text == "muted":
+    if payload == b"muted":
         return None, None
     try:
-        word, dist_field = text.split()
-        accepted = {"accept": True, "reject": False}[word]
-        distance = int(dist_field.split("=", 1)[1])
-    except (ValueError, KeyError, IndexError):
-        raise ServiceError("undecodable decision %r" % text)
-    return accepted, distance
+        return _parse_decision(payload.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        raise ServiceError("undecodable decision %r" % payload) from None

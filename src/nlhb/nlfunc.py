@@ -89,8 +89,8 @@ def format_spec(spec: NonlinearFunctionSpec) -> str:
     return "p=%d; g=%s" % (spec.p, g)
 
 
-_SPEC_RE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;\s*g\s*=\s*([0-9a-zA-Z+]+)\s*$")
-_MONO_RE = re.compile(r"^(?:x\d+)+$")
+_SPEC_RE = re.compile(r"^\s*p\s*=\s*(\d+)\s*;\s*g\s*=\s*([0-9a-zA-Z+]+)\s*$", re.ASCII)
+_MONO_RE = re.compile(r"^(?:x\d+)+$", re.ASCII)
 
 
 def parse_spec(text: str) -> NonlinearFunctionSpec:
@@ -98,18 +98,14 @@ def parse_spec(text: str) -> NonlinearFunctionSpec:
     m = _SPEC_RE.match(text)
     if not m:
         raise FormatError("cannot parse function spec %r" % text)
-    p = int(m.group(1))
-    g = m.group(2)
-    if g == "0":
-        return NonlinearFunctionSpec(p, ())
-    monomials = []
-    for part in g.split("+"):
+    parts = [] if m.group(2) == "0" else m.group(2).split("+")
+    for part in parts:
         if not _MONO_RE.match(part):
             raise FormatError("bad monomial %r in function spec" % part)
-        monomials.append(tuple(int(tok) for tok in re.findall(r"x(\d+)", part)))
     try:
-        return NonlinearFunctionSpec(p, tuple(monomials))
-    except ParameterError as exc:
+        return NonlinearFunctionSpec(int(m.group(1)), tuple(
+            tuple(map(int, re.findall(r"x(\d+)", part, re.ASCII))) for part in parts))
+    except ValueError as exc:  # a ParameterError, or an integer past int()'s digit limit
         raise FormatError("invalid function spec %r: %s" % (text, exc)) from None
 
 

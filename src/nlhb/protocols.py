@@ -328,13 +328,27 @@ def write_transcripts(fp, transcripts) -> None:
     fp.write(transcripts_to_text(transcripts))
 
 
-def _expect_kv(token: str, key: str, line: int) -> str:
-    if "=" not in token:
-        raise FormatError("expected %s=<value>, got %r" % (key, token), line)
-    name, value = token.split("=", 1)
-    if name != key:
-        raise FormatError("expected key %r, got %r" % (key, name), line)
-    return value
+def _param_fields(params: ProtocolParams) -> dict[str, str]:
+    """The written spelling of each field of ``params``, as a keystore entry holds it."""
+    return {"proto": params.proto, "k": str(params.k), "n": str(params.n),
+            "eps": str(params.eps), "epsp": str(params.eps_prime), "spec": format_spec(params.spec)}
+
+
+def _params_from_fields(fields: dict[str, str]) -> ProtocolParams:
+    """The params whose :func:`_param_fields` ``fields`` holds; a field
+    missing, a bad value or any other spelling is a :class:`FormatError`."""
+    try:
+        eps, epsp = (Fraction(*map(int, fields[name].split("/", 1))) for name in ("eps", "epsp"))
+        params = ProtocolParams(fields["proto"], int(fields["k"]), int(fields["n"]), eps, epsp,
+                                parse_spec(fields["spec"]))
+    except KeyError as exc:
+        raise FormatError("missing %s" % exc) from None
+    except (ValueError, ZeroDivisionError) as exc:  # a bad spec or value, or params outside their domain
+        raise FormatError(str(exc)) from None
+    for name, text in _param_fields(params).items():
+        if fields[name] != text:
+            raise FormatError("%s=%s is written %s=%s" % (name, fields[name], name, text))
+    return params
 
 
 @lru_cache(maxsize=64)
@@ -344,31 +358,29 @@ def _cached_params(proto: str, line_text: str) -> ProtocolParams:
 
 
 def _parse_params(proto: str, line_text: str) -> ProtocolParams:
-    fields = {}
+    """The params of a params line, which must be their :attr:`ProtocolParams._params_line`."""
+    fields = {"proto": proto}
     for token in line_text.split():
-        if "=" not in token:
-            raise FormatError("bad params token %r" % token)
-        name, value = token.split("=", 1)
+        name, _, value = token.partition("=")
         if name in fields:
             raise FormatError("params field %r repeated" % name)
         fields[name] = value
-    try:
-        k, n, p, d, u = (_decimal(fields[name]) for name in "knpdu")
-        eps = Fraction(fields["eps"])
-        epsp = Fraction(fields["epsp"])
-        g = fields["g"]
-    except KeyError as exc:
-        raise FormatError("params line missing %s" % exc) from None
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError("bad params value: %s" % exc) from None
-    try:
-        params = ProtocolParams(proto, k, n, eps, epsp, parse_spec("p=%d; g=%s" % (p, g)))
-    except ValueError as exc:  # a bad spec, or params outside their domain
-        raise FormatError(str(exc)) from None
-    if params.d != d or params.u != u:
-        raise FormatError("stated d=%d u=%d disagree with derived d=%d u=%d"
-                          % (d, u, params.d, params.u))
+    if "p" not in fields or "g" not in fields:
+        raise FormatError("params line missing p or g")
+    fields["spec"] = "p=%s; g=%s" % (fields["p"], fields["g"])
+    params = _params_from_fields(fields)
+    if params._params_line != line_text:
+        raise FormatError("params line disagrees with the written %r" % params._params_line)
     return params
+
+
+def _parse_decision(text: str, prefix: str = "") -> tuple[bool, int]:
+    """The (accepted, distance) of a decision as the service sends it,
+    ``accept|reject distance=N``, after ``prefix``; else a ValueError."""
+    word, sep, number = text.partition(" distance=")
+    if not sep or word not in (prefix + "accept", prefix + "reject"):
+        raise ValueError("expected %saccept|reject distance=N, got %r" % (prefix, text))
+    return word == prefix + "accept", _decimal(number)
 
 
 def read_transcripts(fp) -> list[SessionTranscript]:
@@ -390,9 +402,9 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
     records = []
     for first in reader:
         line = reader.number
-        proto = _expect_kv(first, "proto", line)
-        if proto not in PROTOCOLS:
-            raise FormatError("unknown protocol %r" % proto, line)
+        name, _, proto = first.partition("=")
+        if name != "proto" or proto not in PROTOCOLS:
+            raise FormatError("expected proto=%s, got %r" % ("|".join(PROTOCOLS), first), line)
         params_text = next(reader, None)
         pline = reader.number
         if params_text is None:
@@ -409,22 +421,15 @@ def transcripts_from_text(text: str) -> list[SessionTranscript]:
         dline = reader.number
         if decision_text is None:
             raise FormatError("missing decision line", dline)
-        tokens = decision_text.split()
-        if len(tokens) != 2:
-            raise FormatError("bad decision line %r" % decision_text, dline)
-        decision = _expect_kv(tokens[0], "decision", dline)
-        if decision not in ("accept", "reject"):
-            raise FormatError("decision must be accept or reject", dline)
-        distance_text = _expect_kv(tokens[1], "distance", dline)
         try:
-            distance = _decimal(distance_text)
-        except ValueError:
-            raise FormatError("bad distance %r" % distance_text, dline) from None
+            accepted, distance = _parse_decision(decision_text, "decision=")
+        except ValueError as exc:
+            raise FormatError(str(exc), dline) from None
         if distance > params.d:
             raise FormatError("distance %d outside 0..D" % distance, dline)
-        if (distance <= params.u) != (decision == "accept"):
+        if (distance <= params.u) != accepted:
             raise FormatError("decision disagrees with distance and threshold", dline)
-        records.append(_record(params, b, a, z, decision == "accept", distance))
+        records.append(_record(params, b, a, z, accepted, distance))
     return records
 
 

@@ -7,13 +7,15 @@ references that only tests compare against (``lf2_merge`` for the streamed
 lf2 merge, ``finite_transcript_source`` for a source that runs dry).
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import strategies as st
 
 from nlhb import gf2core, protocols
 from nlhb.attacks import _buckets, _pairs
 from nlhb.gf2core import ParameterError, as_bit_matrix, as_bits
-from nlhb.nlfunc import DEFAULT_SPEC, apply_f_batch
+from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec, apply_f_batch
 
 
 def operand(rng, rows, cols, layout):
@@ -43,6 +45,21 @@ def counted_packs(monkeypatch) -> list:
 
 layouts_st = st.sampled_from(["contiguous", "transposed", "strided"])
 
+_NONLINEAR_SPECS = (DEFAULT_SPEC, NonlinearFunctionSpec(2, ((1, 2),)),
+                    NonlinearFunctionSpec(4, ((1, 4), (2, 3, 4))))
+
+
+@st.composite
+def protocol_params(draw):
+    """Params of any of the four protocols at k <= 12 and D <= 40, with
+    eps < eps' drawn from the multiples of 1/2000 below 1/2."""
+    proto = draw(st.sampled_from(protocols.PROTOCOLS))
+    spec = IDENTITY_SPEC if proto.startswith("hb") else draw(st.sampled_from(_NONLINEAR_SPECS))
+    eps = draw(st.integers(1, 998))
+    epsp = draw(st.integers(eps + 1, 999))
+    return protocols.ProtocolParams(proto, draw(st.integers(1, 12)), spec.p + draw(st.integers(1, 40)),
+                                    Fraction(eps, 2000), Fraction(epsp, 2000), spec)
+
 # Characters a hostile edit draws from: hex digits, ASCII and Unicode
 # whitespace the line rule does not treat as a line break, a non-ASCII
 # letter, and the one line break.
@@ -50,21 +67,38 @@ HOSTILE_CHARS = "0123456789abcdef \t\r\x0b\x0c\x85\u2028\u00e9\n"
 
 
 @st.composite
-def edited_text(draw, text):
-    """``text`` after one to four random edits: each inserts, replaces or
-    deletes a character at a random position, drawing from HOSTILE_CHARS."""
+def edited_text(draw, text, max_edits=4, alphabet=HOSTILE_CHARS):
+    """``text`` after one to ``max_edits`` random edits: each inserts, replaces
+    or deletes a character at a random position, drawing from ``alphabet``."""
     chars = list(text)
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, max_edits))):
         pos = draw(st.integers(0, len(chars)))
         op = draw(st.sampled_from(["insert", "replace", "delete"]))
         if op == "insert":
-            chars.insert(pos, draw(st.sampled_from(HOSTILE_CHARS)))
+            chars.insert(pos, draw(st.sampled_from(alphabet)))
         elif pos < len(chars):
             if op == "replace":
-                chars[pos] = draw(st.sampled_from(HOSTILE_CHARS))
+                chars[pos] = draw(st.sampled_from(alphabet))
             else:
                 del chars[pos]
     return "".join(chars)
+
+
+# What a field edit draws from besides HOSTILE_CHARS: the punctuation and
+# letters that field values are spelled with, an upper-case hex digit and a
+# non-ASCII digit.
+FIELD_CHARS = HOSTILE_CHARS + "+-./;=_Fgpx\u0664"
+
+
+@st.composite
+def edited_lines(draw, text, chosen):
+    """``text`` after one :func:`edited_text` edit, drawn from FIELD_CHARS, to
+    one of the lines (split at ``\\n``) that the predicate ``chosen`` picks;
+    every other line stays as it was."""
+    lines = text.split("\n")
+    index = draw(st.sampled_from([i for i, line in enumerate(lines) if chosen(line)]))
+    lines[index] = draw(edited_text(lines[index], max_edits=1, alphabet=FIELD_CHARS))
+    return "\n".join(lines)
 
 
 def measured_merge_distribution(spec, rng, samples, k=6, n=None, j=None):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from support import counted_packs, edited_text
+from support import counted_packs, edited_lines, edited_text, protocol_params
 
 from nlhb.gf2core import (
     DimensionError,
@@ -16,6 +16,8 @@ from nlhb.gf2core import (
     RandomSource,
     _pack_hex,
     _unpack_hex,
+    dump_matrix,
+    read_entries,
 )
 from nlhb.nlfunc import DEFAULT_SPEC
 from nlhb.protocols import (
@@ -156,6 +158,67 @@ def test_key_hex_padding_must_be_zero():
     with pytest.raises(FormatError, match="padding"):
         _unpack_hex("ff", 4)
     assert _unpack_hex("f0", 4).tolist() == [1, 1, 1, 1]
+
+
+def test_keystore_entries_are_written_byte_for_byte():
+    hb = svc.KeystoreEntry("tag-hb", hb_params(8, 19, Fraction(1, 4), Fraction(87, 250)),
+                           SecretKey(s1=np.array([1, 0, 1, 1, 0, 0, 0, 1], dtype=np.uint8)))
+    plus = svc.KeystoreEntry("tag-plus", nlhb_params(4, 11, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC, blinded=True),
+                             SecretKey(s1=np.array([1, 1, 0, 1], dtype=np.uint8), s2=np.array([0, 0, 1, 0], dtype=np.uint8)))
+    assert svc.format_keystore_entry(hb) == (
+        "identity=tag-hb\nproto=hb\nk=8\nn=19\neps=1/4\nepsp=87/250\nspec=p=0; g=0\ns1=b1\n"
+    )
+    assert svc.format_keystore_entry(plus) == (
+        "identity=tag-plus\nproto=nlhb+\nk=4\nn=11\neps=1/8\nepsp=1/4\n"
+        "spec=p=3; g=x1x2+x1x3+x2x3\ns1=d0\ns2=20\n"
+    )
+
+
+def _one_entry_text():
+    """One nlhb 16x259 entry for identity 'a' whose s1 holds a hex letter."""
+    key = SecretKey(s1=np.array([1, 1, 1, 1, 0, 0, 0, 1] * 2, dtype=np.uint8))
+    return svc.format_keystore_entry(svc.KeystoreEntry("a", _params(), key))
+
+
+@pytest.mark.parametrize("old, new, written", [
+    ("k=16", "k=016", "k=16"),
+    ("k=16", "k=\u0661\u0666", "k=16"),
+    ("k=16", "k=+16", "k=16"),
+    ("n=259", "n=2_59", "n=259"),
+    ("eps=1/4", "eps=0.25", "'0.25'"),
+    ("eps=1/4", "eps=2/8", "eps=1/4"),
+    ("eps=1/4", "eps=1e99999999", "'1e99999999'"),
+    ("spec=p=3; g=x1x2+x1x3+x2x3", "spec= p = 3 ;g=x2x3+x1x2+x1x3", "spec=p=3; g=x1x2+x1x3+x2x3"),
+    ("spec=p=3; g=x1x2+x1x3+x2x3", "spec=p=\u0663; g=x1x2+x1x3+x2x3", "spec"),
+    ("s1=f1f1", "s1=f1f1\nzz=1", "zz=1 is not written"),
+    ("s1=f1f1", "s1=f1f1\ns2=ffff", "s2=ffff is not written"),
+    ("s1=f1f1", "s1=F1f1", "s1=f1f1"),
+])
+def test_keystore_spellings_other_than_the_written_one_are_refused(old, new, written):
+    good = _one_entry_text()
+    assert old + "\n" in good
+    with pytest.raises(FormatError, match="keystore entry 'a'") as err:
+        svc.parse_keystore(good.replace(old + "\n", new + "\n"))
+    assert written in str(err.value)
+
+
+_IDENTITIES = st.text("abcXYZ019-_.=#\u00e9", min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_IDENTITIES, protocol_params(), st.integers(0, 2**32)),
+                min_size=1, max_size=4, unique_by=lambda drawn: drawn[0]))
+def test_keystore_round_trips_through_text(drawn):
+    entries = [svc.KeystoreEntry(identity, p, generate_key(p, RandomSource(seed))) for identity, p, seed in drawn]
+    text = "\n".join(map(svc.format_keystore_entry, entries))
+    back = svc.parse_keystore(text)
+    assert "\n".join(map(svc.format_keystore_entry, back.values())) == text
+    for entry in entries:
+        got = back[entry.identity]
+        assert got.params == entry.params
+        assert np.array_equal(got.key.s1, entry.key.s1)
+        assert (got.key.s2 is None) == (entry.key.s2 is None)
+        assert got.key.s2 is None or np.array_equal(got.key.s2, entry.key.s2)
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +454,66 @@ def test_blind_with_non_decimal_dims_gets_error_frame(tmp_path):
         assert running.logged == 0
 
 
+@pytest.mark.parametrize("hello", [b"\xff", b"tag-01\xff", b"\xef\xbf\xbd"])
+def test_non_utf8_hello_gets_error_frame(hello):
+    # "\ufffd" is the text a lossy decode of b"\xff" gives; it is a keystore identity here
+    params = _params()
+    entry = svc.KeystoreEntry("\ufffd", params, generate_key(params, RandomSource(16)))
+    with svc.AuthService(("127.0.0.1", 0), {"\ufffd": entry}, seed=5) as running:
+        with socket.create_connection(running.address, timeout=5) as sock:
+            sock.sendall(svc.encode_frame(svc.HELLO, hello))
+            tag, message = svc.read_frame(sock)
+        if hello == "\ufffd".encode("utf-8"):
+            assert tag == svc.CHALLENGE
+        else:
+            assert tag == svc.ERROR and b"UTF-8" in message
+        assert running.logged == 0
+
+
+def _decision_from_fake_server(decision: bytes):
+    """What :func:`authenticate` makes of a DECISION payload, sent by a
+    one-shot server that answers an honest HELLO and RESPONSE."""
+    params = _params()
+    key = generate_key(params, RandomSource(22))
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve_once():
+        conn, _ = listener.accept()
+        with conn:
+            svc.read_frame(conn)  # HELLO
+            conn.sendall(svc.encode_frame(svc.CHALLENGE, dump_matrix(np.zeros((params.k, params.n), np.uint8)).encode()))
+            svc.read_frame(conn)  # RESPONSE
+            conn.sendall(svc.encode_frame(svc.DECISION, decision))
+
+    server = threading.Thread(target=serve_once, daemon=True)
+    server.start()
+    try:
+        with listener:
+            return svc.authenticate(listener.getsockname(), "tag-01", key, params, rng=RandomSource(23), timeout=5)
+    finally:
+        server.join(timeout=5)
+
+
+@pytest.mark.parametrize("decision, outcome", [
+    (b"accept distance=2", (True, 2)),
+    (b"reject distance=70", (False, 70)),
+    (b"accept distance=0", (True, 0)),
+    (b"muted", (None, None)),
+])
+def test_client_reads_the_written_decision(decision, outcome):
+    assert _decision_from_fake_server(decision) == outcome
+
+
+@pytest.mark.parametrize("decision", [
+    "accept foo=+\u0662".encode(), b"accept distance=02", b"reject x=7", b"accept distance=+2",
+    b"accept  distance=2", b"accept distance=2 ", b"Accept distance=2", b"accept distance=", b"accept",
+    b"decision=accept distance=2", b"muted ", b"\xff",
+])
+def test_client_refuses_any_other_decision(decision):
+    with pytest.raises(svc.ServiceError, match="undecodable decision"):
+        _decision_from_fake_server(decision)
+
+
 def test_concurrent_sessions(service):
     running, entry = service
     params = entry.params
@@ -472,6 +595,17 @@ def test_edited_keystore_parses_or_raises_a_typed_error(text):
     for identity, entry in entries.items():
         assert entry.identity == identity
         assert entry.key.s1.shape == (entry.params.k,)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_lines(_KEYSTORE_TEXT, lambda line: not line.startswith(("s1=", "s2="))))
+def test_edited_keystore_field_is_refused_or_written_back_as_edited(text):
+    try:
+        entries = svc.parse_keystore(text)
+    except FormatError:
+        return
+    written = "\n".join(map(svc.format_keystore_entry, entries.values()))
+    assert list(read_entries(written)) == list(read_entries(text))
 
 
 @settings(max_examples=300, deadline=None)

@@ -113,6 +113,25 @@ def test_analyze_single_spec_with_balance():
     assert sum(probs) == 1
 
 
+@pytest.mark.parametrize("spec, same", [
+    ("p=3;g=x2x3+x1x2+x1x3", True),
+    ("  p = 3 ;  g = x3x2+x2x1+x1x3 ", True),
+    ("p=03; g=x1x2+x1x3+x2x3", True),
+    ("p=\u0663; g=x1x2+x1x3+x2x3", False),
+    ("p=3; g=x\u0661x2+x1x3+x2x3", False),
+    ("p=3; g=x1x2 + x1x3+x2x3", False),
+    ("p=3, g=x1x2+x1x3+x2x3", False),
+    ("P=3; g=x1x2+x1x3+x2x3", False),
+])
+def test_spec_flag_reads_ascii_spellings_of_the_written_spec(spec, same):
+    written = run_cli(["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3"])
+    code, out, err = run_cli(["analyze", "--spec", spec])
+    if same:
+        assert (code, out, err) == written
+    else:
+        assert code == 1 and out == "" and err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -105,7 +105,8 @@ def test_invalid_specs_rejected():
         NonlinearFunctionSpec(3, ((1, 2), (2, 1)))  # duplicate monomial
     with pytest.raises(ParameterError):
         NonlinearFunctionSpec(-1, ())
-    for text in ("p=3 g=x1x2", "p=3; g=", "p=3; g=x1", "p=3; g=x1x2++x2x3", "nonsense"):
+    for text in ("p=3 g=x1x2", "p=3; g=", "p=3; g=x1", "p=3; g=x1x2++x2x3", "nonsense",
+                 "p=\u0662; g=x1x2", "p=2; g=x1x\u0662", "p=%s; g=0" % ("9" * 5000), "p=3; g=x1x%s" % ("9" * 5000)):
         with pytest.raises(FormatError):
             parse_spec(text)
 

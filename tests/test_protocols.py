@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import counted_packs, edited_text
+from support import counted_packs, edited_lines, edited_text, protocol_params
 
 from nlhb import protocols
 from nlhb.gf2core import (
     DimensionError,
     FormatError,
+    LineReader,
     ParameterError,
     RandomSource,
     _block_text,
@@ -752,3 +753,94 @@ def test_transcript_integers_are_ascii_decimal(index, old, new):
     with pytest.raises(FormatError) as err:
         transcripts_from_text("\n".join(lines))
     assert err.value.line == index + 1
+
+
+
+def _nlhb_record_lines():
+    """The lines of one nlhb 8x19 record."""
+    p = small_nlhb()
+    return transcripts_to_text(transcript_sampler(p, generate_key(p, RandomSource(97)), RandomSource(98), 1)).split("\n")
+
+
+_NLHB_PARAMS_LINE = "k=8 n=19 p=3 d=16 u=5 eps=1/4 epsp=87/250 g=x1x2+x1x3+x2x3"
+
+
+@pytest.mark.parametrize("line, written", [
+    (_NLHB_PARAMS_LINE.replace("eps=1/4", "eps=0.25"), "'0.25'"),
+    (_NLHB_PARAMS_LINE.replace("eps=1/4", "eps=2/8"), "eps=1/4"),
+    (_NLHB_PARAMS_LINE.replace("eps=1/4", "eps=1e99999999"), "'1e99999999'"),
+    (_NLHB_PARAMS_LINE.replace("k=8", "k=08"), "k=8"),
+    (_NLHB_PARAMS_LINE.replace("k=8", "k=+8"), "k=8"),
+    (_NLHB_PARAMS_LINE.replace("n=19", "n=1_9"), "n=19"),
+    (_NLHB_PARAMS_LINE.replace("g=x1x2+x1x3+x2x3", "g=x2x3+x1x2+x1x3"), "g=x1x2+x1x3+x2x3"),
+    (_NLHB_PARAMS_LINE + " zz=1", _NLHB_PARAMS_LINE),
+    (" ".join(reversed(_NLHB_PARAMS_LINE.split())), _NLHB_PARAMS_LINE),
+    (_NLHB_PARAMS_LINE.replace(" ", "  ", 1), _NLHB_PARAMS_LINE),
+    (_NLHB_PARAMS_LINE.replace(" ", "\t", 1), _NLHB_PARAMS_LINE),
+    (_NLHB_PARAMS_LINE.replace("d=16", "d=016"), _NLHB_PARAMS_LINE),
+])
+def test_params_line_must_be_the_written_one(line, written):
+    lines = _nlhb_record_lines()
+    assert lines[1] == _NLHB_PARAMS_LINE
+    lines[1] = line
+    with pytest.raises(FormatError) as err:
+        transcripts_from_text("\n".join(lines))
+    assert err.value.line == 2 and written in str(err.value)
+
+
+@pytest.mark.parametrize("line", [
+    "proto =nlhb", "proto=NLHB", "proto=nlhb x", "nlhb", "proto=nlhb=",
+])
+def test_proto_line_must_be_the_written_one(line):
+    lines = _nlhb_record_lines()
+    lines[0] = line
+    with pytest.raises(FormatError) as err:
+        transcripts_from_text("\n".join(lines))
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("old, new", [
+    ("decision=accept distance=2", "decision=accept  distance=2"),
+    ("decision=accept distance=2", "decision=accept\tdistance=2"),
+    ("decision=accept distance=2", "decision = accept distance=2"),
+    ("decision=accept distance=2", "distance=2 decision=accept"),
+    ("decision=accept distance=2", "decision=Accept distance=2"),
+    ("decision=accept distance=2", "decision=accept distance=2 x=1"),
+    ("decision=accept distance=2", "decision=accept dist=2"),
+    ("decision=accept distance=2", "accept distance=2"),
+])
+def test_decision_line_must_be_the_written_one(old, new):
+    lines = _hb_record_lines()
+    assert lines[6] == old
+    lines[6] = new
+    with pytest.raises(FormatError) as err:
+        transcripts_from_text("\n".join(lines))
+    assert err.value.line == 7
+
+
+_WRITTEN_FIELD_LINES = ("proto=", "k=", "decision=")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_lines(_mixed_transcript_text(), lambda line: line.startswith(_WRITTEN_FIELD_LINES)))
+def test_edited_field_line_is_refused_or_written_back_as_edited(text):
+    try:
+        records = transcripts_from_text(text)
+    except FormatError:
+        return
+    assert list(LineReader(transcripts_to_text(records))) == list(LineReader(text))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(protocol_params(), st.integers(0, 2**32)), min_size=1, max_size=4))
+def test_transcripts_round_trip_through_text(drawn):
+    records = [
+        run_session(p, generate_key(p, RandomSource(seed)), RandomSource(seed + 1), RandomSource(seed + 2))
+        for p, seed in drawn
+    ]
+    text = transcripts_to_text(records)
+    back = transcripts_from_text(text)
+    assert transcripts_to_text(back) == text
+    for t, u in zip(records, back, strict=True):
+        assert u.params == t.params
+        assert (u._b, u._a, u._z, u.accepted, u.distance) == (t._b, t._a, t._z, t.accepted, t.distance)
