@@ -83,10 +83,11 @@ def _merge_config(argv: list[str]) -> list[str]:
             raise ParameterError("--config belongs after the subcommand")
         settings: dict[str, str] = {}
         for entry in read_entries(read_text(path, "config file")):
-            repeated = entry.keys() & settings.keys()
-            if repeated:
-                raise FormatError("config sets %r twice" % min(repeated))
-            settings.update(entry)
+            for key, value in entry.items():  # typed text: spaces around "=" are allowed
+                key = key.strip()
+                if key in settings:
+                    raise FormatError("config sets %r twice" % key)
+                settings[key] = value.strip()
         flags: list[str] = []
         for key, value in settings.items():
             if value.lower() in ("true", "false"):
@@ -143,10 +144,14 @@ class Report:
 
 
 def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError("expected a fraction like 1/4, got %r" % text)
+    """A typed rate such as ``1/4`` or ``0.25``.  The exponent form is refused:
+    ``Fraction`` computes its power of ten in full (``1e10000000`` takes 9 s)."""
+    if "e" not in text.lower():
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError("expected a fraction like 1/4 or 0.25, got %r" % text)
 
 
 def _positive(text: str) -> int:

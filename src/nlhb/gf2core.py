@@ -11,8 +11,10 @@ followed by one line of lowercase hex that spells the array's *payload*.
 The payload layout is defined here, by :func:`_pack_payload` and
 :func:`_unpack_payload`: the bits row-major, the most significant bit of the
 first byte holding index 1, zero-padded at the end to a whole byte.  Its one
-other producer is :meth:`RandomSource._bits_and_payload`, bound to them by
+other producer is :meth:`RandomSource._payload`, bound to them by
 ``test_draw_payload_is_the_packed_bits``; transcript records hold payloads.
+A (k, n) payload holds eight whole rows in each n bytes, so
+:func:`_payload_mat_vec_mul` computes s.A from it without unpacking A.
 A block's text is three pieces, its header line, hex and newline
 (:func:`_block_pieces`), so a writer joins each hex into its text once.
 Integers there and in a decision are ASCII decimal (:func:`_decimal`).
@@ -125,6 +127,37 @@ def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """:func:`mat_vec_mul` for operands already checked: XOR of the rows of A
     that s selects."""
     return np.bitwise_xor.reduce(a[s.view(bool)], axis=0)
+
+
+def _payload_mat_vec_mul(s: np.ndarray, payload: np.ndarray, n: int) -> np.ndarray:
+    """:func:`_mat_vec_mul` of checked bits s and the (len(s), n) matrix whose
+    payload is the uint8 array ``payload``, without unpacking the matrix.
+
+    Byte block j of the payload (bytes j*n ... j*n+n-1) holds rows 8j ... 8j+7,
+    row c of the block at its bits c*n ... c*n+n-1.  Each block is masked to
+    the rows that s selects in it, the masked blocks are XORed into n bytes,
+    and the eight n-bit rows of those are folded into one.
+    """
+    size = (s.shape[0] + 7) // 8 * n
+    if payload.size < size:  # a partial last block reads as zero-extended
+        payload = np.concatenate((payload, np.zeros(size - payload.size, dtype=np.uint8)))
+    blocks = _row_masks(n).take(np.packbits(s), axis=0)
+    blocks &= payload.reshape(-1, n)
+    folded = np.unpackbits(np.bitwise_xor.reduce(blocks, axis=0)).reshape(8, n)
+    return np.bitwise_xor.reduce(folded, axis=0)
+
+
+@lru_cache(maxsize=8)
+def _row_masks(n: int) -> np.ndarray:
+    """The (256, n) table whose row m keeps, of an n-byte block of eight
+    n-bit rows, the rows that the bits of m select (row 0 by its most
+    significant bit).  It depends on n only, never on a key."""
+    rows = np.packbits(np.repeat(np.eye(8, dtype=np.uint8), n, axis=1), axis=1)
+    out = np.zeros((256, n), dtype=np.uint8)
+    for j in range(8):
+        h = 1 << j
+        np.bitwise_or(out[:h], rows[7 - j], out=out[h : 2 * h])
+    return out
 
 
 def key_table(a) -> np.ndarray:
@@ -421,9 +454,9 @@ def load_matrix(text: str, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 def read_entries(text: str):
     """The ``key=value`` entries of keystore and ``--config`` text, as dicts of
-    stripped keys and values.  A blank line ends an entry and ``#`` lines are
-    comments; a line without ``=`` or a key repeated within one entry is a
-    :class:`FormatError`."""
+    keys and values as written, split at the first ``=``.  A blank line ends
+    an entry and ``#`` lines are comments; a line without ``=`` or a key
+    repeated within one entry is a :class:`FormatError`."""
     reader = LineReader(text)
     entry: dict[str, str] = {}
     last = 0
@@ -437,10 +470,9 @@ def read_entries(text: str):
         key, sep, value = raw.partition("=")
         if not sep:
             raise FormatError("expected key=value, got %r" % raw, last)
-        key = key.strip()
         if key in entry:
             raise FormatError("field %r repeated within one entry" % key, last)
-        entry[key] = value.strip()
+        entry[key] = value
     if entry:
         yield entry
 
@@ -467,8 +499,9 @@ class RandomSource:
     reproducible bit-for-bit from its seed.  Every draw consumes raw PCG64
     output words (``random_raw``), the same words numpy's
     ``Generator.integers(0, 2**64, dtype=uint64)`` returns for that seed.
-    Uniform bits are the words' big-endian bits; :meth:`_bits_and_payload`
-    hands them out both unpacked and as their payload, never repacked.
+    Uniform bits are the words' big-endian bits; :meth:`_payload` hands them
+    out as a payload and :meth:`_bits_and_payload` unpacked as well, never
+    repacked.
 
     Bernoulli sampling is exact for rational eps: each bit consumes one
     64-bit uniform word compared against floor(eps * 2**64), and the
@@ -501,16 +534,21 @@ class RandomSource:
         return self._bits_and_payload(rows, cols)[0]
 
     def _bits_and_payload(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """A uniform (rows, cols) bit matrix and its payload as a uint8 array:
-        one draw of ceil(rows*cols / 64) words, read both ways, pad bits zero."""
+        """A uniform (rows, cols) bit matrix and its payload, of one
+        :meth:`_payload` draw."""
+        payload = self._payload(rows, cols)
+        return np.unpackbits(payload, count=rows * cols).reshape(rows, cols), payload
+
+    def _payload(self, rows: int, cols: int) -> np.ndarray:
+        """The payload of a uniform (rows, cols) bit matrix as a uint8 array:
+        the big-endian bytes of ceil(rows*cols / 64) words, pad bits zero."""
         if rows < 0 or cols < 0:
             raise ParameterError("matrix shape must be nonnegative, got (%d, %d)" % (rows, cols))
         nbits = rows * cols
         raw = self.u64((nbits + 63) // 64).astype(">u8").view(np.uint8)
-        bits = np.unpackbits(raw, count=nbits).reshape(rows, cols)
         if nbits % 8:
             raw[nbits // 8] &= (0xFF00 >> nbits % 8) & 0xFF
-        return bits, raw[: (nbits + 7) // 8]
+        return raw[: (nbits + 7) // 8]
 
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:
         """Draw ``length`` i.i.d. Bernoulli(eps) bits for rational 0 < eps < 1/2."""

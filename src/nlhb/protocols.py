@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .gf2core import (
     _decimal,
     _mat_vec_mul,
     _pack_payload,
+    _payload_mat_vec_mul,
     _unpack_payload,
 )
 from .nlfunc import (
@@ -219,11 +220,12 @@ def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
     return (_check_key(params, key), *_check_matrices(params, a, b))
 
 
-def _image(params: ProtocolParams, key: SecretKey, a, b) -> np.ndarray:
-    """Noise-free response image for checked operands."""
-    image = _apply_f(params.spec, _mat_vec_mul(key.s1, a if b is None else b))
+def _image(params: ProtocolParams, key: SecretKey, a, b, product=_mat_vec_mul) -> np.ndarray:
+    """Noise-free response image for checked operands, the matrices in the
+    form that ``product`` multiplies: bit arrays by default, or payloads."""
+    image = _apply_f(params.spec, product(key.s1, a if b is None else b))
     if b is not None:
-        image ^= _apply_f(params.spec, _mat_vec_mul(key.s2, a))
+        image ^= _apply_f(params.spec, product(key.s2, a))
     return image
 
 
@@ -284,26 +286,26 @@ def run_session(
     The image is computed once: z = image ^ noise differs from the image
     exactly where the noise is 1, so the verifier's distance is the weight
     of the prover's noise, the same (accepted, distance) that :func:`verify`
-    returns for the transcript.  B and A are drawn with their payloads
-    (:meth:`RandomSource._bits_and_payload`), so only z is packed."""
+    returns for the transcript.  B and A are drawn as payloads
+    (:meth:`RandomSource._payload`) and the image is computed from them, so
+    no matrix is unpacked and only z is packed."""
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
-    b, a, z, dist, b_payload, a_payload = _exchange(params, key, rng_prover, rng_verifier, noise)
-    return _record(params, b if b is None else b_payload.tobytes(), a_payload.tobytes(),
+    b, a, z, dist = _exchange(params, key, rng_prover, rng_verifier, noise)
+    return _record(params, b if b is None else b.tobytes(), a.tobytes(),
                    _pack_payload(z), dist <= params.u, dist)
 
 
 def _exchange(params, key, rng_prover, rng_verifier, noise=None):
-    """The bit arrays (b, a, z), the distance, and the payloads of B and A as
-    uint8 arrays, of :func:`run_session` for a checked key and noise."""
-    shape = (params.k, params.n)
-    b, b_payload = rng_prover._bits_and_payload(*shape) if params.blinded else (None, None)
-    a, a_payload = rng_verifier._bits_and_payload(*shape)
+    """The payloads of B (None when unblinded) and A as uint8 arrays, the bit
+    array z and the distance, of :func:`run_session` for a checked key and noise."""
+    b = rng_prover._payload(params.k, params.n) if params.blinded else None
+    a = rng_verifier._payload(params.k, params.n)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
-    z = _image(params, key, a, b) ^ noise
-    return b, a, z, int(np.count_nonzero(noise)), b_payload, a_payload
+    z = _image(params, key, a, b, partial(_payload_mat_vec_mul, n=params.n)) ^ noise
+    return b, a, z, int(np.count_nonzero(noise))
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):
@@ -338,17 +340,34 @@ def _params_from_fields(fields: dict[str, str]) -> ProtocolParams:
     """The params whose :func:`_param_fields` ``fields`` holds; a field
     missing, a bad value or any other spelling is a :class:`FormatError`."""
     try:
-        eps, epsp = (Fraction(*map(int, fields[name].split("/", 1))) for name in ("eps", "epsp"))
-        params = ProtocolParams(fields["proto"], int(fields["k"]), int(fields["n"]), eps, epsp,
-                                parse_spec(fields["spec"]))
+        params = ProtocolParams(
+            fields["proto"], *(_decoded(fields, name) for name in ("k", "n", "eps", "epsp", "spec")))
     except KeyError as exc:
         raise FormatError("missing %s" % exc) from None
-    except (ValueError, ZeroDivisionError) as exc:  # a bad spec or value, or params outside their domain
+    except ValueError as exc:  # a field's own FormatError, or params outside their domain
         raise FormatError(str(exc)) from None
     for name, text in _param_fields(params).items():
         if fields[name] != text:
             raise FormatError("%s=%s is written %s=%s" % (name, fields[name], name, text))
     return params
+
+
+def _ratio(text: str) -> Fraction:
+    """An ``int/int`` or ``int`` field as a Fraction."""
+    return Fraction(*map(int, text.split("/", 1)))
+
+
+_DECODERS = {"k": int, "n": int, "eps": _ratio, "epsp": _ratio, "spec": parse_spec}
+
+
+def _decoded(fields: dict[str, str], name: str):
+    """The value of field ``name``; one its decoder refuses is a
+    :class:`FormatError` that names the field as written."""
+    text = fields[name]
+    try:
+        return _DECODERS[name](text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormatError("%s=%s: %s" % (name, text, exc)) from None
 
 
 @lru_cache(maxsize=64)

@@ -91,12 +91,13 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
     c rows equals any split of c into smaller draws."""
     _single_secret(params)
     key = _check_key(params, key)
+    split = params.k * params.n
 
     def draw(count: int) -> np.ndarray:
         out = np.empty((count, string_length(params)), dtype=np.uint8)
-        a, z = batch_views(out, params)
         for row in range(count):
-            _, a[row], z[row], *_ = _exchange(params, key, rng, rng)
+            _, a, out[row, split:], _ = _exchange(params, key, rng, rng)
+            out[row, :split] = np.unpackbits(a, count=split)
         return out
 
     return draw

@@ -193,6 +193,16 @@ def _one_entry_text():
     ("s1=f1f1", "s1=f1f1\nzz=1", "zz=1 is not written"),
     ("s1=f1f1", "s1=f1f1\ns2=ffff", "s2=ffff is not written"),
     ("s1=f1f1", "s1=F1f1", "s1=f1f1"),
+    ("k=16", "k= 16", "k= 16 is written k=16"),
+    ("k=16", "k =16", "missing 'k'"),
+    ("eps=1/4", "eps= 1/4", "eps= 1/4 is written eps=1/4"),
+    ("proto=nlhb", "proto =nlhb", "missing 'proto'"),
+    # a value that fails to decode is named with its field
+    ("eps=1/4", "eps=0.25", "'a': eps=0.25: invalid literal"),
+    ("epsp=87/250", "epsp=87/0", "'a': epsp=87/0: "),
+    ("k=16", "k=x", "'a': k=x: invalid literal"),
+    ("n=259", "n=", "'a': n=: invalid literal"),
+    ("spec=p=3; g=x1x2+x1x3+x2x3", "spec=p=x", "'a': spec=p=x: "),
 ])
 def test_keystore_spellings_other_than_the_written_one_are_refused(old, new, written):
     good = _one_entry_text()
@@ -200,6 +210,13 @@ def test_keystore_spellings_other_than_the_written_one_are_refused(old, new, wri
     with pytest.raises(FormatError, match="keystore entry 'a'") as err:
         svc.parse_keystore(good.replace(old + "\n", new + "\n"))
     assert written in str(err.value)
+
+
+def test_keystore_identity_is_read_as_written():
+    text = _one_entry_text().replace("identity=a\n", "identity= a\n")
+    (entry,) = svc.parse_keystore(text).values()
+    assert entry.identity == " a"
+    assert svc.format_keystore_entry(entry) == text
 
 
 _IDENTITIES = st.text("abcXYZ019-_.=#\u00e9", min_size=1, max_size=8)

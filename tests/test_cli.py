@@ -842,8 +842,34 @@ def test_config_lone_cr_is_not_a_line_break(tmp_path):
     assert flags == ["simulate", "--k", "8\rsessions=2", "--seed", "3"]
 
 
+def test_config_allows_spaces_around_the_equals_sign(tmp_path):
+    flags = _config_flags(tmp_path, b"k = 8\nproto =nlhb\n\neps= 1/4 \n")
+    assert flags == ["simulate", "--k", "8", "--proto", "nlhb", "--eps", "1/4", "--seed", "3"]
+
+
+@pytest.mark.parametrize("value", ["1e1000000", "1E1000000", "25e-2", "1/4e0"])
+def test_fraction_flags_refuse_the_exponent_form(value, tmp_path):
+    code, out, err = _run_cli_within_5s(["params", "--eps", value, "--epsp", "348/1000"])
+    assert (code, out) == (2, "")
+    assert "1/4 or 0.25" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps=%s\nepsp=348/1000\n" % value)
+    code, out, err = _run_cli_within_5s(["params", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "1/4 or 0.25" in err
+
+
+def test_fraction_flags_accept_a_ratio_or_a_decimal(tmp_path):
+    want = run_cli(["params", "--eps", "1/4", "--epsp", "348/1000", "--dd", "1164"])
+    assert want[0] == 0
+    assert run_cli(["params", "--eps", "0.25", "--epsp", "0.348", "--dd", "1164"]) == want
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.25\nepsp=87/250\ndd=1164\n")
+    assert run_cli(["params", "--config", str(cfg)]) == want
+
+
 def test_config_repeated_key_is_an_error(tmp_path):
-    for text in ("k=8\nk=9\n", "k=8\n\nk=9\n"):
+    for text in ("k=8\nk=9\n", "k=8\n\nk=9\n", "k=8\nk =9\n"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
         code, _, err = run_cli(["simulate", "--config", str(cfg)])

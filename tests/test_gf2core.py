@@ -94,6 +94,32 @@ def test_mat_vec_matches_naive_oracle(k, n, layout, fill, seed):
     assert np.array_equal(a, before)
 
 
+@pytest.mark.parametrize("residue", range(8))
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.integers(1, 20), st.just(128)), st.integers(0, 12), fill_st,
+       st.integers(0, 2**64 - 1))
+@example(5, 2, "random", 0)
+@example(128, 145, "random", 1)
+@example(128, 145, "ones", 2)
+@example(13, 0, "zeros", 3)
+def test_payload_product_is_mat_vec_mul(residue, k, blocks, fill, seed):
+    # one n for every n mod 8; the payload may end short of its last whole
+    # block of n bytes (k = 5, n = 19: 12 of 19 bytes), which reads as
+    # zero-extended
+    n = 8 * blocks + residue or 8
+    drawn = RandomSource(seed)
+    a, payload = drawn._bits_and_payload(k, n)
+    assert np.array_equal(RandomSource(seed)._payload(k, n), payload)
+    assert payload.size == (k * n + 7) // 8 <= (k + 7) // 8 * n
+    s = {"random": drawn.uniform_bits(k), "zeros": np.zeros(k, dtype=np.uint8),
+         "ones": np.ones(k, dtype=np.uint8)}[fill]
+    before = payload.copy()
+    got = gf2core._payload_mat_vec_mul(s, payload, n)
+    assert got.dtype == np.uint8 and got.shape == (n,)
+    assert np.array_equal(got, gf2core._mat_vec_mul(s, a))
+    assert np.array_equal(payload, before)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 7), st.integers(1, 12), layouts_st, st.integers(0, 2**32 - 1))
 def test_key_table_matches_naive_products(k, n, layout, seed):

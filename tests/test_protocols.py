@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import counted_packs, edited_lines, edited_text, protocol_params
 
-from nlhb import protocols
+from nlhb import gf2core, protocols
 from nlhb.gf2core import (
     DimensionError,
     FormatError,
@@ -606,6 +606,29 @@ def test_run_session_packs_only_the_response(p, monkeypatch):
     assert packed == [(p.d,)]
 
 
+@pytest.mark.parametrize("p", [
+    hb_params(5, 19, EPS, EPSP),
+    hb_params(5, 19, EPS, EPSP, blinded=True),
+    nlhb_params(3, 23, EPS, EPSP, DEFAULT_SPEC),
+    nlhb_params(3, 23, EPS, EPSP, DEFAULT_SPEC, blinded=True),
+], ids=lambda p: p.proto)
+def test_run_session_unpacks_no_matrix(p, monkeypatch):
+    # the image is computed from the drawn payloads of B and A
+    key = generate_key(p, RandomSource(87))
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(RandomSource, "_bits_and_payload",
+                        counted("_bits_and_payload", RandomSource._bits_and_payload))
+    for module in (gf2core, protocols):
+        monkeypatch.setattr(module, "_unpack_payload", counted("_unpack_payload", module._unpack_payload))
+    t = run_session(p, key, RandomSource(88), RandomSource(89))
+    assert calls == []
+    assert verify(p, key, t.a, t.z, t.b) == (t.accepted, t.distance)
+
+
 def test_record_constructor_checks_shape_and_bits():
     p = small_nlhb()
     plus = nlhb_params(8, 19, EPS, EPSP, DEFAULT_SPEC, blinded=True)
@@ -778,6 +801,10 @@ _NLHB_PARAMS_LINE = "k=8 n=19 p=3 d=16 u=5 eps=1/4 epsp=87/250 g=x1x2+x1x3+x2x3"
     (_NLHB_PARAMS_LINE.replace(" ", "  ", 1), _NLHB_PARAMS_LINE),
     (_NLHB_PARAMS_LINE.replace(" ", "\t", 1), _NLHB_PARAMS_LINE),
     (_NLHB_PARAMS_LINE.replace("d=16", "d=016"), _NLHB_PARAMS_LINE),
+    # a value that fails to decode is named with its field
+    (_NLHB_PARAMS_LINE.replace("eps=1/4", "eps=0.25"), "line 2: eps=0.25: invalid literal"),
+    (_NLHB_PARAMS_LINE.replace("k=8", "k=x"), "line 2: k=x: invalid literal"),
+    (_NLHB_PARAMS_LINE.replace("epsp=87/250", "epsp=87/0"), "line 2: epsp=87/0: "),
 ])
 def test_params_line_must_be_the_written_one(line, written):
     lines = _nlhb_record_lines()
