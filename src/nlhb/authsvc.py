@@ -40,6 +40,7 @@ from .protocols import (
     format_transcript,
     respond,
     verify,
+    _decision_text,
     _param_fields,
     _params_from_fields,
     _parse_decision,
@@ -150,12 +151,17 @@ def _entry_fields(entry: KeystoreEntry) -> dict[str, str]:
 
 
 def format_keystore_entry(entry: KeystoreEntry) -> str:
+    """The entry's text; an identity that the line rule would not read back
+    (a newline, or trailing whitespace that ``str.strip`` removes) is refused."""
+    if "\n" in entry.identity or entry.identity != entry.identity.rstrip():
+        raise ParameterError("identity %r cannot be written as a keystore line" % entry.identity)
     return "".join("%s=%s\n" % field for field in _entry_fields(entry).items())
 
 
 def write_keystore(path, entries) -> None:
+    text = "\n".join(format_keystore_entry(e) for e in entries)  # refuses before the file opens
     with open(path, "w", encoding="utf-8") as fp:
-        fp.write("\n".join(format_keystore_entry(e) for e in entries))
+        fp.write(text)
 
 
 def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
@@ -285,8 +291,8 @@ class AuthService(socketserver.ThreadingTCPServer):
 
             accepted, distance = verify(params, key, a, z, b=b)
             self._log(_record(params, b_payload, a_payload, z_payload, accepted, distance))
-            decision = b"%s distance=%d" % (b"accept" if accepted else b"reject", distance)
-            _send(sock, DECISION, b"muted" if self.mute_decisions else decision)
+            decision = b"muted" if self.mute_decisions else _decision_text(accepted, distance).encode()
+            _send(sock, DECISION, decision)
         except OversizeError:
             pass  # drop the connection without a reply
         except (FormatError, ServiceError, DimensionError, ParameterError) as exc:

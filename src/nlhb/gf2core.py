@@ -346,8 +346,8 @@ def _pack_hex(bits: np.ndarray) -> str:
     return _pack_payload(bits).hex()
 
 
-def _unpack_hex(hexline: str, nbits: int, line: int | None = None) -> np.ndarray:
-    return _unpack_payload(_hex_payload(hexline, nbits, line), (nbits,))
+def _unpack_hex(hexline: str, nbits: int) -> np.ndarray:
+    return _unpack_payload(_hex_payload(hexline, nbits), (nbits,))
 
 
 def _block_pieces(want: str, dims: tuple, payload: bytes) -> tuple[str, str, str]:

@@ -253,13 +253,17 @@ def respond(
     Pass ``noise`` explicitly (test hook) or an ``rng`` to draw it.
     """
     key, a, b = _check_exchange(params, key, a, b)
-    if noise is None:
-        if rng is None:
-            raise ParameterError("respond needs either an rng or an explicit noise vector")
-        noise = rng.bernoulli_bits(params.d, params.eps)
-    else:
-        noise = as_bits(noise, params.d)
-    return _image(params, key, a, b) ^ noise
+    if noise is not None:
+        return _image(params, key, a, b) ^ as_bits(noise, params.d)
+    if rng is None:
+        raise ParameterError("respond needs either an rng or an explicit noise vector")
+    return _respond(params, key, a, b, rng)
+
+
+def _respond(params: ProtocolParams, key: SecretKey, a, b, rng: RandomSource) -> np.ndarray:
+    """The honest prover's answer for checked bit operands: the image plus
+    Bernoulli(eps) noise drawn from ``rng``."""
+    return _image(params, key, a, b) ^ rng.bernoulli_bits(params.d, params.eps)
 
 
 def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, int]:
@@ -288,24 +292,19 @@ def run_session(
     of the prover's noise, the same (accepted, distance) that :func:`verify`
     returns for the transcript.  B and A are drawn as payloads
     (:meth:`RandomSource._payload`) and the image is computed from them, so
-    no matrix is unpacked and only z is packed."""
+    no matrix is unpacked and only z is packed.  This is the one caller that
+    multiplies payloads; callers that hold bits answer through :func:`_respond`."""
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
-    b, a, z, dist = _exchange(params, key, rng_prover, rng_verifier, noise)
-    return _record(params, b if b is None else b.tobytes(), a.tobytes(),
-                   _pack_payload(z), dist <= params.u, dist)
-
-
-def _exchange(params, key, rng_prover, rng_verifier, noise=None):
-    """The payloads of B (None when unblinded) and A as uint8 arrays, the bit
-    array z and the distance, of :func:`run_session` for a checked key and noise."""
     b = rng_prover._payload(params.k, params.n) if params.blinded else None
     a = rng_verifier._payload(params.k, params.n)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
     z = _image(params, key, a, b, partial(_payload_mat_vec_mul, n=params.n)) ^ noise
-    return b, a, z, int(np.count_nonzero(noise))
+    dist = int(np.count_nonzero(noise))
+    return _record(params, b if b is None else b.tobytes(), a.tobytes(),
+                   _pack_payload(z), dist <= params.u, dist)
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):
@@ -393,6 +392,12 @@ def _parse_params(proto: str, line_text: str) -> ProtocolParams:
     return params
 
 
+def _decision_text(accepted: bool, distance: int) -> str:
+    """A decision as the service sends it and a transcript records it after
+    ``decision=``: ``accept|reject distance=N``, read by :func:`_parse_decision`."""
+    return "%s distance=%d" % ("accept" if accepted else "reject", distance)
+
+
 def _parse_decision(text: str, prefix: str = "") -> tuple[bool, int]:
     """The (accepted, distance) of a decision as the service sends it,
     ``accept|reject distance=N``, after ``prefix``; else a ValueError."""
@@ -462,5 +467,5 @@ def transcripts_to_text(transcripts) -> str:
             out += _block_pieces("mat", shape, t._b)
         out += _block_pieces("mat", shape, t._a)
         out += _block_pieces("bits", (t.params.d,), t._z)
-        out.append("decision=%s distance=%d\n" % ("accept" if t.accepted else "reject", t.distance))
+        out.append("decision=%s\n" % _decision_text(t.accepted, t.distance))
     return "".join(out)

@@ -50,8 +50,8 @@ from .protocols import (
     SecretKey,
     _check_key,
     _decide,
-    _exchange,
     _image,
+    _respond,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,13 +91,13 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
     c rows equals any split of c into smaller draws."""
     _single_secret(params)
     key = _check_key(params, key)
-    split = params.k * params.n
 
     def draw(count: int) -> np.ndarray:
         out = np.empty((count, string_length(params)), dtype=np.uint8)
+        a, z = batch_views(out, params)
         for row in range(count):
-            _, a, out[row, split:], _ = _exchange(params, key, rng, rng)
-            out[row, :split] = np.unpackbits(a, count=split)
+            a[row] = rng.uniform_matrix(params.k, params.n)
+            z[row] = _respond(params, key, a[row], None, rng)
         return out
 
     return draw
@@ -299,8 +299,7 @@ class HonestPassiveForger(PerfectPassiveForger):
     """Knows the key but answers like the honest noisy prover."""
 
     def forge(self, a):
-        noise = self._rng.bernoulli_bits(self.params.d, self.params.eps)
-        return _image(self.params, self.key, a, None) ^ noise
+        return _respond(self.params, self.key, a, None, self._rng)
 
 
 class RandomPassiveForger(PassiveForger):
@@ -436,11 +435,10 @@ class ActiveForger:
     def _prover_response(self, key: SecretKey, a, noisy: bool) -> np.ndarray:
         """The honest blinded prover's answer to ``a`` under ``key`` and B_hat.
         Its noise comes from coins tied to ``a``, so a rewound replay repeats it."""
-        params = self.params
-        image = _image(params, key, a, self._state["b_hat"])
+        params, b_hat = self.params, self._state["b_hat"]
         if noisy:
-            image ^= self._message_rng("noise", a.tobytes()).bernoulli_bits(params.d, params.eps)
-        return image
+            return _respond(params, key, a, b_hat, self._message_rng("noise", a.tobytes()))
+        return _image(params, key, a, b_hat)
 
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the

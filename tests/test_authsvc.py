@@ -238,6 +238,29 @@ def test_keystore_round_trips_through_text(drawn):
         assert got.key.s2 is None or np.array_equal(got.key.s2, entry.key.s2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(" \t\r\n\x85=ab", max_size=6))
+def test_keystore_identity_is_refused_or_read_back_as_written(identity):
+    params = hb_params(4, 16, Fraction(1, 8), Fraction(1, 4))
+    entry = svc.KeystoreEntry(identity, params, generate_key(params, RandomSource(6)))
+    try:
+        text = svc.format_keystore_entry(entry)
+    except ParameterError:
+        assert "\n" in identity or identity != identity.rstrip()
+        return
+    (back,) = svc.parse_keystore(text).values()
+    assert back.identity == identity
+
+
+@pytest.mark.parametrize("identity", ["a ", "a\nb", "a\r", "a\x85"])
+def test_write_keystore_refuses_an_identity_before_opening_the_file(tmp_path, identity):
+    params = hb_params(4, 16, Fraction(1, 8), Fraction(1, 4))
+    entry = svc.KeystoreEntry(identity, params, generate_key(params, RandomSource(7)))
+    with pytest.raises(ParameterError, match="identity"):
+        svc.write_keystore(tmp_path / "keys.txt", [entry])
+    assert not (tmp_path / "keys.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # loopback handshakes
 # ---------------------------------------------------------------------------
@@ -290,6 +313,17 @@ def test_secrets_and_noise_never_on_the_wire(service):
     blob = b"".join(payload for _, payload in frames)
     assert secret_hex.encode() not in blob
     assert noise_hex.encode() not in blob
+
+
+def test_decision_frame_is_the_logged_decision_line(service):
+    running, entry = service
+    frames = []
+    for key in (entry.key, generate_key(entry.params, RandomSource(17))):  # accepted, then rejected
+        svc.authenticate(running.address, "tag-01", key, entry.params, rng=RandomSource(16), frame_log=frames)
+    sent = [payload.decode("utf-8") for tag, payload in frames if tag == svc.DECISION]
+    log = running.log_path.read_text(encoding="utf-8").splitlines()
+    assert sent == [line[len("decision="):] for line in log if line.startswith("decision=")]
+    assert [text.split()[0] for text in sent] == ["accept", "reject"]
 
 
 def test_transcript_byte_identical_to_in_process_session(service):

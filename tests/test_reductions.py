@@ -26,6 +26,7 @@ from nlhb.protocols import (
     nlhb_params,
     transcript_sampler,
 )
+from nlhb import gf2core, protocols
 from nlhb import reductions as red
 from support import finite_transcript_source, hybrid_tables
 
@@ -564,20 +565,46 @@ def test_deterministic_given_seed_and_input():
     assert oracle(batch) == oracle(batch)
 
 
-@pytest.mark.parametrize("count", [0, 1, 3])
-@pytest.mark.parametrize("proto", ["hb", "nlhb"])
-def test_honest_source_packs_transcript_sampler(proto, count):
-    # One stream, A then noise per session, however the rows are drawn.
+def _source_params(proto, shape):
     if proto == "hb":
-        params = hb_params(6, 40, Fraction(1, 8), Fraction(1, 4))
-    else:
-        params = nlhb_params(6, 43, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
+        return hb_params(*shape, Fraction(1, 8), Fraction(1, 4))
+    return nlhb_params(*shape, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC)
+
+
+@pytest.mark.parametrize("proto, shape, count", [
+    *(pytest.param(proto, shape, count, id="%s-%d" % (proto, count))
+      for proto, shape in (("hb", (6, 40)), ("nlhb", (6, 43))) for count in (0, 1, 3)),
+    pytest.param("hb", (128, 1164), 2, id="hb-128x1164-2"),
+])
+def test_honest_source_packs_transcript_sampler(proto, shape, count):
+    # One stream, A then noise per session, however the rows are drawn.
+    params = _source_params(proto, shape)
     key = generate_key(params, RandomSource(150))
     rows = red.honest_transcript_source(params, key, RandomSource(151))(count)
     sessions = transcript_sampler(params, key, RandomSource(151), count)
     packed = [np.concatenate([t.a.reshape(-1), t.z]) for t in sessions]
     expected = np.array(packed, dtype=np.uint8).reshape(count, red.string_length(params))
     assert rows.dtype == np.uint8 and np.array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("proto, shape", [("hb", (8, 256)), ("nlhb", (8, 259))], ids=["hb", "nlhb"])
+def test_honest_source_multiplies_bits(proto, shape, monkeypatch):
+    # The source holds A's bits, so it answers through the bit kernel; only
+    # run_session, which draws payloads, multiplies them.
+    kernel, calls = gf2core._payload_mat_vec_mul, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    for module in (gf2core, protocols):
+        monkeypatch.setattr(module, "_payload_mat_vec_mul", counted)
+    params = _source_params(proto, shape)
+    key = generate_key(params, RandomSource(154))
+    red.honest_transcript_source(params, key, RandomSource(155))(3)
+    assert calls == []
+    transcript_sampler(params, key, RandomSource(155), 1)  # the counter sees a session's product
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("proto", ["hb+", "nlhb+"])

@@ -1,4 +1,4 @@
-"""Three structural rules for ``src/nlhb``, checked with ``ast``.
+"""Four structural rules for ``src/nlhb``, checked with ``ast``.
 
 - No ``class`` statement sits inside a function body: a class built per call
   is a new type each time, which nothing can patch or subclass.
@@ -8,6 +8,9 @@
 - Every attribute the package stores on ``self`` is read somewhere: some
   ``.name`` in the package, the tests or the benchmark loads it.  Storing it
   is not a read.
+- Every defaulted parameter of a private top-level function is passed, by
+  position or keyword, by some call in the package or the benchmark: a
+  default that nothing overrides is a constant dressed as an option.
 """
 
 import ast
@@ -155,3 +158,68 @@ def test_every_stored_attribute_is_read():
     package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     found = _unread_attributes(package, [p.read_text(encoding="utf-8") for p in BENCH + TESTS])
     assert not found, "stored on self and read nowhere: %s" % found
+
+
+def _calls(tree) -> list[tuple[str, int, set[str], bool]]:
+    """(callee name, positional count, keyword names, whether a ``*`` or
+    ``**`` argument may pass anything) of each call in ``tree``; a
+    ``partial(f, ...)`` counts as a call of ``f`` with the arguments it binds."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        name = getattr(func, "id", getattr(func, "attr", None))
+        if name == "partial" and args:
+            func, args = args[0], args[1:]
+            name = getattr(func, "id", getattr(func, "attr", None))
+        keywords = {kw.arg for kw in node.keywords}
+        starred = None in keywords or any(isinstance(arg, ast.Starred) for arg in args)
+        out.append((name, len(args), keywords, starred))
+    return out
+
+
+def _unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.parameter`` of each defaulted parameter of a private
+    top-level function in ``package`` (module name -> source) that no call
+    in ``package`` or ``callers`` passes."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
+    calls = [call for tree in list(trees.values()) + [ast.parse(s) for s in callers] for call in _calls(tree)]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, _FUNCTIONS) or not node.name.startswith("_"):
+                continue
+            mine = [call for call in calls if call[0] == node.name]
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = [(i, arg.arg) for i, arg in enumerate(positional)][len(positional) - len(node.args.defaults):]
+            defaulted += [(None, arg.arg) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                          if default is not None]
+            for index, param in defaulted:
+                if not any(starred or param in keywords or (index is not None and count > index)
+                           for _, count, keywords, starred in mine):
+                    found.append("%s.%s.%s" % (module, node.name, param))
+    return found
+
+
+@pytest.mark.parametrize("package, callers, found", [
+    ({"a": "def _f(x, y=1): pass\n_f(0)\n"}, [], ["a._f.y"]),
+    ({"a": "def _f(x, y=1): pass\n_f(0, 2)\n"}, [], []),
+    ({"a": "def _f(x, y=1): pass\n_f(0, y=2)\n"}, [], []),
+    ({"a": "def _f(x, y=1): pass\n"}, ["m._f(0, 2)\n"], []),
+    ({"a": "def _f(x, y=1): pass\ng = partial(_f, y=2)\n"}, [], []),
+    ({"a": "def _f(x, y=1): pass\n_f(*xs)\n"}, [], []),
+    ({"a": "def _f(x, y=1): pass\n_f(**kw)\n"}, [], []),
+    ({"a": "def _f(x, *, y=1): pass\n_f(0)\n"}, [], ["a._f.y"]),
+    ({"a": "def _f(x=0, y=1): pass\n_f(0)\n"}, [], ["a._f.y"]),
+    ({"a": "def f(x, y=1): pass\nf(0)\n"}, [], []),
+    ({"a": "class C:\n    def _f(self, y=1): pass\n"}, [], []),
+])
+def test_the_unpassed_default_check_reads_each_form(package, callers, found):
+    assert _unpassed_defaults(package, callers) == found
+
+
+def test_every_private_default_is_passed():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = _unpassed_defaults(package, [p.read_text(encoding="utf-8") for p in BENCH])
+    assert not found, "defaulted and never passed: %s" % found
