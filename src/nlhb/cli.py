@@ -3,7 +3,9 @@
 Every randomized subcommand reports the seed it ran under as its first output
 row, so any table can be regenerated exactly.  Output is TSV by default
 (`--format text` for aligned key/value lines); rows starting with ``#`` are
-human-oriented summaries.
+human-oriented summaries.  Each subcommand only fills a report: `main` builds
+it and emits it once the command returns, so a command that raises prints no
+report and writes no ``--out`` file.
 """
 
 from __future__ import annotations
@@ -30,19 +32,20 @@ from .gf2core import (
 )
 from .nlfunc import (
     DEFAULT_SPEC,
-    IDENTITY_SPEC,
     balance_check,
     format_spec,
     max_entropy_functions,
     merge_error_distribution,
     parse_spec,
 )
-from .params import MAX_D, false_accept, false_reject, find_min_D, threshold_u
+from .params import MAX_D, check_rates, false_accept, false_reject, find_min_D, threshold_u
 from .protocols import (
+    PROTOCOLS,
     ProtocolParams,
     SecretKey,
     generate_key,
     read_transcripts,
+    response_map,
     run_session,
     transcript_sampler,
     write_transcripts,
@@ -207,9 +210,8 @@ def _finite(text: str) -> float:
 
 def _spec(args):
     """The --spec map, or the protocol's default one."""
-    if args.spec is not None:
-        return parse_spec(args.spec)
-    return IDENTITY_SPEC if args.proto in ("hb", "hb+") else DEFAULT_SPEC
+    spec = response_map(args.proto, None if args.spec is None else parse_spec(args.spec))
+    return DEFAULT_SPEC if spec is None else spec
 
 
 # Bits a command may hold in all the count k x n matrices it asks for: 2^28
@@ -235,14 +237,31 @@ def _build_params(args) -> ProtocolParams:
     return ProtocolParams(proto=args.proto, k=args.k, n=n, eps=eps, eps_prime=epsp, spec=spec)
 
 
-def _add_common(sub, *, seeded: bool = True, out_help: str = "write the report here instead of stdout"):
+def _root(args, report) -> RandomSource:
+    """The command's root source; its seed is the report's first row."""
+    seed = _resolve_seed(args)
+    report.row("seed", seed)
+    return RandomSource(seed)
+
+
+def _keyed(args, report):
+    """Params from the protocol flags, the root source, and the key drawn from it."""
+    params = _build_params(args)
+    root = _root(args, report)
+    return params, root, generate_key(params, root.derive("key"))
+
+
+def _add_common(sub, *, seeded: bool = True, out: bool = True):
+    """--format, --seed if seeded, and --out for the report unless the
+    command gives --out another meaning."""
     sub.add_argument("--format", choices=("tsv", "text"), default="tsv")
-    sub.add_argument("--out", help=out_help)
+    if out:
+        sub.add_argument("--out", help="write the report here instead of stdout")
     if seeded:
         sub.add_argument("--seed", type=_u64, help="64-bit seed (printed; random if omitted)")
 
 
-def _add_protocol_flags(sub, *, proto_choices=("hb", "hb+", "nlhb", "nlhb+")):
+def _add_protocol_flags(sub, *, proto_choices=PROTOCOLS):
     sub.add_argument("--proto", choices=proto_choices, default="nlhb")
     sub.add_argument("--k", type=int, default=16)
     sub.add_argument("--n", type=int)
@@ -252,17 +271,17 @@ def _add_protocol_flags(sub, *, proto_choices=("hb", "hb+", "nlhb", "nlhb+")):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the report that main builds and emits
 # ---------------------------------------------------------------------------
 
-def _cmd_params(args) -> int:
-    report = Report(args.format, args.out)
+def _cmd_params(args, report) -> None:
     if args.dd is not None:
         d = args.dd
         if d > MAX_D:
             raise ParameterError("D=%d exceeds %d, the largest D find_min_D scans" % (d, MAX_D))
-        u = threshold_u(args.epsp, d)
-        fa, fr = false_accept(d, u), false_reject(d, args.eps, u)
+        eps, epsp = check_rates(args.eps, args.epsp)
+        u = threshold_u(epsp, d)
+        fa, fr = false_accept(d, u), false_reject(d, eps, u)
         report.row("D", d)
     else:
         found = find_min_D(args.eps, args.epsp, args.pfa, args.pfr)
@@ -272,31 +291,24 @@ def _cmd_params(args) -> int:
     report.row("u", u)
     report.row("log2_false_accept", "%.6f" % fa.log2)
     report.row("log2_false_reject", "%.6f" % fr.log2)
-    report.emit()
-    return 0
 
 
-def _cmd_cost(args) -> int:
+def _cmd_cost(args, report) -> None:
     ops = count_ops(args.proto, args.k, args.dd, spec=_spec(args))
-    report = Report(args.format, args.out)
     report.row("proto", "k", "D", "multiplications", "additions")
     report.row(args.proto, args.k, args.dd, ops.scalar_multiplications, ops.scalar_additions)
     for name, mults, adds in ops.breakdown:
         report.row("phase:" + name, "", "", mults, adds)
-    report.emit()
-    return 0
 
 
-def _cmd_analyze(args) -> int:
-    report = Report(args.format, args.out)
+def _cmd_analyze(args, report) -> None:
     if args.enumerate:
         report.row("p", "max_entropy_bits", "maximizers", "g")
         for p in args.p:
             best, winners = max_entropy_functions(p)
             for spec in winners:
                 report.row(p, "%g" % best, len(winners), format_spec(spec))
-        report.emit()
-        return 0
+        return
     if args.spec is None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
@@ -309,28 +321,20 @@ def _cmd_analyze(args) -> int:
     if args.balance_n is not None:
         check = balance_check(spec, args.balance_n)
         report.row("balanced_at_n_%d" % args.balance_n, check.is_uniform)
-    report.emit()
-    return 0
 
 
-def _cmd_simulate(args) -> int:
-    report = Report(args.format, None)
+def _cmd_simulate(args, report) -> None:
     if args.replay is not None:
         transcripts = read_transcripts(args.replay)
         report.row("record", "proto", "k", "n", "decision", "distance")
         for i, t in enumerate(transcripts):
             report.row(i, t.proto, t.params.k, t.params.n,
                        "accept" if t.accepted else "reject", t.distance)
-        report.emit()
-        return 0
-    params = _build_params(args)
+        return
+    params, root, key = _keyed(args, report)
     _check_size(params.k, params.n, args.sessions)
-    seed = _resolve_seed(args)
-    root = RandomSource(seed)
-    key = generate_key(params, root.derive("key"))
     rng_prover = root.derive("prover")
     rng_verifier = root.derive("verifier")
-    report.row("seed", seed)
     report.row("session", "decision", "distance")
     transcripts = []
     accepted = 0
@@ -341,33 +345,23 @@ def _cmd_simulate(args) -> int:
         report.row(i, "accept" if t.accepted else "reject", t.distance)
     report.comment("%d/%d sessions accepted (u=%d, D=%d)"
                    % (accepted, args.sessions, params.u, params.d))
-    if args.out:
-        write_transcripts(args.out, transcripts)
-        report.comment("transcripts written to %s" % args.out)
-    report.emit()
-    return 0
+    if args.transcripts:
+        write_transcripts(args.transcripts, transcripts)
+        report.comment("transcripts written to %s" % args.transcripts)
 
 
-def _cmd_attack(args) -> int:
-    params = _build_params(args)
-    # each transcript yields D column samples
-    n_transcripts = max(4, -(-args.samples // params.d))
+def _cmd_attack(args, report) -> None:
+    params, root, key = _keyed(args, report)
     if args.attack == "majority":
         _check_size(1, params.d, args.reps or 1)
-    else:
-        _check_size(params.k, params.n, n_transcripts)
-    seed = _resolve_seed(args)
-    root = RandomSource(seed)
-    key = generate_key(params, root.derive("key"))
-    report = Report(args.format, args.out)
-    report.row("seed", seed)
-
-    if args.attack == "majority":
         oracle = attacks.make_prover_oracle(params, key, root.derive("oracle"))
         result = attacks.majority_vote_attack(
             oracle, params.k, args.reps, params, rng=root.derive("attack")
         )
     else:
+        # each transcript yields D column samples
+        n_transcripts = max(4, -(-args.samples // params.d))
+        _check_size(params.k, params.n, n_transcripts)
         transcripts = transcript_sampler(params, key, root.derive("samples"), n_transcripts)
         if args.attack == "lf2":
             result = attacks.lf2_attack(transcripts, args.b, params)
@@ -391,77 +385,67 @@ def _cmd_attack(args) -> int:
             report.row("stat:" + name, value)
     verdict = "recovered the planted key" if result.success else "did not recover the key"
     report.comment("%s attack on %s %s" % (result.attack, result.proto, verdict))
-    report.emit()
-    return 0
 
 
-def _cmd_reduce(args) -> int:
-    seed = _resolve_seed(args)
-    root = RandomSource(seed)
-    report = Report(args.format, args.out)
-    report.row("seed", seed)
-    mode = args.mode
+def _cmd_embed(args, report) -> None:
+    root = _root(args, report)
+    spec = parse_spec(args.spec) if args.spec is not None else DEFAULT_SPEC
+    eps = args.eps if args.eps is not None else Fraction(1, 8)
+    _check_size(args.k, max(args.n, args.nprime), args.instances)
+    secret = root.derive("secret").uniform_bits(args.k)
+    rng = root.derive("embed")
+    instances = []
+    layout = None
+    for _ in range(args.instances):
+        g = rng.uniform_matrix(args.k, args.nprime)
+        z = mat_vec_mul(secret, g) ^ rng.bernoulli_bits(args.nprime, eps)
+        a, y, layout = reductions.lpn_to_unld_embed(g, z, spec, args.n, rng, eps)
+        instances.append((a, y))
+    recovered, distance = reductions.brute_force_unld(instances, args.k, spec)
+    report.row("positions", " ".join(map(str, layout.positions)))
+    report.row("gaps", " ".join(map(str, layout.gaps)))
+    report.row("instances", args.instances)
+    report.row("recovered", _pack_hex(recovered))
+    report.row("planted", _pack_hex(secret))
+    report.row("match", bool(np.array_equal(recovered, secret)))
+    report.row("total_distance", distance)
+    report.comment("LPN secret %s through the widened instance"
+                   % ("recovered" if np.array_equal(recovered, secret) else "missed"))
 
-    if mode == "embed":
-        spec = parse_spec(args.spec) if args.spec is not None else DEFAULT_SPEC
-        eps = args.eps if args.eps is not None else Fraction(1, 8)
-        _check_size(args.k, max(args.n, args.nprime), args.instances)
-        secret = root.derive("secret").uniform_bits(args.k)
-        rng = root.derive("embed")
-        instances = []
-        layout = None
-        for _ in range(args.instances):
-            g = rng.uniform_matrix(args.k, args.nprime)
-            z = mat_vec_mul(secret, g) ^ rng.bernoulli_bits(args.nprime, eps)
-            a, y, layout = reductions.lpn_to_unld_embed(g, z, spec, args.n, rng, eps)
-            instances.append((a, y))
-        recovered, distance = reductions.brute_force_unld(instances, args.k, spec)
-        report.row("positions", " ".join(map(str, layout.positions)))
-        report.row("gaps", " ".join(map(str, layout.gaps)))
-        report.row("instances", args.instances)
-        report.row("recovered", _pack_hex(recovered))
-        report.row("planted", _pack_hex(secret))
-        report.row("match", bool(np.array_equal(recovered, secret)))
-        report.row("total_distance", distance)
-        report.comment("LPN secret %s through the widened instance"
-                       % ("recovered" if np.array_equal(recovered, secret) else "missed"))
-        report.emit()
-        return 0
 
-    if mode == "hybrid":
-        params = _build_params(args)
-        key = generate_key(params, root.derive("key"))
-        t = run_session(params, key, root.derive("prover"), root.derive("verifier"))
-        strings = reductions.transcript_batch(params, [t])
-        hybrid = reductions.hybrid_sample(strings, args.row, params, root.derive("hybrid"))
-        a2, z2 = reductions.batch_views(hybrid, params)
-        report.row("row", args.row)
-        report.row("original_row", _pack_hex(t.a[args.row - 1]))
-        report.row("perturbed_row", _pack_hex(a2[0, args.row - 1]))
-        report.row("z", _pack_hex(z2[0]))
-        report.comment("row %d re-randomized; response left untouched" % args.row)
-        report.emit()
-        return 0
+def _cmd_hybrid(args, report) -> None:
+    params, root, key = _keyed(args, report)
+    t = run_session(params, key, root.derive("prover"), root.derive("verifier"))
+    strings = reductions.transcript_batch(params, [t])
+    hybrid = reductions.hybrid_sample(strings, args.row, params, root.derive("hybrid"))
+    a2, z2 = reductions.batch_views(hybrid, params)
+    report.row("row", args.row)
+    report.row("original_row", _pack_hex(t.a[args.row - 1]))
+    report.row("perturbed_row", _pack_hex(a2[0, args.row - 1]))
+    report.row("z", _pack_hex(z2[0]))
+    report.comment("row %d re-randomized; response left untouched" % args.row)
 
-    params = _build_params(args)
+
+def _cmd_thm2(args, report) -> None:
+    params, root, key = _keyed(args, report)
     # a distinguisher batch holds at most q + 1 strings
     _check_size(1, reductions.string_length(params), args.q + 1)
-    key = generate_key(params, root.derive("key"))
+    oracle = reductions.ideal_distinguisher(params, key, q=args.q, seed=root.seed)
+    source = reductions.honest_transcript_source(params, key, root.derive("source"))
+    recovered = reductions.algorithm_x(oracle, source, params.k, n_batches=args.batches)
+    report.row("recovered", _pack_hex(recovered))
+    report.row("planted", _pack_hex(key.s1))
+    report.row("match", bool(np.array_equal(recovered, key.s1)))
+    report.comment("algorithm X against the ideal distinguisher")
 
-    if mode == "thm2":
-        oracle = reductions.ideal_distinguisher(params, key, q=args.q, seed=seed)
-        source = reductions.honest_transcript_source(params, key, root.derive("source"))
-        recovered = reductions.algorithm_x(
-            oracle, source, params.k, n_batches=args.batches
-        )
-        report.row("recovered", _pack_hex(recovered))
-        report.row("planted", _pack_hex(key.s1))
-        report.row("match", bool(np.array_equal(recovered, key.s1)))
-        report.comment("algorithm X against the ideal distinguisher")
-        report.emit()
-        return 0
 
-    if mode == "thm3":
+def _cmd_forger_rates(args, report) -> None:
+    """thm3 (hb, nlhb: a passive forger) and thm4 (hb+, nlhb+: an active one,
+    rewound): the forger as a distinguisher, on honest and on uniform input."""
+    params, root, key = _keyed(args, report)
+    _check_size(1, reductions.string_length(params), args.q + 1)
+    seed = root.seed
+    if not params.blinded:
         forger = {
             "perfect": lambda: reductions.PerfectPassiveForger(params, key, q=args.q),
             "honest": lambda: reductions.HonestPassiveForger(params, key, q=args.q),
@@ -470,7 +454,7 @@ def _cmd_reduce(args) -> int:
         oracle = reductions.forger_to_distinguisher(forger, args.q, args.epsdd, seed=seed)
         low, high = reductions.passive_distinguisher_interval(params)
         plain = params
-    else:  # thm4: the parser admits only hb+ and nlhb+
+    else:
         forced = SecretKey(s1=key.s1, s2=reductions.rewinding_s2(params, seed))
         forger = {
             "perfect": lambda: reductions.HonestActiveForger(params, forced, noisy=False),
@@ -497,11 +481,10 @@ def _cmd_reduce(args) -> int:
     report.row("uniform_rate", "%d/%d" % (uni, trials))
     report.row("gap", "%.4f" % ((hon - uni) / trials))
     report.comment("distinguisher separation between honest and uniform input")
-    report.emit()
-    return 0
 
 
-def _cmd_serve(args) -> int:
+def _cmd_serve(args, report) -> int:
+    # the report stays empty: the seed and address print before serve_forever blocks
     keystore = authsvc.read_keystore(args.keystore)
     seed = _resolve_seed(args)
     service = authsvc.AuthService(
@@ -519,33 +502,29 @@ def _cmd_serve(args) -> int:
     return 1
 
 
-def _cmd_auth(args) -> int:
+def _cmd_auth(args, report) -> int:
     entries = authsvc.read_keystore(args.key_file)
     entry = entries.get(args.identity)
     if entry is None:
         raise ParameterError(
             "identity %r not present in %s" % (args.identity, args.key_file)
         )
-    seed = _resolve_seed(args)
+    root = _root(args, report)
     accepted, distance = authsvc.authenticate(
         args.server,
         args.identity,
         entry.key,
         entry.params,
-        rng=RandomSource(seed),
+        rng=root,
         timeout=args.timeout,
     )
-    report = Report(args.format, args.out)
-    report.row("seed", seed)
     report.row("identity", args.identity)
     if accepted is None:
         report.row("decision", "muted")
-        report.emit()
         return 0
     report.row("decision", "accept" if accepted else "reject")
     report.row("distance", distance)
     report.row("threshold_u", entry.params.u)
-    report.emit()
     return 0 if accepted else 1
 
 
@@ -570,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_params)
 
     p = subs.add_parser("cost", help="per-session GF(2) operation counts")
-    p.add_argument("--proto", choices=("hb", "hb+", "nlhb", "nlhb+"), required=True)
+    p.add_argument("--proto", choices=PROTOCOLS, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--dd", type=int, required=True, help="response length D")
     p.add_argument("--spec")
@@ -590,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_protocol_flags(p)
     p.add_argument("--sessions", type=_positive, default=10)
     p.add_argument("--replay", help="re-read a transcript file instead of simulating")
-    _add_common(p, out_help="write the session transcripts to this file")
+    p.add_argument("--out", dest="transcripts", help="write the session transcripts to this file")
+    _add_common(p, out=False)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("attack", help="key-recovery attacks at desk scale")
@@ -618,20 +598,20 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--eps", type=_fraction)
     m.add_argument("--instances", type=int, default=6)
     _add_common(m)
-    m.set_defaults(func=_cmd_reduce)
+    m.set_defaults(func=_cmd_embed)
 
     m = modes.add_parser("hybrid", help="re-randomize one challenge row")
     _add_protocol_flags(m)
     m.add_argument("--row", type=int, default=1)
     _add_common(m)
-    m.set_defaults(func=_cmd_reduce)
+    m.set_defaults(func=_cmd_hybrid)
 
     m = modes.add_parser("thm2", help="algorithm X against the ideal distinguisher")
     _add_protocol_flags(m, proto_choices=("hb", "nlhb"))
     m.add_argument("--q", type=int, default=2)
     m.add_argument("--batches", type=int, default=32)
     _add_common(m)
-    m.set_defaults(func=_cmd_reduce)
+    m.set_defaults(func=_cmd_thm2)
 
     m = modes.add_parser("thm3", help="passive forger to distinguisher rates")
     _add_protocol_flags(m, proto_choices=("hb", "nlhb"))
@@ -640,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--epsdd", type=_fraction, help="accept threshold rate (default midpoint)")
     m.add_argument("--trials", type=_positive, default=100)
     _add_common(m)
-    m.set_defaults(func=_cmd_reduce)
+    m.set_defaults(func=_cmd_forger_rates)
 
     m = modes.add_parser("thm4", help="active forger to distinguisher via rewinding")
     _add_protocol_flags(m, proto_choices=("hb+", "nlhb+"))
@@ -654,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--eps1", type=_fraction, help="accept threshold rate (default midpoint)")
     m.add_argument("--trials", type=_positive, default=100)
     _add_common(m)
-    m.set_defaults(func=_cmd_reduce)
+    m.set_defaults(func=_cmd_forger_rates)
 
     p = subs.add_parser("serve", help="run the verifier service")
     p.add_argument("--bind", type=_address, default=("127.0.0.1", 9630))
@@ -680,7 +660,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _merge_config(argv)
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        report = Report(getattr(args, "format", "tsv"), getattr(args, "out", None))
+        code = args.func(args, report)
+        report.emit()  # only now: a command that raises writes no report
+        return code or 0
     except SystemExit as exc:  # argparse usage failures exit 2
         return int(exc.code or 0)
     except _DOMAIN_ERRORS as exc:

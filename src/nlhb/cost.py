@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2core import ParameterError
-from .nlfunc import IDENTITY_SPEC, NonlinearFunctionSpec
-from .protocols import PROTOCOLS
+from .nlfunc import NonlinearFunctionSpec
+from .protocols import PROTOCOLS, response_map
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,8 @@ def count_ops(proto: str, k: int, d: int, spec: NonlinearFunctionSpec | None = N
         raise ParameterError("unknown protocol %r" % proto)
     if k < 1 or d < 1:
         raise ParameterError("k and d must be positive")
-    if proto in ("hb", "hb+"):
-        if spec is None:
-            spec = IDENTITY_SPEC
-        elif spec.p != 0 or spec.monomials:
-            raise ParameterError("linear protocols take the identity response map")
-    elif spec is None:
+    spec = response_map(proto, spec)
+    if spec is None:
         raise ParameterError("%s requires a response-map spec" % proto)
 
     n = d + spec.p

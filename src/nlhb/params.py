@@ -51,6 +51,15 @@ def threshold_u(eps_prime, d: int) -> int:
     return int(Fraction(eps_prime) * d)
 
 
+def check_rates(eps, eps_prime) -> tuple[Fraction, Fraction]:
+    """The noise rate eps and threshold rate eps' as Fractions, refused unless
+    0 < eps < eps' < 1/2."""
+    eps, eps_prime = Fraction(eps), Fraction(eps_prime)
+    if not 0 < eps < eps_prime < Fraction(1, 2):
+        raise ParameterError("need 0 < eps < eps' < 1/2")
+    return eps, eps_prime
+
+
 def _check_d_u(d: int, u: int):
     if d < 1:
         raise ParameterError("D must be positive")
@@ -114,10 +123,7 @@ def find_min_D(
     steps), so each candidate is evaluated exactly.  Raises when no D <= cap
     meets the targets; at once when a target is not finite or below its floor.
     """
-    eps = Fraction(eps)
-    eps_prime = Fraction(eps_prime)
-    if not 0 < eps < eps_prime < Fraction(1, 2):
-        raise ParameterError("need 0 < eps < eps' < 1/2")
+    eps, eps_prime = check_rates(eps, eps_prime)
     # FA(D, u) >= 2^-D, FR(D, u) >= eps^D (its i = D term: u < D); 1 bit for rounding
     fa_floor, fr_floor = -cap - 1, cap * exact_log2(eps) - 1
     if not (fa_floor <= log2_fa_target < math.inf and fr_floor <= log2_fr_target < math.inf):

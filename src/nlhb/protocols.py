@@ -46,9 +46,20 @@ from .nlfunc import (
     format_spec,
     parse_spec,
 )
-from .params import threshold_u
+from .params import check_rates, threshold_u
 
 PROTOCOLS = ("hb", "hb+", "nlhb", "nlhb+")
+
+
+def response_map(proto: str, spec: NonlinearFunctionSpec | None) -> NonlinearFunctionSpec | None:
+    """The map ``proto`` answers through, given ``spec`` or None: hb and hb+
+    take only the identity map, their default; nlhb and nlhb+ take ``spec``."""
+    if proto in ("hb", "hb+"):
+        if spec is None:
+            return IDENTITY_SPEC
+        if spec.p != 0 or spec.monomials:
+            raise ParameterError("linear protocols take only the identity response map")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -70,12 +81,10 @@ class ProtocolParams:
             raise ParameterError("unknown protocol %r" % self.proto)
         if self.k < 1 or self.n < 1:
             raise ParameterError("k and n must be positive")
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        object.__setattr__(self, "eps_prime", Fraction(self.eps_prime))
-        if not Fraction(0) < self.eps < self.eps_prime < Fraction(1, 2):
-            raise ParameterError("need 0 < eps < eps' < 1/2")
-        if self.proto in ("hb", "hb+") and (self.spec.p != 0 or self.spec.monomials):
-            raise ParameterError("linear protocols require the identity response map")
+        eps, eps_prime = check_rates(self.eps, self.eps_prime)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps_prime", eps_prime)
+        response_map(self.proto, self.spec)
         self.spec.output_length(self.n)  # raises if the window leaves no output
 
     @cached_property

@@ -69,6 +69,14 @@ def test_params_search_finds_minimal_dd():
     assert got["log2_false_reject"] == "-42.046244"
 
 
+@pytest.mark.parametrize("dd", [[], ["--dd", "100"]], ids=["search", "certify"])
+@pytest.mark.parametrize("eps, epsp", [("3/8", "1/4"), ("1/4", "1/4"), ("1/4", "7/10")])
+def test_params_refuses_rates_outside_the_order(eps, epsp, dd):
+    code, out, err = run_cli(["params", "--eps", eps, "--epsp", epsp] + dd)
+    assert (code, out) == (1, "")
+    assert err == "error: need 0 < eps < eps' < 1/2\n"
+
+
 @pytest.mark.parametrize(
     "proto,k,mults,adds",
     [
@@ -637,9 +645,13 @@ def test_any_argv_ends_in_output_or_an_error(argv_paths, argv):
     argv = [argv_paths.get(token, token) for token in argv]
     with mock.patch.object(authsvc.AuthService, "serve_forever", lambda service: None), \
             mock.patch.object(socket, "create_connection", _refused):
-        code, _, err = _run_cli_within_5s(argv)
+        code, out, err = _run_cli_within_5s(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    # serve prints its seed and address before it blocks; any other command
+    # that fails prints no report
+    if code != 0 and argv[0] != "serve":
+        assert out == ""
 
 
 # A separate "-inf" token reads as a flag; the "=" form reaches the type check.
@@ -664,15 +676,29 @@ def test_text_format_uses_aligned_columns():
     assert "log2_false_accept  " in out
 
 
-def test_out_flag_redirects_report(tmp_path):
-    path = tmp_path / "report.tsv"
-    code, out, _ = run_cli(
-        ["params", "--eps", "1/4", "--epsp", "348/1000", "--dd", "1164",
-         "--out", str(path)]
-    )
+@pytest.mark.parametrize("argv", [
+    ["params", "--eps", "1/4", "--epsp", "348/1000", "--dd", "1164"],
+    ["cost", "--proto", "nlhb", "--k", "8", "--dd", "16"],
+    ["analyze", "--spec", "p=2; g=x1x2"],
+    ["attack", "--attack", "lf2", "--proto", "hb", "--k", "8", "--b", "4", "--eps", "1/8",
+     "--seed", "11"],
+    ["reduce", "embed", "--k", "4", "--nprime", "6", "--n", "19", "--instances", "2", "--seed", "2"],
+    ["reduce", "hybrid", "--k", "4", "--n", "24", "--seed", "4"],
+    ["reduce", "thm2", "--k", "4", "--n", "24", "--batches", "2", "--seed", "3"],
+    ["reduce", "thm3", "--k", "4", "--n", "24", "--eps", "1/8", "--epsp", "1/4",
+     "--epsdd", "43/100", "--trials", "2", "--seed", "5"],
+    ["reduce", "thm4", "--k", "4", "--n", "24", "--eps", "1/8", "--epsp", "1/4",
+     "--eps1", "91/200", "--trials", "2", "--seed", "5"],
+], ids=["params", "cost", "analyze", "attack", "embed", "hybrid", "thm2", "thm3", "thm4"])
+def test_out_flag_redirects_report(argv, tmp_path):
+    code, want, _ = run_cli(argv)
     assert code == 0
-    assert out == ""
-    assert kv(path.read_text())["u"] == "405"
+    path = tmp_path / "report.tsv"
+    code, out, _ = run_cli(argv + ["--out", str(path)])
+    assert (code, out) == (0, "")
+    assert path.read_bytes() == want.encode()
+    if "--seed" in argv:
+        assert want.startswith("seed\t%s\n" % argv[argv.index("--seed") + 1])
 
 
 # ---------------------------------------------------------------------------
