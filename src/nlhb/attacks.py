@@ -41,7 +41,7 @@ from .gf2core import (
 from .nlfunc import key_distances
 from .params import false_reject
 from .protocols import ProtocolParams, SecretKey, respond, verify
-from .reductions import batch_views, transcript_batch
+from .reductions import _single_secret, batch_views, transcript_batch
 
 DESK_SCALE_K = 24
 
@@ -74,8 +74,7 @@ class AttackReport:
 
 def make_prover_oracle(params: ProtocolParams, key: SecretKey, rng: RandomSource):
     """Honest prover closure for the active attacks: fresh noise per call."""
-    if params.blinded:
-        raise ParameterError("active attacks here target the unblinded protocols")
+    _single_secret(params)
 
     def oracle(a):
         return respond(params, key, a, rng=rng)
@@ -129,8 +128,7 @@ def majority_vote_attack(
     A challenge matrix of rank < k, an inconsistent denoised system, or an
     ambiguous nonlinear match each burn one of ``max_rounds`` retries.
     """
-    if params.blinded:
-        raise ParameterError("majority vote is defined against the unblinded protocols")
+    _single_secret(params)
     if k != params.k:
         raise ParameterError("k=%d disagrees with params.k=%d" % (k, params.k))
     if reps is None:
@@ -245,6 +243,21 @@ def _sessions(params: ProtocolParams, transcripts) -> list:
     return list(zip(*batch_views(transcript_batch(params, transcripts), params)))
 
 
+def _passive_inputs(transcripts, verify_transcripts, keep: int):
+    """The one input step of the passive attacks: (params, attack records,
+    verification sessions, queries).  Without ``verify_transcripts`` the
+    first ``keep`` records attack and the rest verify.  An empty part, or
+    blinded params, is a :class:`ParameterError`."""
+    if verify_transcripts is None:
+        transcripts, verify_transcripts = transcripts[:keep], transcripts[keep:]
+    if not transcripts or not verify_transcripts:
+        raise ParameterError("a passive attack needs records to attack and records to verify on")
+    params = transcripts[0].params
+    _single_secret(params)
+    checks = _sessions(params, verify_transcripts)
+    return params, transcripts, checks, len(transcripts) + len(verify_transcripts)
+
+
 def _pool_samples(transcripts):
     params = transcripts[0].params
     a, z = batch_views(transcript_batch(params, transcripts), params)
@@ -279,29 +292,21 @@ def lf2_attack(
     ``best_bias`` statistics show the correlation the merge was supposed
     to expose collapsing to noise level.
     """
-    if len(transcripts) < 2 and verify_transcripts is None:
-        raise ParameterError("need at least two transcripts (attack + verification)")
-    inferred = transcripts[0].params
-    if params is None:
-        params = inferred
-    elif params != inferred:
+    carve = min(100, max(1, len(transcripts) // 4))  # the last records verify
+    inferred, transcripts, checks, queries = _passive_inputs(
+        transcripts, verify_transcripts, len(transcripts) - carve
+    )
+    if params not in (None, inferred):
         raise ParameterError("params disagree with the transcripts")
-    if params.blinded:
-        raise ParameterError("the passive attacks target the unblinded protocols")
+    params = inferred
     k = params.k
     if k > DESK_SCALE_K:
         raise ParameterError("desk-scale attack supports k <= %d" % DESK_SCALE_K)
     if not 0 < b <= k:
         raise ParameterError("need 0 < b <= k")
-    if verify_transcripts is None:
-        carve = min(100, max(1, len(transcripts) // 4))
-        verify_transcripts = transcripts[-carve:]
-        transcripts = transcripts[:-carve]
 
     x, y = _pool_samples(transcripts)
-    checks = _sessions(params, verify_transcripts)
     n_samples = x.shape[1]
-    queries = len(transcripts) + len(verify_transcripts)
     eps = float(params.eps)
     stats = {
         "samples": n_samples,
@@ -399,24 +404,14 @@ def noise_free_selection_attack(
     the solve step has no linear system to work on; for k <= 16 the report
     instead carries the 2^k brute-force alternative.
     """
-    if not transcripts:
-        raise ParameterError("need transcripts")
-    params = transcripts[0].params
+    params, transcripts, checks, queries = _passive_inputs(  # the first quarter attacks
+        transcripts, verify_transcripts, max(1, len(transcripts) // 4)
+    )
     if k != params.k:
         raise ParameterError("k=%d disagrees with params.k=%d" % (k, params.k))
-    if params.blinded:
-        raise ParameterError("the passive attacks target the unblinded protocols")
     if trials < 1:
         raise ParameterError("trials must be positive")
     rng = RandomSource(0) if rng is None else rng
-    if verify_transcripts is None:
-        if len(transcripts) < 2:
-            raise ParameterError("need at least two transcripts (attack + verification)")
-        split = max(1, len(transcripts) // 4)
-        verify_transcripts = transcripts[split:]
-        transcripts = transcripts[:split]
-    checks = _sessions(params, verify_transcripts)
-    queries = len(transcripts) + len(verify_transcripts)
     per_trial = float((1 - Fraction(params.eps)) ** k)
 
     if params.spec.monomials:

@@ -325,6 +325,8 @@ def _cmd_analyze(args, report) -> None:
 
 def _cmd_simulate(args, report) -> None:
     if args.replay is not None:
+        if args.transcripts is not None or args.seed is not None:
+            args.error("--replay reads a file; it takes no --out or --seed")
         transcripts = read_transcripts(args.replay)
         report.row("record", "proto", "k", "n", "decision", "distance")
         for i, t in enumerate(transcripts):
@@ -571,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replay", help="re-read a transcript file instead of simulating")
     p.add_argument("--out", dest="transcripts", help="write the session transcripts to this file")
     _add_common(p, out=False)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, error=p.error)
 
     p = subs.add_parser("attack", help="key-recovery attacks at desk scale")
     p.add_argument("--attack", choices=("majority", "lf2", "noisefree"), required=True)

@@ -440,10 +440,9 @@ def _load(text: str, want: str, shape: tuple | None) -> tuple[bytes, np.ndarray]
     return payload, _unpack_payload(payload, dims)
 
 
-def load_bits(text: str, length: int | None = None) -> np.ndarray:
-    """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits),
-    of ``length`` bits when a length is given."""
-    return _load(text, "bits", None if length is None else (length,))[1]
+def load_bits(text: str) -> np.ndarray:
+    """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits)."""
+    return _load(text, "bits", None)[1]
 
 
 def load_matrix(text: str, shape: tuple[int, int] | None = None) -> np.ndarray:

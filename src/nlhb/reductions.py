@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .params import false_accept
+from .params import false_accept, threshold_u
 from .gf2core import (
     DimensionError,
     ParameterError,
@@ -81,8 +81,9 @@ def transcript_batch(params: ProtocolParams, transcripts) -> np.ndarray:
 
 
 def _single_secret(params: ProtocolParams) -> None:
+    """The one refusal of blinded params by code that holds a single secret."""
     if params.blinded:
-        raise ParameterError("transcript strings are single-secret; %s is blinded" % params.proto)
+        raise ParameterError("%s is blinded; this takes hb or nlhb" % params.proto)
 
 
 def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: RandomSource):
@@ -319,7 +320,7 @@ def _threshold(params: ProtocolParams, rate, interval):
         raise ParameterError(
             "threshold rate %s outside the open interval (%s, %s)" % (rate, low, high)
         )
-    u = int(rate * params.d)
+    u = threshold_u(rate, params.d)
     return u, 1.0 - float(false_accept(params.d, u).exact)
 
 
@@ -367,7 +368,7 @@ class ActiveForger:
     Query phase, q times: ``on_blinding(B) -> A`` then ``on_response(z)``.
     Challenge phase: ``commit_blinding() -> B_hat`` then ``respond(A) ->
     z_hat``, with ``snapshot``/``restore`` replaying identically on equal
-    subsequent inputs.  The base class enforces the phase order and raises
+    subsequent inputs.  The base class enforces the step order and raises
     on misuse.  Operands are views of the wrapper's checked batch or matrices
     it drew, and are not checked again.
     """
@@ -379,38 +380,35 @@ class ActiveForger:
         self._state: dict = {}
 
     def reset(self, seed: int) -> None:
-        self._state = {"phase": "query", "awaiting": None, "seed": seed, "round": 0}
+        self._state = {"step": "blinding", "seed": seed, "round": 0}
 
-    def _require(self, phase: str, awaiting):
+    def _advance(self, step: str, then: str) -> None:
+        """Move from the awaited ``step`` (``blinding``, ``response`` or
+        ``challenge``) to ``then``; any other call is misuse."""
         if not self._state:
             raise ParameterError("forger used before reset()")
-        if self._state["phase"] != phase or self._state["awaiting"] != awaiting:
-            raise ParameterError(
-                "forger protocol misuse: in phase %r awaiting %r"
-                % (self._state["phase"], self._state["awaiting"])
-            )
+        if self._state["step"] != step:
+            raise ParameterError("forger protocol misuse: awaiting %r" % self._state["step"])
+        self._state["step"] = then
 
     def on_blinding(self, b) -> np.ndarray:
-        self._require("query", None)
-        self._state["awaiting"] = "response"
+        self._advance("blinding", "response")
         return self._on_blinding(b)
 
     def on_response(self, z) -> None:
-        self._require("query", "response")
-        self._state["awaiting"] = None
+        self._advance("response", "blinding")
         self._state["round"] += 1
         self._on_response(z)
 
     def commit_blinding(self) -> np.ndarray:
-        self._require("query", None)
-        self._state["phase"] = "challenge"
+        self._advance("blinding", "challenge")
         self._commit_blinding()
         b_hat = self._message_rng("b-hat", b"").uniform_matrix(self.params.k, self.params.n)
         self._state["b_hat"] = b_hat
         return b_hat
 
     def respond(self, a) -> np.ndarray:
-        self._require("challenge", None)
+        self._advance("challenge", "challenge")
         return self._respond(a)
 
     def snapshot(self) -> dict:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from nlhb.attacks import (
     noise_free_selection_attack,
 )
 from nlhb.gf2core import ParameterError, RandomSource, gf2_rank, hamming, mat_vec_mul
+from nlhb import reductions as red
 from nlhb.nlfunc import DEFAULT_SPEC, merge_error_distribution
 from nlhb.protocols import (
     SecretKey,
@@ -386,6 +388,53 @@ def test_verification_records_of_other_params_are_refused(attack, proto, other):
             lf2_attack(ts, 4, p, verify_transcripts=vts)
         else:
             noise_free_selection_attack(ts, 8, 3, rng=RandomSource(64), verify_transcripts=vts)
+
+
+def _passive(attack, ts, vts=None):
+    if attack == "lf2":
+        return lf2_attack(ts, 4, verify_transcripts=vts)
+    return noise_free_selection_attack(ts, 8, 3, rng=RandomSource(67), verify_transcripts=vts)
+
+
+@pytest.mark.parametrize("attack", ["lf2", "noisefree"])
+@pytest.mark.parametrize("split", [
+    lambda ts: (ts, []),  # an explicit empty verification set
+    lambda ts: ([], ts),  # nothing to attack, only records to verify on
+    lambda ts: (ts[:1], None),  # one record cannot be split in two
+    lambda ts: ([], None),
+], ids=["no-verify", "no-attack", "single", "empty"])
+def test_passive_attacks_refuse_an_empty_part(attack, split):
+    """Either part of the input empty is one ParameterError: no key is
+    'recovered' on zero verification sessions, and no IndexError escapes."""
+    p = hb_params(8, 64, Fraction(1, 8), Fraction(1, 4))
+    ts = transcript_sampler(p, generate_key(p, RandomSource(65)), RandomSource(66), 8)
+    with pytest.raises(ParameterError, match="passive attack needs records to attack and records to verify"):
+        _passive(attack, *split(ts))
+
+
+@pytest.mark.parametrize("proto", ["hb+", "nlhb+"])
+@pytest.mark.parametrize("entry", [
+    "make_prover_oracle", "majority_vote_attack", "lf2_attack", "noise_free_selection_attack",
+    "honest_transcript_source", "ideal_distinguisher", "PerfectPassiveForger",
+])
+def test_single_secret_entry_points_refuse_blinded_params_alike(proto, entry):
+    if proto == "hb+":
+        p = hb_params(8, 64, Fraction(1, 8), Fraction(1, 4), blinded=True)
+    else:
+        p = nlhb_params(8, 67, Fraction(1, 8), Fraction(1, 4), DEFAULT_SPEC, blinded=True)
+    key = generate_key(p, RandomSource(68))
+    ts = transcript_sampler(p, key, RandomSource(69), 8)
+    calls = {
+        "make_prover_oracle": lambda: make_prover_oracle(p, key, RandomSource(70)),
+        "majority_vote_attack": lambda: majority_vote_attack(lambda a: None, 8, 3, p),
+        "lf2_attack": lambda: _passive("lf2", ts),
+        "noise_free_selection_attack": lambda: _passive("noisefree", ts),
+        "honest_transcript_source": lambda: red.honest_transcript_source(p, key, RandomSource(71)),
+        "ideal_distinguisher": lambda: red.ideal_distinguisher(p, key),
+        "PerfectPassiveForger": lambda: red.PerfectPassiveForger(p, key),
+    }
+    with pytest.raises(ParameterError, match="^%s is blinded; this takes hb or nlhb$" % re.escape(proto)):
+        calls[entry]()
 
 
 def test_noise_free_trials_exhausted():

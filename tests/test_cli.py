@@ -198,6 +198,18 @@ def test_simulate_replay_of_a_bad_log_exits_one(tmp_path):
     assert err.startswith("error: line 7:")
 
 
+@pytest.mark.parametrize("extra", [["--out", "copy.log"], ["--seed", "5"], ["--out", "copy.log", "--seed", "5"]])
+def test_simulate_replay_refuses_out_and_seed(tmp_path, monkeypatch, extra):
+    """A replay writes nothing and draws nothing, so --out and --seed beside
+    --replay are a usage error, not flags dropped without a word."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["simulate", "--seed", "5", "--sessions", "1", "--out", "sessions.log"])[0] == 0
+    code, out, err = run_cli(["simulate", "--replay", "sessions.log"] + extra)
+    assert code == 2 and out == ""
+    assert "--replay" in err and "Traceback" not in err
+    assert not (tmp_path / "copy.log").exists()
+
+
 # ---------------------------------------------------------------------------
 # attack
 # ---------------------------------------------------------------------------
@@ -460,7 +472,7 @@ _BALANCED = ["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--replay", "", "--k", "8", "--seed", "1"],
+    ["simulate", "--replay", "", "--k", "8"],
     ["simulate", "--spec", "", "--k", "8", "--seed", "1"],
     ["attack", "--attack", "lf2", "--spec", "", "--k", "8", "--seed", "1"],
     ["cost", "--proto", "nlhb", "--k", "8", "--dd", "16", "--spec", ""],

@@ -1,4 +1,4 @@
-"""Four structural rules for ``src/nlhb``, checked with ``ast``.
+"""Five structural rules for ``src/nlhb``, checked with ``ast``.
 
 - No ``class`` statement sits inside a function body: a class built per call
   is a new type each time, which nothing can patch or subclass.
@@ -11,6 +11,8 @@
 - Every defaulted parameter of a private top-level function is passed, by
   position or keyword, by some call in the package or the benchmark: a
   default that nothing overrides is a constant dressed as an option.
+- Every defaulted parameter of a public top-level function is passed by some
+  call in the package, the benchmark or the tests.
 """
 
 import ast
@@ -179,16 +181,16 @@ def _calls(tree) -> list[tuple[str, int, set[str], bool]]:
     return out
 
 
-def _unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+def _unpassed_defaults(package: dict[str, str], callers: list[str], public: bool = False) -> list[str]:
     """``module.function.parameter`` of each defaulted parameter of a private
-    top-level function in ``package`` (module name -> source) that no call
-    in ``package`` or ``callers`` passes."""
+    (or, with ``public``, a public) top-level function in ``package`` (module
+    name -> source) that no call in ``package`` or ``callers`` passes."""
     trees = {name: ast.parse(source) for name, source in package.items()}
     calls = [call for tree in list(trees.values()) + [ast.parse(s) for s in callers] for call in _calls(tree)]
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, _FUNCTIONS) or not node.name.startswith("_"):
+            if not isinstance(node, _FUNCTIONS) or node.name.startswith("_") == public:
                 continue
             mine = [call for call in calls if call[0] == node.name]
             positional = node.args.posonlyargs + node.args.args
@@ -223,3 +225,19 @@ def test_every_private_default_is_passed():
     package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     found = _unpassed_defaults(package, [p.read_text(encoding="utf-8") for p in BENCH])
     assert not found, "defaulted and never passed: %s" % found
+
+
+@pytest.mark.parametrize("package, callers, found", [
+    ({"a": "def f(x, y=1): pass\nf(0)\n"}, [], ["a.f.y"]),
+    ({"a": "def f(x, y=1): pass\n"}, ["m.f(0, y=2)\n"], []),
+    ({"a": "def f(x, *, y=1): pass\n"}, ["f(0)\n"], ["a.f.y"]),
+    ({"a": "def _f(x, y=1): pass\n_f(0)\n"}, [], []),
+])
+def test_the_public_default_check_reads_each_form(package, callers, found):
+    assert _unpassed_defaults(package, callers, public=True) == found
+
+
+def test_every_public_default_is_passed():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = _unpassed_defaults(package, [p.read_text(encoding="utf-8") for p in BENCH + TESTS], public=True)
+    assert not found, "defaulted and never passed, not even by a test: %s" % found
