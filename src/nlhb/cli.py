@@ -2,7 +2,7 @@
 
 Every randomized subcommand reports the seed it ran under as its first output
 row, so any table can be regenerated exactly.  Output is TSV by default
-(`--format text` for aligned key/value lines); rows starting with ``#`` are
+(`--format text` for aligned columns); rows starting with ``#`` are
 human-oriented summaries.  Each subcommand only fills a report: `main` builds
 it and emits it once the command returns, so a command that raises prints no
 report and writes no ``--out`` file.
@@ -25,6 +25,7 @@ from .gf2core import (
     FormatError,
     ParameterError,
     RandomSource,
+    check_enumerable,
     mat_vec_mul,
     read_entries,
     read_text,
@@ -128,13 +129,11 @@ class Report:
     def render(self) -> str:
         if self.fmt == "tsv":
             return "".join("\t".join(r) + "\n" for r in self.rows)
-        width = max((len(r[0]) for r in self.rows if len(r) > 1), default=0)
-        lines = []
-        for r in self.rows:
-            if len(r) == 1:
-                lines.append(r[0])
-            else:
-                lines.append("%-*s  %s" % (width, r[0], "  ".join(r[1:])))
+        # a cell is padded to the widest cell of its column that is not a row's last
+        widths = [max((len(r[i]) for r in self.rows if len(r) > i + 1), default=0)
+                  for i in range(max(map(len, self.rows), default=1) - 1)]
+        lines = ["  ".join([c.ljust(w) for c, w in zip(r[:-1], widths)] + [r[-1]])
+                 for r in self.rows]
         return "\n".join(lines) + "\n"
 
     def emit(self) -> None:
@@ -228,6 +227,12 @@ def _check_size(k: int, n: int, count: int = 1) -> None:
         )
 
 
+def _check_enumeration(width: int) -> None:
+    """_check_size for the 2^width rows of width bits an exhaustive enumeration holds."""
+    check_enumerable(width)  # first: it bounds the shift below
+    _check_size(1 << width, width)
+
+
 def _build_params(args) -> ProtocolParams:
     spec = _spec(args)
     eps = args.eps if args.eps is not None else Fraction(1, 4)
@@ -256,14 +261,14 @@ def _add_common(sub, *, seeded: bool = True, out: bool = True):
     command gives --out another meaning."""
     sub.add_argument("--format", choices=("tsv", "text"), default="tsv")
     if out:
-        sub.add_argument("--out", help="write the report here instead of stdout")
+        sub.add_argument("--out", dest="report", help="write the report here instead of stdout")
     if seeded:
         sub.add_argument("--seed", type=_u64, help="64-bit seed (printed; random if omitted)")
 
 
-def _add_protocol_flags(sub, *, proto_choices=PROTOCOLS):
-    sub.add_argument("--proto", choices=proto_choices, default="nlhb")
-    sub.add_argument("--k", type=int, default=16)
+def _add_protocol_flags(sub, proto="nlhb", k=16, *, proto_choices=PROTOCOLS):
+    sub.add_argument("--proto", choices=proto_choices, default=proto)
+    sub.add_argument("--k", type=int, default=k)
     sub.add_argument("--n", type=int)
     sub.add_argument("--eps", type=_fraction)
     sub.add_argument("--epsp", type=_fraction)
@@ -312,6 +317,9 @@ def _cmd_analyze(args, report) -> None:
     if args.spec is None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
+    _check_enumeration(2 * spec.p + 2)  # the merge states
+    if args.balance_n is not None:
+        _check_enumeration(args.balance_n)  # the inputs balance_check runs through
     dist = merge_error_distribution(spec)
     report.row("g", format_spec(spec))
     report.row("entropy_bits", "%g" % dist.entropy_bits())
@@ -325,8 +333,6 @@ def _cmd_analyze(args, report) -> None:
 
 def _cmd_simulate(args, report) -> None:
     if args.replay is not None:
-        if args.transcripts is not None or args.seed is not None:
-            args.error("--replay reads a file; it takes no --out or --seed")
         transcripts = read_transcripts(args.replay)
         report.row("record", "proto", "k", "n", "decision", "distance")
         for i, t in enumerate(transcripts):
@@ -347,9 +353,9 @@ def _cmd_simulate(args, report) -> None:
         report.row(i, "accept" if t.accepted else "reject", t.distance)
     report.comment("%d/%d sessions accepted (u=%d, D=%d)"
                    % (accepted, args.sessions, params.u, params.d))
-    if args.transcripts:
-        write_transcripts(args.transcripts, transcripts)
-        report.comment("transcripts written to %s" % args.transcripts)
+    if args.out:
+        write_transcripts(args.out, transcripts)
+        report.comment("transcripts written to %s" % args.out)
 
 
 def _cmd_attack(args, report) -> None:
@@ -392,7 +398,6 @@ def _cmd_attack(args, report) -> None:
 def _cmd_embed(args, report) -> None:
     root = _root(args, report)
     spec = parse_spec(args.spec) if args.spec is not None else DEFAULT_SPEC
-    eps = args.eps if args.eps is not None else Fraction(1, 8)
     _check_size(args.k, max(args.n, args.nprime), args.instances)
     secret = root.derive("secret").uniform_bits(args.k)
     rng = root.derive("embed")
@@ -400,8 +405,8 @@ def _cmd_embed(args, report) -> None:
     layout = None
     for _ in range(args.instances):
         g = rng.uniform_matrix(args.k, args.nprime)
-        z = mat_vec_mul(secret, g) ^ rng.bernoulli_bits(args.nprime, eps)
-        a, y, layout = reductions.lpn_to_unld_embed(g, z, spec, args.n, rng, eps)
+        z = mat_vec_mul(secret, g) ^ rng.bernoulli_bits(args.nprime, args.eps)
+        a, y, layout = reductions.lpn_to_unld_embed(g, z, spec, args.n, rng, args.eps)
         instances.append((a, y))
     recovered, distance = reductions.brute_force_unld(instances, args.k, spec)
     report.row("positions", " ".join(map(str, layout.positions)))
@@ -534,6 +539,38 @@ def _cmd_auth(args, report) -> int:
 # parser assembly and dispatch
 # ---------------------------------------------------------------------------
 
+# The flags that only some modes of a command read, with their defaults, keyed
+# by command and then by mode: --attack's value, or whether --dd, --enumerate
+# or --replay is given.  These flags take no argparse default, so a flag is
+# given exactly when it is not None.
+_MODES = {
+    "params": ("dd", {True: {}, False: dict(pfa=-80.0, pfr=-40.0)}),
+    "analyze": ("enumerate", {True: dict(p=(2, 3, 4)), False: dict(spec=None, balance_n=None)}),
+    "simulate": ("replay", {True: {}, False: dict(proto="nlhb", k=16, n=None, eps=None, epsp=None,
+                                                 spec=None, sessions=10, out=None, seed=None)}),
+    "attack": ("attack", {"majority": dict(reps=None), "lf2": dict(b=8, samples=16384),
+                          "noisefree": dict(samples=16384, trials=64)}),
+}
+
+
+def _apply_mode(parser, args) -> None:
+    """Refuse a given flag of _MODES the chosen mode does not read; fill its defaults."""
+    if args.command not in _MODES:
+        return
+    flag, modes = _MODES[args.command]
+    value = getattr(args, flag)
+    mode = value if flag == "attack" else value is not None
+    reads = modes[mode]
+    for dest in dict.fromkeys(d for other in modes.values() for d in other):
+        if dest not in reads and getattr(args, dest) is not None:
+            how = ("--attack " + value if flag == "attack"
+                   else ("--" if mode else "without --") + flag)
+            parser.error("%s %s does not read --%s" % (args.command, how, dest.replace("_", "-")))
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlhb",
@@ -545,8 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--epsp", type=_fraction, required=True)
     p.add_argument("--dd", type=int, help="certify this D instead of searching")
-    p.add_argument("--pfa", type=_finite, default=-80.0, help="log2 false-accept target")
-    p.add_argument("--pfr", type=_finite, default=-40.0, help="log2 false-reject target")
+    p.add_argument("--pfa", type=_finite, help="log2 false-accept target")
+    p.add_argument("--pfr", type=_finite, help="log2 false-reject target")
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_params)
 
@@ -559,33 +596,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cost)
 
     p = subs.add_parser("analyze", help="merge-error distributions and entropy")
-    p.add_argument("--enumerate", action="store_true", help="rank all window maps")
-    p.add_argument("--p", type=_widths, default=[2, 3, 4],
-                   help="comma-separated window widths (default 2,3,4)")
+    p.add_argument("--enumerate", action="store_true", default=None, help="rank all window maps")
+    p.add_argument("--p", type=_widths, help="comma-separated window widths (default 2,3,4)")
     p.add_argument("--spec", help="analyze one map instead of enumerating")
     p.add_argument("--balance-n", type=int, help="also check balance at this n")
     _add_common(p, seeded=False)
     p.set_defaults(func=_cmd_analyze)
 
     p = subs.add_parser("simulate", help="run honest sessions / replay transcripts")
-    _add_protocol_flags(p)
-    p.add_argument("--sessions", type=_positive, default=10)
+    _add_protocol_flags(p, proto=None, k=None)
+    p.add_argument("--sessions", type=_positive)
     p.add_argument("--replay", help="re-read a transcript file instead of simulating")
-    p.add_argument("--out", dest="transcripts", help="write the session transcripts to this file")
+    p.add_argument("--out", help="write the session transcripts to this file")
     _add_common(p, out=False)
-    p.set_defaults(func=_cmd_simulate, error=p.error)
+    p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("attack", help="key-recovery attacks at desk scale")
     p.add_argument("--attack", choices=("majority", "lf2", "noisefree"), required=True)
-    _add_protocol_flags(p, proto_choices=("hb", "nlhb"))
-    p.set_defaults(proto="hb")
-    p.add_argument("--b", type=int, default=8, help="LF2 block width")
+    _add_protocol_flags(p, "hb", proto_choices=("hb", "nlhb"))
+    p.add_argument("--b", type=int, help="LF2 block width")
     p.add_argument(
-        "--samples", type=_positive, default=16384,
+        "--samples", type=_positive,
         help="column samples to draw for lf2/noisefree (transcripts = ceil(samples/D))",
     )
     p.add_argument("--reps", type=int, help="majority-vote repetitions")
-    p.add_argument("--trials", type=int, default=64, help="noise-free selection trials")
+    p.add_argument("--trials", type=int, help="noise-free selection trials")
     _add_common(p)
     p.set_defaults(func=_cmd_attack)
 
@@ -597,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--nprime", type=int, default=10)
     m.add_argument("--n", type=int, default=31)
     m.add_argument("--spec")
-    m.add_argument("--eps", type=_fraction)
+    m.add_argument("--eps", type=_fraction, default=Fraction(1, 8))
     m.add_argument("--instances", type=int, default=6)
     _add_common(m)
     m.set_defaults(func=_cmd_embed)
@@ -625,8 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_forger_rates)
 
     m = modes.add_parser("thm4", help="active forger to distinguisher via rewinding")
-    _add_protocol_flags(m, proto_choices=("hb+", "nlhb+"))
-    m.set_defaults(proto="nlhb+")
+    _add_protocol_flags(m, "nlhb+", proto_choices=("hb+", "nlhb+"))
     m.add_argument(
         "--adversary",
         choices=("perfect", "random", "honest", "learning"),
@@ -661,8 +695,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         argv = _merge_config(argv)
-        args = build_parser().parse_args(argv)
-        report = Report(getattr(args, "format", "tsv"), getattr(args, "out", None))
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        _apply_mode(parser, args)
+        report = Report(getattr(args, "format", "tsv"), getattr(args, "report", None))
         code = args.func(args, report)
         report.emit()  # only now: a command that raises writes no report
         return code or 0

@@ -265,15 +265,19 @@ def all_bit_vectors(k: int) -> np.ndarray:
     significant bit, matching the serialization bit order.
     """
     check_enumerable(k)
-    return code_rows(np.arange(1 << k), k)
+    return code_rows(np.arange(1 << k, dtype=np.uint64), k)
 
 
 def code_rows(codes, width: int) -> np.ndarray:
     """Bit rows of the given integer codes, inverse of :func:`row_codes`:
-    row r spells codes[r] in ``width`` bits, index 1 most significant."""
-    codes = np.asarray(codes, dtype=np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    return ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+    row r spells codes[r] in ``width`` (at most 64) bits, index 1 most significant.
+
+    One byte per output bit: the last ceil(width/8) of each code's big-endian
+    bytes (a reversed view of its little-endian ones) are unpacked, and the
+    rows are a view that skips the leading pad bits."""
+    nbytes = -(-width // 8)
+    big_endian = np.ascontiguousarray(codes, dtype="<u8").view(np.uint8).reshape(-1, 8)[:, ::-1]
+    return np.unpackbits(big_endian[:, 8 - nbytes :], axis=1)[:, 8 * nbytes - width :]
 
 
 def row_codes(m) -> np.ndarray:

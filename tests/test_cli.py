@@ -1,7 +1,10 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import contextlib
 import io
+import os
+import re
 import signal
 import socket
 import threading
@@ -12,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nlhb import authsvc, cli
@@ -472,7 +475,7 @@ _BALANCED = ["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3"]
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--replay", "", "--k", "8"],
+    ["simulate", "--replay", ""],
     ["simulate", "--spec", "", "--k", "8", "--seed", "1"],
     ["attack", "--attack", "lf2", "--spec", "", "--k", "8", "--seed", "1"],
     ["cost", "--proto", "nlhb", "--k", "8", "--dd", "16", "--spec", ""],
@@ -572,10 +575,15 @@ _COMMANDS = {
     ("analyze", "--enumerate"): ({"--p": _ints(1, 3)}, {}),
     ("simulate",): (_SIZE, dict(_FRACTIONS, **{"--proto": _pick("hb", "hb+", "nlhb", "nlhb+"),
                                                "--sessions": _ints(1, 3)})),
-    ("attack",): (dict(_SIZE, **{"--attack": _pick("majority", "lf2", "noisefree"),
-                                 "--samples": _ints(1, 256), "--trials": _TRIALS}),
-                  dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb"), "--b": _ints(1, 4),
-                                      "--reps": _ints(1, 7)})),
+    # one row per --attack mode, each drawing only the flags that mode reads
+    ("attack", "--attack", "majority"): (_SIZE, dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb"),
+                                                                    "--reps": _ints(1, 7)})),
+    ("attack", "--attack", "lf2"): (dict(_SIZE, **{"--samples": _ints(1, 256)}),
+                                    dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb"),
+                                                        "--b": _ints(1, 4)})),
+    ("attack", "--attack", "noisefree"): (dict(_SIZE, **{"--samples": _ints(1, 256),
+                                                         "--trials": _TRIALS}),
+                                          dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb")})),
     ("reduce", "embed"): ({"--k": _ints(0, 4), "--nprime": _ints(1, 8), "--n": _ints(4, 24)},
                           {"--eps": _EPS, "--instances": _ints(1, 3), "--spec": _SPEC}),
     ("reduce", "hybrid"): (_SIZE, dict(_FRACTIONS, **{"--proto": _pick("hb", "nlhb+"),
@@ -678,7 +686,7 @@ def test_params_refuses_targets_it_can_never_meet(flag, code):
     assert "Traceback" not in err
 
 
-def test_text_format_uses_aligned_columns():
+def test_text_format_uses_aligned_columns(tmp_path):
     code, out, _ = run_cli(
         ["params", "--eps", "1/4", "--epsp", "348/1000", "--dd", "1164",
          "--format", "text"]
@@ -686,6 +694,19 @@ def test_text_format_uses_aligned_columns():
     assert code == 0
     assert "\t" not in out
     assert "log2_false_accept  " in out
+
+    # a wider table: every column starts at one offset, and no line ends in padding
+    path = str(tmp_path / "sessions.log")
+    assert run_cli(["simulate", "--k", "8", "--n", "100", "--sessions", "12", "--seed", "1",
+                    "--out", path])[0] == 0
+    code, out, _ = run_cli(["simulate", "--replay", path, "--format", "text"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 13 and lines[0].split() == ["record", "proto", "k", "n", "decision",
+                                                     "distance"]
+    starts = [[m.start() for m in re.finditer(r"\S+", line)] for line in lines]
+    assert all(s == starts[0] for s in starts) and len(starts[0]) == 6
+    assert all(line == line.rstrip() for line in lines)
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,6 +732,177 @@ def test_out_flag_redirects_report(argv, tmp_path):
     assert path.read_bytes() == want.encode()
     if "--seed" in argv:
         assert want.startswith("seed\t%s\n" % argv[argv.index("--seed") + 1])
+
+
+def test_analyze_refuses_a_window_too_wide_to_enumerate():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(["analyze", "--spec", "p=12; g=x1x2"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 10 * 2**20
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "exceeds" in err
+
+
+# ---------------------------------------------------------------------------
+# a flag the chosen mode does not read is a usage error
+# ---------------------------------------------------------------------------
+
+# Each argv with the flags its mode reads, then the flags it would drop.
+# <log> is a transcript file the test writes, <out> a path nothing may create.
+_UNREAD = [
+    (["simulate", "--replay", "<log>"], ["--k", "99", "--sessions", "3", "--proto", "hb+"]),
+    (["simulate", "--replay", "<log>"], ["--out", "<out>"]),
+    (["attack", "--attack", "majority", "--k", "8", "--seed", "1"],
+     ["--b", "3", "--trials", "5", "--samples", "99"]),
+    (["attack", "--attack", "lf2", "--k", "8", "--b", "4", "--seed", "1"],
+     ["--reps", "5", "--trials", "3"]),
+    (["attack", "--attack", "noisefree", "--k", "8", "--trials", "3", "--seed", "1"],
+     ["--b", "4"]),
+    (["analyze", "--enumerate", "--p", "2"], ["--spec", "p=2; g=x1x2", "--balance-n", "4"]),
+    (["analyze", "--spec", "p=2; g=x1x2"], ["--p", "3"]),
+    (["params", "--eps", "1/4", "--epsp", "348/1000", "--dd", "100"], ["--pfa", "-10"]),
+]
+
+
+@pytest.fixture(scope="module")
+def unread_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("unread")
+    log = tmp / "sessions.log"
+    assert run_cli(["simulate", "--k", "8", "--n", "32", "--sessions", "2", "--seed", "5",
+                    "--out", str(log)])[0] == 0
+    return {"<log>": str(log), "<out>": str(tmp / "report.txt")}
+
+
+@pytest.mark.parametrize("argv, unread", _UNREAD, ids=lambda a: " ".join(a))
+def test_flag_the_mode_does_not_read_is_a_usage_error(unread_paths, argv, unread):
+    fill = [unread_paths.get(token, token) for token in argv + unread]
+    report = [] if argv[0] == "simulate" else ["--out", unread_paths["<out>"]]
+    code, out, err = run_cli(fill + report)
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert any("does not read " + flag in err for flag in unread if flag.startswith("--"))
+    assert not os.path.exists(unread_paths["<out>"])
+    assert run_cli(fill[: len(argv)])[0] == 0
+
+
+def test_config_keys_the_mode_does_not_read_are_refused(unread_paths, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("replay=%s\nk=8\n" % unread_paths["<log>"])
+    code, out, err = run_cli(["simulate", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "simulate --replay does not read --k" in err
+    cfg.write_text("replay=%s\n" % unread_paths["<log>"])
+    assert run_cli(["simulate", "--config", str(cfg)])[0] == 0
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records each attribute read from the moment main
+    reads ``func``, just before it calls the command."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("_reads")
+        if name == "func":
+            object.__setattr__(self, "_reads", set())
+        elif reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def _flag_dests(command):
+    """Each flag of the command's parser, as spelled, with the attribute it
+    sets (read from argparse's action list, which has no public accessor)."""
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    return {s: a.dest for a in subs.choices[command]._actions for s in a.option_strings}
+
+
+def _count(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# The flags each command with modes takes besides the mode's own, with valid
+# small values.
+_MODE_FLAGS = {
+    "params": {"--pfa": st.sampled_from(["-10", "-6"]), "--pfr": st.sampled_from(["-5", "-3"])},
+    "analyze": {"--p": st.sampled_from(["2", "2,3"]), "--balance-n": _count(4, 8)},
+    "simulate": {"--proto": st.sampled_from(["hb", "nlhb+"]),
+                 "--k": _count(2, 8), "--n": _count(24, 40), "--eps": st.just("1/8"),
+                 "--epsp": st.just("3/8"), "--spec": st.just("p=0; g=0"),
+                 "--sessions": _count(1, 3), "--out": st.just("<out>"),
+                 "--seed": _count(1, 9)},
+    "attack": {"--proto": st.sampled_from(["hb", "nlhb"]), "--k": _count(4, 6),
+               "--eps": st.just("1/8"), "--reps": st.sampled_from(["1", "3", "5"]),
+               "--b": _count(2, 3), "--samples": _count(64, 256),
+               "--trials": _count(1, 3), "--seed": _count(1, 9)},
+}
+# Flags every argv of the command carries (the rates params needs; a map, as
+# analyze without --enumerate needs --spec), then the flag that picks the mode,
+# drawn apart from the rest so that each mode is drawn as often as the others.
+_MODE_BASE = {
+    "params": st.sampled_from([[], ["--dd", "50"]]).map(lambda m: ["--eps", "1/8",
+                                                                    "--epsp", "3/8"] + m),
+    "analyze": st.sampled_from([[], ["--enumerate"]]).map(lambda m: ["--spec", "p=2; g=x1x2"] + m),
+    "simulate": st.sampled_from([[], ["--replay", "<log>"]]),
+    "attack": st.sampled_from(["majority", "lf2", "noisefree"]).map(lambda a: ["--attack", a]),
+}
+
+
+def _run_recording(argv):
+    """:func:`_run_cli_within_5s`, plus the attributes the command read."""
+    recorder = _ReadRecorder()
+
+    def recording_parser(build=cli.build_parser):
+        parser = build()
+        parse = parser.parse_args
+        parser.parse_args = lambda args: parse(args, recorder)
+        return parser
+
+    with mock.patch.object(cli, "build_parser", recording_parser):
+        code, out, err = _run_cli_within_5s(argv)
+    return code, out, err, object.__getattribute__(recorder, "__dict__").get("_reads")
+
+
+@st.composite
+def _mixed_modes(draw):
+    command = draw(st.sampled_from(sorted(_MODE_FLAGS)))
+    flags = _MODE_FLAGS[command]
+    argv = [command] + draw(_MODE_BASE[command])
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, min_size=2)):
+        argv += [flag, draw(flags[flag])]
+    return argv
+
+
+@given(_mixed_modes())
+@example(["simulate", "--replay", "<log>", "--k", "8"])
+@example(["attack", "--attack", "majority", "--b", "3", "--seed", "1"])
+@example(["attack", "--attack", "lf2", "--reps", "5", "--seed", "1"])
+@example(["analyze", "--spec", "p=2; g=x1x2", "--enumerate"])
+@example(["analyze", "--spec", "p=2; g=x1x2", "--p", "3"])
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_each_given_flag_is_read_or_refused(unread_paths, argv):
+    """An argv exits 2 naming a given flag that its mode does not read, or its
+    command reads every flag it was given.  A refused flag is dropped and the
+    rest run again, so a flag left unread behind another refusal still shows."""
+    argv = [unread_paths.get(token, token) for token in argv]
+    while True:
+        code, out, err, reads = _run_recording(argv)
+        assert "Traceback" not in err
+        if code != 2:
+            break
+        assert out == "" and not os.path.exists(unread_paths["<out>"])
+        refused = re.search(r"does not read (--[\w-]+)$", err, re.M)
+        assert refused and refused.group(1) in argv, err
+        at = argv.index(refused.group(1))
+        del argv[at : at + 2]
+    given = {dest for flag, dest in _flag_dests(argv[0]).items() if flag in argv}
+    assert given <= reads, (argv, code, err)
+    if os.path.exists(unread_paths["<out>"]):
+        os.remove(unread_paths["<out>"])
 
 
 # ---------------------------------------------------------------------------

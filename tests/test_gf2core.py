@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -358,6 +360,26 @@ def test_all_bit_vectors_order_and_codes():
 def test_all_bit_vectors_bounds():
     with pytest.raises(ParameterError):
         all_bit_vectors(27)
+
+
+def test_all_bit_vectors_holds_one_byte_per_bit():
+    tracemalloc.start()
+    try:
+        vs = all_bit_vectors(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vs.shape == (1 << 20, 20)
+    assert peak <= 2 * vs.nbytes  # a uint64 per bit before the cast peaked at 9x
+
+
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 33, 63, 64])
+def test_code_rows_spells_each_code_msb_first(width):
+    codes = RandomSource(width).u64(50) >> np.uint64(64 - width) if width else np.zeros(50, np.uint64)
+    want = [[int(c) >> (width - 1 - i) & 1 for i in range(width)] for c in codes.tolist()]
+    rows = code_rows(codes, width)
+    assert rows.dtype == np.uint8 and rows.shape == (50, width)
+    assert rows.tolist() == want
 
 
 # --- serialization -----------------------------------------------------------
