@@ -37,6 +37,7 @@ from .nlfunc import (
     format_spec,
     max_entropy_functions,
     merge_error_distribution,
+    merge_state_bytes,
     parse_spec,
 )
 from .params import MAX_D, check_rates, false_accept, false_reject, find_min_D, threshold_u
@@ -227,10 +228,11 @@ def _check_size(k: int, n: int, count: int = 1) -> None:
         )
 
 
-def _check_enumeration(width: int) -> None:
-    """_check_size for the 2^width rows of width bits an exhaustive enumeration holds."""
+def _check_enumeration(width: int, row_bytes: int | None = None) -> None:
+    """_check_size for the 2^width rows an exhaustive enumeration holds, of
+    ``row_bytes`` bytes each (by default its width bits, one byte each)."""
     check_enumerable(width)  # first: it bounds the shift below
-    _check_size(1 << width, width)
+    _check_size(1 << width, width if row_bytes is None else row_bytes)
 
 
 def _build_params(args) -> ProtocolParams:
@@ -317,7 +319,7 @@ def _cmd_analyze(args, report) -> None:
     if args.spec is None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
-    _check_enumeration(2 * spec.p + 2)  # the merge states
+    _check_enumeration(2 * spec.p + 2, merge_state_bytes(spec.p))
     if args.balance_n is not None:
         _check_enumeration(args.balance_n)  # the inputs balance_check runs through
     dist = merge_error_distribution(spec)

@@ -129,22 +129,30 @@ def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(a[s.view(bool)], axis=0)
 
 
-def _payload_mat_vec_mul(s: np.ndarray, payload: np.ndarray, n: int) -> np.ndarray:
+def _payload_mat_vec_mul(masks: np.ndarray, payload: np.ndarray, n: int) -> np.ndarray:
     """:func:`_mat_vec_mul` of checked bits s and the (len(s), n) matrix whose
-    payload is the uint8 array ``payload``, without unpacking the matrix.
+    payload is the uint8 array ``payload``, without unpacking the matrix;
+    ``masks`` is :func:`_selected_masks` of s at width n.
 
     Byte block j of the payload (bytes j*n ... j*n+n-1) holds rows 8j ... 8j+7,
-    row c of the block at its bits c*n ... c*n+n-1.  Each block is masked to
-    the rows that s selects in it, the masked blocks are XORed into n bytes,
-    and the eight n-bit rows of those are folded into one.
+    row c of the block at its bits c*n ... c*n+n-1.  Each block is ANDed with
+    mask row j, which keeps the rows that s selects in it, the masked blocks
+    are XORed into n bytes, and the eight n-bit rows of those are folded into one.
     """
-    size = (s.shape[0] + 7) // 8 * n
-    if payload.size < size:  # a partial last block reads as zero-extended
-        payload = np.concatenate((payload, np.zeros(size - payload.size, dtype=np.uint8)))
-    blocks = _row_masks(n).take(np.packbits(s), axis=0)
-    blocks &= payload.reshape(-1, n)
+    if payload.size < masks.size:  # a partial last block reads as zero-extended
+        payload = np.concatenate((payload, np.zeros(masks.size - payload.size, dtype=np.uint8)))
+    blocks = np.bitwise_and(masks, payload.reshape(-1, n))
     folded = np.unpackbits(np.bitwise_xor.reduce(blocks, axis=0)).reshape(8, n)
     return np.bitwise_xor.reduce(folded, axis=0)
+
+
+def _selected_masks(s: np.ndarray, n: int) -> np.ndarray:
+    """The (ceil(len(s)/8), n) rows of :func:`_row_masks` that the packed
+    bytes of checked bits s pick: row j keeps the rows of payload block j
+    that s selects.  Read-only, as a key keeps them for every later product."""
+    masks = _row_masks(n).take(np.packbits(s), axis=0)
+    masks.flags.writeable = False
+    return masks
 
 
 @lru_cache(maxsize=8)
@@ -310,7 +318,12 @@ def _unpack_payload(payload: bytes, shape: tuple) -> np.ndarray:
     # ``sessions`` pairs (numpy 2.4.6, 2 shared cores), ``count=nbits`` with no
     # copy replayed at 6,516/s against 6,319 (higher in 5), a gap inside the
     # 6,144-6,490 IQR, with ``sessions_per_s`` 15,070 vs 14,920 (higher in 3)
-    # and peak RSS 53.8 vs 54.1 MB; no gain is shown, so the copy stays.
+    # and peak RSS 53.8 vs 54.1 MB; no gain is shown.  The copy also keeps the
+    # heap warm: the freed full-length temporary is what keeps each 149 KB
+    # matrix off a fresh mmap.  Counting ``ru_minflt`` per replay batch, this
+    # form took no minor fault in 93% of 526 batches, best replay 1,955/s; the
+    # ``count=`` form without the copy took ~2,150 minor faults in every batch,
+    # best replay 1,354/s.  So the copy stays.
     return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:nbits].copy().reshape(shape)
 
 
@@ -555,13 +568,16 @@ class RandomSource:
 
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:
         """Draw ``length`` i.i.d. Bernoulli(eps) bits for rational 0 < eps < 1/2."""
-        threshold, residual, den = _bernoulli_threshold(eps)
+        if type(eps) is not Fraction:
+            eps = Fraction(eps)
+        threshold, residual = _bernoulli_threshold(eps.numerator, eps.denominator)
         if length < 0:
             raise ParameterError("length must be nonnegative")
         u = self.u64(length)
-        bits = (u < threshold).astype(np.uint8)
-        for idx in np.nonzero(u == threshold)[0]:
-            bits[idx] = self._bernoulli_residual(residual, den)
+        bits = (u < threshold).view(np.uint8)
+        if residual:  # else a tie is a 0, as u < threshold reads it
+            for idx in np.flatnonzero(u == threshold):
+                bits[idx] = self._bernoulli_residual(residual, eps.denominator)
         return bits
 
     def _bernoulli_residual(self, num: int, den: int) -> int:
@@ -582,13 +598,14 @@ class RandomSource:
 
 
 @lru_cache(maxsize=64)
-def _bernoulli_threshold(eps):
-    """(floor(eps * 2**64) as a uint64, the remainder, eps's denominator)."""
-    eps = Fraction(eps)
-    if not 0 < eps < Fraction(1, 2):
-        raise ParameterError("eps must satisfy 0 < eps < 1/2, got %s" % eps)
-    threshold, residual = divmod(eps.numerator << 64, eps.denominator)
-    return np.uint64(threshold), residual, eps.denominator
+def _bernoulli_threshold(numerator: int, denominator: int):
+    """(floor(eps * 2**64) as a uint64, the remainder) for eps = numerator /
+    denominator in lowest terms.  Keyed on the two ints: hashing a Fraction
+    costs more than the rest of a draw's setup."""
+    if not 0 < 2 * numerator < denominator:
+        raise ParameterError("eps must satisfy 0 < eps < 1/2, got %s" % Fraction(numerator, denominator))
+    threshold, residual = divmod(numerator << 64, denominator)
+    return np.uint64(threshold), residual
 
 
 def derive_seed(seed: int, label: str | bytes) -> int:

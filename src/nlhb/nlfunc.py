@@ -243,6 +243,15 @@ def _dyadic_log2(x: Fraction) -> Fraction | None:
     return Fraction(num.bit_length() - den.bit_length())
 
 
+def merge_state_bytes(p: int) -> int:
+    """Bytes :func:`merge_error_distribution` holds per merge state (each of
+    its 2^(2p+2) rows) when its use peaks, in :func:`row_codes`: the states'
+    bits, unpacked a whole byte of bits at a time, x and xbar (n = 2p+1 each),
+    y, ybar and their XOR (p+1 each), the p+1 error bits as uint64 and the
+    uint64 code."""
+    return 8 * -(-(2 * p + 2) // 8) + 2 * (2 * p + 1) + 3 * (p + 1) + 8 * (p + 1) + 8
+
+
 def merge_error_distribution(
     spec: NonlinearFunctionSpec, n: int | None = None, j: int | None = None
 ) -> MergeErrorDistribution:

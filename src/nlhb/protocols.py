@@ -17,13 +17,14 @@ path, which the tests pin down bit-for-bit.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .gf2core import (
+    DimensionError,
     FormatError,
     LineReader,
     ParameterError,
@@ -37,6 +38,7 @@ from .gf2core import (
     _mat_vec_mul,
     _pack_payload,
     _payload_mat_vec_mul,
+    _selected_masks,
     _unpack_payload,
 )
 from .nlfunc import (
@@ -95,7 +97,7 @@ class ProtocolParams:
     def u(self) -> int:
         return threshold_u(self.eps_prime, self.d)
 
-    @property
+    @cached_property
     def blinded(self) -> bool:
         return self.proto.endswith("+")
 
@@ -135,10 +137,39 @@ class SecretKey:
 
     In the blinded variants s1 acts on the prover's blinding matrix B and
     s2 on the verifier's challenge A.
+
+    A key checks its parts when built: each is a 1-D array of 0/1 entries,
+    held as a read-only uint8 copy, so a later change to the caller's array
+    leaves the key as it was.  It also keeps the payload masks of its parts
+    (:meth:`_payload_masks`) for the last n it multiplied payloads at.
     """
 
     s1: np.ndarray
     s2: np.ndarray | None = None
+    _masks: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "s1", _held_bits(self.s1))
+        if self.s2 is not None:
+            object.__setattr__(self, "s2", _held_bits(self.s2))
+
+    def _payload_masks(self, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """:func:`gf2core._selected_masks` of s1 and of s2 (None without s2)
+        at width n, built on first use and kept until n changes.  The slot is
+        replaced whole, so threads that share a key at worst build them twice."""
+        held = self._masks[0]
+        if held is None or held[0] != n:
+            held = (n, _selected_masks(self.s1, n),
+                    None if self.s2 is None else _selected_masks(self.s2, n))
+            self._masks[0] = held
+        return held[1:]
+
+
+def _held_bits(values) -> np.ndarray:
+    """A read-only copy of ``values`` as checked bits."""
+    bits = as_bits(values).copy()
+    bits.flags.writeable = False
+    return bits
 
 
 def generate_key(params: ProtocolParams, rng: RandomSource) -> SecretKey:
@@ -204,11 +235,16 @@ def _read_only(payload: bytes, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_key(params: ProtocolParams, key: SecretKey) -> SecretKey:
+    """``key`` for ``params``.  The key checked its bits when it was built, so
+    this checks the length of each part the protocol uses; an unblinded
+    protocol drops a stray s2."""
     if params.blinded and key.s2 is None:
         raise ParameterError("%s requires a two-part key" % params.proto)
-    s1 = as_bits(key.s1, params.k)
-    s2 = as_bits(key.s2, params.k) if params.blinded else None
-    return key if s1 is key.s1 and s2 is key.s2 else SecretKey(s1=s1, s2=s2)
+    for part in (key.s1, key.s2) if params.blinded else (key.s1,):
+        if part.shape[0] != params.k:
+            raise DimensionError("expected a key part of length %d, got %d bits"
+                                 % (params.k, part.shape[0]))
+    return key if params.blinded or key.s2 is None else SecretKey(s1=key.s1)
 
 
 def _check_matrices(params: ProtocolParams, a, b):
@@ -229,13 +265,26 @@ def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
     return (_check_key(params, key), *_check_matrices(params, a, b))
 
 
-def _image(params: ProtocolParams, key: SecretKey, a, b, product=_mat_vec_mul) -> np.ndarray:
-    """Noise-free response image for checked operands, the matrices in the
-    form that ``product`` multiplies: bit arrays by default, or payloads."""
-    image = _apply_f(params.spec, product(key.s1, a if b is None else b))
+def _image(params: ProtocolParams, key: SecretKey, a, b, n: int | None = None) -> np.ndarray:
+    """Noise-free response image for checked operands, a fresh array.  The
+    matrices are bit arrays, or with ``n`` the payloads of (k, n) matrices,
+    which the key's payload masks multiply."""
+    if n is None:
+        parts, product = (key.s1, key.s2), _mat_vec_mul
+    else:
+        parts, product = key._payload_masks(n), partial(_payload_mat_vec_mul, n=n)
+    image = _mapped(params.spec, product(parts[0], a if b is None else b))
     if b is not None:
-        image ^= _apply_f(params.spec, product(key.s2, a))
+        image ^= _mapped(params.spec, product(parts[1], a))
     return image
+
+
+def _mapped(spec: NonlinearFunctionSpec, product: np.ndarray) -> np.ndarray:
+    """The response map of a fresh product: with no monomials, the product's
+    own first n - p bits, with no copy."""
+    if not spec.monomials:
+        return product[: product.shape[0] - spec.p]
+    return _apply_f(spec, product)
 
 
 def _decide(params: ProtocolParams, key: SecretKey, a, z, b) -> tuple[bool, int]:
@@ -301,8 +350,10 @@ def run_session(
     of the prover's noise, the same (accepted, distance) that :func:`verify`
     returns for the transcript.  B and A are drawn as payloads
     (:meth:`RandomSource._payload`) and the image is computed from them, so
-    no matrix is unpacked and only z is packed.  This is the one caller that
-    multiplies payloads; callers that hold bits answer through :func:`_respond`."""
+    no matrix is unpacked and only z is packed.  The key's parts multiply
+    them as the payload masks it keeps per n (:meth:`SecretKey._payload_masks`).
+    This is the one caller that multiplies payloads; callers that hold bits
+    answer through :func:`_respond`."""
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
@@ -310,7 +361,8 @@ def run_session(
     a = rng_verifier._payload(params.k, params.n)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
-    z = _image(params, key, a, b, partial(_payload_mat_vec_mul, n=params.n)) ^ noise
+    z = _image(params, key, a, b, params.n)
+    z ^= noise
     dist = int(np.count_nonzero(noise))
     return _record(params, b if b is None else b.tobytes(), a.tobytes(),
                    _pack_payload(z), dist <= params.u, dist)

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nlhb import authsvc, cli
+from nlhb import authsvc, cli, nlfunc
 from nlhb.gf2core import RandomSource
 from nlhb.nlfunc import DEFAULT_SPEC
 from nlhb.protocols import generate_key, nlhb_params
@@ -746,6 +746,38 @@ def test_analyze_refuses_a_window_too_wide_to_enumerate():
     assert peak < 10 * 2**20
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "exceeds" in err
+
+
+@pytest.mark.parametrize("p", [10, 11])
+def test_analyze_refuses_a_merge_too_large_to_hold(p):
+    # 2^(2p+2) merge states pass the enumeration range; what
+    # merge_error_distribution would hold for them does not pass the size guard
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(["analyze", "--spec", "p=%d; g=x1x2" % p])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 10 * 2**20
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "exceeds" in err
+
+
+def test_merge_size_guard_admits_p9_and_covers_the_measured_peak():
+    cli._check_enumeration(20, nlfunc.merge_state_bytes(9))  # p = 9 still runs
+    for p in (4, 5, 6, 7):
+        spec = nlfunc.NonlinearFunctionSpec(p, ((1, p),))
+        tracemalloc.start()
+        try:
+            nlfunc.merge_error_distribution(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the rows' bytes, to within the few KB of its fixed-size objects
+        held = (1 << 2 * p + 2) * nlfunc.merge_state_bytes(p)
+        assert held * 0.9 <= peak <= held + 2**14
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def test_payload_product_is_mat_vec_mul(residue, k, blocks, fill, seed):
     s = {"random": drawn.uniform_bits(k), "zeros": np.zeros(k, dtype=np.uint8),
          "ones": np.ones(k, dtype=np.uint8)}[fill]
     before = payload.copy()
-    got = gf2core._payload_mat_vec_mul(s, payload, n)
+    got = gf2core._payload_mat_vec_mul(gf2core._selected_masks(s, n), payload, n)
     assert got.dtype == np.uint8 and got.shape == (n,)
     assert np.array_equal(got, gf2core._mat_vec_mul(s, a))
     assert np.array_equal(payload, before)
@@ -619,6 +619,47 @@ def test_bernoulli_rejects_out_of_range():
     for bad in (Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(-1, 4)):
         with pytest.raises(ParameterError):
             rng.bernoulli_bits(8, bad)
+
+
+class _ScriptedWords(RandomSource):
+    """A source whose u64 calls return the given word lists, one list per call."""
+
+    def __init__(self, *draws):
+        super().__init__(0)
+        self.draws = [np.array(words, dtype=np.uint64) for words in draws]
+        self.counts = []
+
+    def u64(self, count):
+        self.counts.append(count)
+        words = self.draws.pop(0)
+        assert words.shape == (count,)
+        return words
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(2, 5), Fraction(5, 11)])
+def test_bernoulli_ties_take_residual_draws_in_order(eps):
+    # A word equal to floor(eps * 2**64) is a tie when a residual is left: it
+    # is resolved by further draws against the next base-2**64 digits, one
+    # tie after another in position order.  Every other word reads word < threshold.
+    den = eps.denominator
+    threshold, rest = divmod(eps.numerator << 64, den)
+    digit, rest = divmod(rest << 64, den)
+    second, _ = divmod(rest << 64, den)
+    assert rest and 0 < digit < 2**64 - 1 and second > 0
+    words = RandomSource(5).u64(12)
+    words[0], words[1] = threshold - 1, threshold + 1
+    ties = [2, 5, 9]
+    words[ties] = threshold
+    # tie 2: below the digit, a 1; tie 5: equal, then below the second, a 1;
+    # tie 9: above the digit, a 0.  Walked in another order they would differ.
+    rng = _ScriptedWords(words, [digit - 1], [digit], [second - 1], [digit + 1])
+    bits = rng.bernoulli_bits(len(words), eps)
+    assert rng.counts == [12, 1, 1, 1, 1] and rng.draws == []
+    assert bits.dtype == np.uint8
+    assert bits[ties].tolist() == [1, 1, 0]
+    others = [j for j in range(len(words)) if j not in ties]
+    assert bits[others].tolist() == [int(words[j] < threshold) for j in others]
+    assert bits[:2].tolist() == [1, 0]
 
 
 def test_bernoulli_residual_terminates():

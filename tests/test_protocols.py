@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import counted_packs, edited_lines, edited_text, protocol_params
 
@@ -21,6 +21,7 @@ from nlhb.gf2core import (
 )
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC
 from nlhb.protocols import (
+    PROTOCOLS,
     ProtocolParams,
     SecretKey,
     SessionTranscript,
@@ -133,14 +134,15 @@ def _bad_exchanges(p, key):
     two = a.copy()
     two[0, 0] = 2
     short = SecretKey(s1=key.s1[:-1], s2=key.s2)
-    nonbit = SecretKey(s1=np.full(p.k, 2, dtype=np.uint8), s2=key.s2)
+    # a key checks its own bits, so one holding a 2 is refused when built
+    with pytest.raises(ParameterError):
+        SecretKey(s1=np.full(p.k, 2, dtype=np.uint8), s2=key.s2)
     b = rng.uniform_matrix(p.k, p.n) if p.blinded else None
     cases = [
         ("challenge shape", key, a[:, :-1], z, b, DimensionError),
         ("challenge not 2-D", key, a.reshape(-1), z, b, DimensionError),
         ("challenge entry 2", key, two, z, b, ParameterError),
         ("key length", short, a, z, b, DimensionError),
-        ("key entry 2", nonbit, a, z, b, ParameterError),
     ]
     if p.blinded:
         cases += [
@@ -195,6 +197,86 @@ def test_checked_key_is_the_callers_own_when_nothing_converts():
     checked = protocols._check_key(p, SecretKey(s1=[1, 0] * 4))
     assert checked.s1.dtype == np.uint8 and checked.s1.tolist() == [1, 0] * 4
     assert protocols._check_key(p, plus_key).s2 is None
+
+
+def test_secret_key_checks_and_holds_its_bits_when_built():
+    with pytest.raises(ParameterError):
+        SecretKey(s1=[0, 1, 2])
+    with pytest.raises(ParameterError):
+        SecretKey(s1=[0, 1], s2=np.array([1, -1]))
+    with pytest.raises(DimensionError):
+        SecretKey(s1=np.zeros((2, 4), dtype=np.uint8))
+    with pytest.raises(DimensionError):
+        SecretKey(s1=[1, 0], s2=1)
+    source = np.array([1, 0, 1, 1], dtype=np.uint8)
+    key = SecretKey(s1=source, s2=[True, False, True, True])
+    for part in (key.s1, key.s2):
+        assert part.dtype == np.uint8 and part.tolist() == [1, 0, 1, 1]
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0
+    source[:] = 0
+    assert key.s1.tolist() == [1, 0, 1, 1]
+
+
+def test_key_masks_follow_the_width_one_table_per_part():
+    # a key used at n1, then n2, then n1 again multiplies correctly each
+    # time and holds the masks of one width only
+    k = 13
+    key = SecretKey(s1=RandomSource(5).uniform_bits(k), s2=RandomSource(6).uniform_bits(k))
+    for n in (19, 24, 19):
+        a, payload = RandomSource(n)._bits_and_payload(k, n)
+        masks = key._payload_masks(n)
+        for s, m in zip((key.s1, key.s2), masks):
+            assert m.shape == ((k + 7) // 8, n)
+            assert np.array_equal(gf2core._payload_mat_vec_mul(m, payload, n), gf2core._mat_vec_mul(s, a))
+        [(held_n, *held)] = key._masks
+        assert held_n == n and all(h is m for h, m in zip(held, masks))
+        p = nlhb_params(k, n, EPS, EPSP, DEFAULT_SPEC, blinded=True)
+        t = run_session(p, key, RandomSource(1), RandomSource(2))
+        prover = RandomSource(1)
+        b = prover.uniform_matrix(k, n)
+        a = RandomSource(2).uniform_matrix(k, n)
+        assert np.array_equal(t.z, respond(p, key, a, b=b, rng=prover))
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+def test_session_converts_no_key_bits(proto, monkeypatch):
+    # the key checked its bits when built: a session with drawn noise calls
+    # neither coercion, for the key or for anything else
+    spec = IDENTITY_SPEC if proto.startswith("hb") else DEFAULT_SPEC
+    p = ProtocolParams(proto, 8, 19, EPS, EPSP, spec)
+    key = generate_key(p, RandomSource(2))
+    calls = []
+    for module in (gf2core, protocols):
+        for name in ("as_bits", "as_bit_matrix"):
+            def spy(values, *args, _real=getattr(module, name), **kwargs):
+                calls.append(values)
+                return _real(values, *args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+    for _ in range(2):
+        run_session(p, key, RandomSource(3), RandomSource(4))
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PROTOCOLS), st.integers(1, 7), st.integers(0, 4), st.integers(1, 7),
+       st.integers(0, 2**32 - 1))
+def test_session_is_respond_and_verify_at_odd_sizes(proto, k, blocks, residue, seed):
+    # k < 8 (a partial payload block) and n not a multiple of 8
+    spec = IDENTITY_SPEC if proto.startswith("hb") else DEFAULT_SPEC
+    n = 8 * blocks + residue
+    assume(n > spec.p)
+    p = ProtocolParams(proto, k, n, EPS, EPSP, spec)
+    key = generate_key(p, RandomSource(seed))
+    t = run_session(p, key, RandomSource(seed + 1), RandomSource(seed + 2))
+    prover = RandomSource(seed + 1)
+    b = prover.uniform_matrix(k, n) if p.blinded else None
+    a = RandomSource(seed + 2).uniform_matrix(k, n)
+    z = respond(p, key, a, b=b, rng=prover)
+    assert np.array_equal(t.a, a) and np.array_equal(t.z, z)
+    assert (t.b is None) == (b is None) and (b is None or np.array_equal(t.b, b))
+    assert (t.accepted, t.distance) == verify(p, key, a, z, b=b)
 
 
 def test_session_matches_public_respond_and_verify():
