@@ -30,6 +30,7 @@ from .gf2core import (
     ParameterError,
     RandomSource,
     SingularSystemError,
+    check_enumerable,
     code_rows,
     gaussian_solve,
     gf2_rank,
@@ -42,8 +43,6 @@ from .nlfunc import key_distances
 from .params import false_reject
 from .protocols import ProtocolParams, SecretKey, respond, verify
 from .reductions import _single_secret, batch_views, transcript_batch
-
-DESK_SCALE_K = 24
 
 
 class NeedMoreSamplesError(RuntimeError):
@@ -300,10 +299,9 @@ def lf2_attack(
         raise ParameterError("params disagree with the transcripts")
     params = inferred
     k = params.k
-    if k > DESK_SCALE_K:
-        raise ParameterError("desk-scale attack supports k <= %d" % DESK_SCALE_K)
     if not 0 < b <= k:
         raise ParameterError("need 0 < b <= k")
+    check_enumerable(b, 36)  # per block: 2 int64 counts, their difference, FWHT temporaries
 
     x, y = _pool_samples(transcripts)
     n_samples = x.shape[1]

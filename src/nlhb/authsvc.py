@@ -239,7 +239,8 @@ class AuthService(socketserver.ThreadingTCPServer):
         self._handle(request)
 
     def start(self) -> "AuthService":
-        self._thread.start()
+        if self._thread.ident is None:  # serve() starts the service it returns
+            self._thread.start()
         return self
 
     def shutdown(self) -> None:

@@ -25,7 +25,7 @@ from .gf2core import (
     FormatError,
     ParameterError,
     RandomSource,
-    check_enumerable,
+    check_held,
     mat_vec_mul,
     read_entries,
     read_text,
@@ -37,8 +37,8 @@ from .nlfunc import (
     format_spec,
     max_entropy_functions,
     merge_error_distribution,
-    merge_state_bytes,
     parse_spec,
+    _check_balance,
 )
 from .params import MAX_D, check_rates, false_accept, false_reject, find_min_D, threshold_u
 from .protocols import (
@@ -214,25 +214,9 @@ def _spec(args):
     return DEFAULT_SPEC if spec is None else spec
 
 
-# Bits a command may hold in all the count k x n matrices it asks for: 2^28
-# bits is 256 MB as uint8, room for 450 of the paper's 512 x 1164 challenges,
-# and keeps numpy from being asked for gigabytes.
-_MAX_BITS = 1 << 28
-
-
 def _check_size(k: int, n: int, count: int = 1) -> None:
     # a factor below 1 draws nothing itself, but must not hide the others' size
-    if max(count, 1) * max(k, 1) * max(n, 1) > _MAX_BITS:
-        raise ParameterError(
-            "count*k*n = %d*%d*%d exceeds the %d-bit limit" % (count, k, n, _MAX_BITS)
-        )
-
-
-def _check_enumeration(width: int, row_bytes: int | None = None) -> None:
-    """_check_size for the 2^width rows an exhaustive enumeration holds, of
-    ``row_bytes`` bytes each (by default its width bits, one byte each)."""
-    check_enumerable(width)  # first: it bounds the shift below
-    _check_size(1 << width, width if row_bytes is None else row_bytes)
+    check_held(max(count, 1), max(k, 1) * max(n, 1))
 
 
 def _build_params(args) -> ProtocolParams:
@@ -319,9 +303,8 @@ def _cmd_analyze(args, report) -> None:
     if args.spec is None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
-    _check_enumeration(2 * spec.p + 2, merge_state_bytes(spec.p))
-    if args.balance_n is not None:
-        _check_enumeration(args.balance_n)  # the inputs balance_check runs through
+    if args.balance_n is not None:  # sized first, so the merge does not run if it is refused
+        _check_balance(spec.p, args.balance_n)
     dist = merge_error_distribution(spec)
     report.row("g", format_spec(spec))
     report.row("entropy_bits", "%g" % dist.entropy_bits())

@@ -177,9 +177,9 @@ def key_table(a) -> np.ndarray:
     Method of Four Russians).  The (2**k, n) result is the only allocation.
     """
     a = as_bit_matrix(a)
-    k = a.shape[0]
-    check_enumerable(k)
-    out = np.empty((1 << k, a.shape[1]), dtype=np.uint8)
+    k, n = a.shape
+    check_enumerable(k, n)
+    out = np.empty((1 << k, n), dtype=np.uint8)
     out[0] = 0
     for j in range(k):
         h = 1 << j
@@ -260,10 +260,23 @@ def gaussian_solve(a, z) -> np.ndarray:
     return np.array([rest >> (k - 1 - i) & 1 for i in range(k)], dtype=np.uint8)
 
 
-def check_enumerable(k: int) -> None:
-    """Raise unless a 2**k-row enumeration of keys is in the supported range."""
-    if not 0 <= k <= 26:
-        raise ParameterError("k=%d out of supported range 0..26 for exhaustive enumeration" % k)
+# Bytes one enumeration, or the draws of one command, may hold: 2^28 (256 MiB) holds 450
+# of the paper's 512 x 1164 challenges as uint8, and keeps numpy from being asked for gigabytes.
+MAX_HELD_BYTES = 1 << 28
+
+
+def check_held(rows: int, row_bytes: int) -> None:
+    """Raise unless ``rows`` rows of ``row_bytes`` bytes each fit in :data:`MAX_HELD_BYTES`."""
+    if rows * row_bytes > MAX_HELD_BYTES:
+        raise ParameterError("%d rows of %d bytes exceeds the %d-byte limit" % (rows, row_bytes, MAX_HELD_BYTES))
+
+
+def check_enumerable(width: int, row_bytes: int) -> None:
+    """Raise unless 2**width rows, of the ``row_bytes`` bytes each that an
+    enumeration holds at its peak, are in range and pass :func:`check_held`."""
+    if not 0 <= width <= 26:  # first: it bounds the shift
+        raise ParameterError("width=%d out of supported range 0..26 for enumeration" % width)
+    check_held(1 << width, row_bytes)
 
 
 def all_bit_vectors(k: int) -> np.ndarray:
@@ -272,7 +285,7 @@ def all_bit_vectors(k: int) -> np.ndarray:
     Row r spells the binary expansion of r with index 1 as the most
     significant bit, matching the serialization bit order.
     """
-    check_enumerable(k)
+    check_enumerable(k, 8 + 8 * -(-k // 8))  # a uint64 code and its unpacked bytes
     return code_rows(np.arange(1 << k, dtype=np.uint64), k)
 
 

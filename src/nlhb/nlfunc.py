@@ -131,10 +131,11 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
     """
     a = as_bit_matrix(a)
     k, n = a.shape
-    check_enumerable(k)
+    check_enumerable(k, 8)  # the int64 distances
     d = spec.output_length(n)
     target = as_bits(target, d)
     low = min(k, _CHUNK_BITS)
+    check_enumerable(low, n + 4 * d + 16)  # bits, 4 d-byte rows (output, 2 terms, last output), 2 int64
     inner = key_table(a[k - low :])
     chunk = np.empty_like(inner)
     out = np.empty(1 << k, dtype=np.int64)
@@ -174,20 +175,19 @@ class UniformityReport:
     is_uniform: bool
 
 
-_BALANCE_LIMIT = 20
+def _check_balance(p: int, n: int) -> None:
+    """Size :func:`balance_check`'s 2**n inputs: each input's bytes, its n - p
+    output bits, those bits as uint64 in :func:`row_codes` and its code."""
+    check_enumerable(n, 8 * -(-n // 8) + 9 * (n - p) + 8)
 
 
 def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
     """Exhaustively verify that every output value occurs exactly 2**p times.
 
-    Refuses n > 20 (the enumeration is 2**n inputs).
+    Refuses n when its 2**n inputs do not fit (n > 20 at p = 3).
     """
-    if n > _BALANCE_LIMIT:
-        raise ParameterError(
-            "balance_check enumerates 2**n inputs; n=%d exceeds the limit %d"
-            % (n, _BALANCE_LIMIT)
-        )
     d = spec.output_length(n)
+    _check_balance(spec.p, n)
     inputs = all_bit_vectors(n)
     codes = row_codes(apply_f_batch(spec, inputs)).astype(np.int64)
     counts = np.bincount(codes, minlength=1 << d)
@@ -243,13 +243,14 @@ def _dyadic_log2(x: Fraction) -> Fraction | None:
     return Fraction(num.bit_length() - den.bit_length())
 
 
-def merge_state_bytes(p: int) -> int:
+def merge_state_bytes(p: int, n: int | None = None) -> int:
     """Bytes :func:`merge_error_distribution` holds per merge state (each of
     its 2^(2p+2) rows) when its use peaks, in :func:`row_codes`: the states'
-    bits, unpacked a whole byte of bits at a time, x and xbar (n = 2p+1 each),
-    y, ybar and their XOR (p+1 each), the p+1 error bits as uint64 and the
-    uint64 code."""
-    return 8 * -(-(2 * p + 2) // 8) + 2 * (2 * p + 1) + 3 * (p + 1) + 8 * (p + 1) + 8
+    bits, unpacked a whole byte of bits at a time, x and xbar (n each, by
+    default 2p+1), y, ybar and their XOR (n - p each), the p+1 error bits as
+    uint64 and the uint64 code."""
+    n = 2 * p + 1 if n is None else n
+    return 8 * -(-(2 * p + 2) // 8) + 2 * n + 3 * (n - p) + 8 * (p + 1) + 8
 
 
 def merge_error_distribution(
@@ -273,6 +274,7 @@ def merge_error_distribution(
         raise ParameterError("merge position j=%d must satisfy p < j <= n-p" % j)
 
     free = 2 * p + 2
+    check_enumerable(free, merge_state_bytes(p, n))
     assign = all_bit_vectors(free)
     x = np.zeros((assign.shape[0], n), dtype=np.uint8)
     x[:, j - p - 1 : j + p] = assign[:, : free - 1]

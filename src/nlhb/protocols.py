@@ -237,14 +237,14 @@ def _read_only(payload: bytes, shape: tuple) -> np.ndarray:
 def _check_key(params: ProtocolParams, key: SecretKey) -> SecretKey:
     """``key`` for ``params``.  The key checked its bits when it was built, so
     this checks the length of each part the protocol uses; an unblinded
-    protocol drops a stray s2."""
+    protocol never reads a stray s2."""
     if params.blinded and key.s2 is None:
         raise ParameterError("%s requires a two-part key" % params.proto)
     for part in (key.s1, key.s2) if params.blinded else (key.s1,):
         if part.shape[0] != params.k:
             raise DimensionError("expected a key part of length %d, got %d bits"
                                  % (params.k, part.shape[0]))
-    return key if params.blinded or key.s2 is None else SecretKey(s1=key.s1)
+    return key
 
 
 def _check_matrices(params: ProtocolParams, a, b):

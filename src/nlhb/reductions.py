@@ -203,7 +203,7 @@ def brute_force_unld(instances, k: int, spec: NonlinearFunctionSpec):
     cost 2^k response-map evaluations per instance."""
     if not instances:
         raise ParameterError("need at least one instance")
-    check_enumerable(k)
+    check_enumerable(k, 16)  # the int64 total and one instance's distances
     total = np.zeros(1 << k, dtype=np.int64)
     for a, y in instances:
         a = as_bit_matrix(a)

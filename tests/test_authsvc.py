@@ -282,6 +282,19 @@ def test_honest_client_accepts_and_wrong_key_rejects(service):
     assert abs(distance - params.d / 2) < 4 * (params.d ** 0.5)
 
 
+def test_serve_starts_the_service_once_and_with_stops_it(tmp_path):
+    params = _params()
+    entry = svc.KeystoreEntry("tag-01", params, generate_key(params, RandomSource(1)))
+    path = str(tmp_path / "keys.txt")
+    svc.write_keystore(path, [entry])
+    with svc.serve(("127.0.0.1", 0), path, seed=3) as running:  # serve() already started it
+        accepted, _ = svc.authenticate(running.address, "tag-01", entry.key, params,
+                                       rng=RandomSource(4))
+    assert accepted is True
+    with pytest.raises(OSError):  # the listening socket is closed
+        socket.create_connection(running.address, timeout=1).close()
+
+
 def test_unknown_identity_is_a_distinct_failure(service):
     running, entry = service
     with pytest.raises(svc.RemoteError, match="unknown identity"):

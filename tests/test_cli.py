@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nlhb import authsvc, cli, nlfunc
-from nlhb.gf2core import RandomSource
+from nlhb.gf2core import RandomSource, check_enumerable
 from nlhb.nlfunc import DEFAULT_SPEC
 from nlhb.protocols import generate_key, nlhb_params
 
@@ -385,6 +385,17 @@ def test_explicit_flag_beats_the_config_under_reduce(tmp_path):
     assert len(kv(got[1])["planted"]) == 4  # 12 key bits are 2 hex bytes; the file's 8 are 1
 
 
+def test_config_equals_form_reads_the_file_and_must_follow_the_subcommand(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=8\nn=131\nbatches=4\n")
+    spaced = run_cli(["reduce", "thm2", "--config", str(cfg), "--seed", "1"])
+    assert spaced[0] == 0
+    assert run_cli(["reduce", "thm2", "--config=" + str(cfg), "--seed", "1"]) == spaced
+    code, out, err = run_cli(["--config", str(cfg), "reduce", "thm2", "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert "belongs after the subcommand" in err
+
+
 def test_config_supports_boolean_flags(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("enumerate=true\np=2\n")
@@ -488,6 +499,8 @@ _BALANCED = ["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3"]
     _BALANCED + ["--balance-n", "0"],
     _BALANCED + ["--balance-n", "1"],
     _BALANCED + ["--balance-n", "-3"],
+    ["simulate", "--config"],
+    ["analyze"],
 ])
 def test_empty_or_zero_flag_is_not_read_as_absent(argv):
     code, out, err = run_cli(argv)
@@ -508,6 +521,10 @@ def test_empty_or_zero_flag_is_not_read_as_absent(argv):
     ["reduce", "thm2", "--q", "2147483648"],
     ["reduce", "thm3", "--q", "2147483648"],
     ["reduce", "thm4", "--q", "2147483648"],
+    # exhaustive searches: 2^26 int64 key distances, 2^24-entry lf2 score tables
+    ["attack", "--attack", "majority", "--proto", "nlhb", "--k", "26", "--n", "40"],
+    ["attack", "--attack", "lf2", "--proto", "hb", "--k", "24", "--b", "24", "--samples", "4000",
+     "--eps", "1/8", "--epsp", "1/4"],
 ])
 def test_oversized_matrix_is_refused_before_allocation(argv):
     tracemalloc.start()
@@ -678,7 +695,7 @@ def test_any_argv_ends_in_output_or_an_error(argv_paths, argv):
 # A finite target no D <= MAX_D can meet is find_min_D's error (exit 1).
 @pytest.mark.parametrize("flag, code", [
     ("--pfa=-inf", 2), ("--pfa=nan", 2), ("--pfa=inf", 2), ("--pfr=nan", 2), ("--pfr=-inf", 2),
-    ("--pfa=-1e9", 1), ("--pfr=-1e9", 1),
+    ("--pfa=-1e9", 1), ("--pfr=-1e9", 1), ("--dd=100001", 1),
 ])
 def test_params_refuses_targets_it_can_never_meet(flag, code):
     got, out, err = _run_cli_within_5s(["params", "--eps", "1/4", "--epsp", "348/1000", flag])
@@ -766,7 +783,7 @@ def test_analyze_refuses_a_merge_too_large_to_hold(p):
 
 
 def test_merge_size_guard_admits_p9_and_covers_the_measured_peak():
-    cli._check_enumeration(20, nlfunc.merge_state_bytes(9))  # p = 9 still runs
+    check_enumerable(20, nlfunc.merge_state_bytes(9))  # p = 9 still runs
     for p in (4, 5, 6, 7):
         spec = nlfunc.NonlinearFunctionSpec(p, ((1, p),))
         tracemalloc.start()

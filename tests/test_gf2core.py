@@ -1,4 +1,6 @@
 import tracemalloc
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +31,17 @@ from nlhb.gf2core import (
     mat_vec_mul,
     row_codes,
 )
+from nlhb.attacks import lf2_attack
+from nlhb.nlfunc import (
+    DEFAULT_SPEC,
+    IDENTITY_SPEC,
+    NonlinearFunctionSpec,
+    balance_check,
+    key_distances,
+    merge_error_distribution,
+)
+from nlhb.protocols import ProtocolParams, generate_key, transcript_sampler
+from nlhb.reductions import brute_force_unld
 
 
 # --- independent oracles -----------------------------------------------------
@@ -371,6 +384,77 @@ def test_all_bit_vectors_holds_one_byte_per_bit():
         tracemalloc.stop()
     assert vs.shape == (1 << 20, 20)
     assert peak <= 2 * vs.nbytes  # a uint64 per bit before the cast peaked at 9x
+
+
+def _lf2_call(rng):
+    # k = b: one directly scored block of 2^18 candidates, from 12 noisy records
+    params = ProtocolParams(proto="hb", k=18, n=256, eps=Fraction(1, 8), eps_prime=Fraction(1, 4),
+                            spec=IDENTITY_SPEC)
+    return partial(lf2_attack, transcript_sampler(params, generate_key(params, rng), rng, 16), 18)
+
+
+def _pair(rng, k, n):
+    return rng.uniform_matrix(k, n), rng.uniform_bits(n - DEFAULT_SPEC.p)
+
+
+# Each 2^w enumeration, at a width where its per-row arrays dominate, with
+# the bytes it holds beside the rows it asks for: lf2's pooled samples and
+# verification sessions.  Asks of fewer rows, such as key_distances' 2^12-row
+# chunk and its two key tables, count as fixed bytes too; asks of 2^w rows
+# made inside the site's call are in its own charge.
+_SITES = {
+    "key_table": (lambda rng: partial(key_table, rng.uniform_matrix(18, 40)), 0),
+    "all_bit_vectors": (lambda rng: partial(all_bit_vectors, 18), 0),
+    "key_distances": (lambda rng: partial(key_distances, DEFAULT_SPEC, *_pair(rng, 20, 40)), 0),
+    "brute_force_unld": (lambda rng: partial(
+        brute_force_unld, [_pair(rng, 20, 40) for _ in range(2)], 20, DEFAULT_SPEC), 0),
+    "balance_check": (lambda rng: partial(balance_check, DEFAULT_SPEC, 16), 0),
+    "merge_error_distribution": (lambda rng: partial(
+        merge_error_distribution, NonlinearFunctionSpec(7, ((1, 7),))), 0),
+    "merge_error_distribution at n > 2p + 1": (lambda rng: partial(
+        merge_error_distribution, NonlinearFunctionSpec(5, ((1, 5),)), n=40), 0),
+    "lf2_attack": (_lf2_call, 2**18),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SITES))
+def test_each_enumeration_charges_its_measured_peak(site):
+    build, fixed = _SITES[site]
+    call = build(RandomSource(5))
+    asks = []
+    check_held = gf2core.check_held
+
+    def spy(rows, row_bytes):
+        asks.append((rows, row_bytes))
+        check_held(rows, row_bytes)
+
+    with mock.patch.object(gf2core, "check_held", spy):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    rows, charge = max(asks, key=lambda ask: ask[0] * ask[1])  # the site's own ask
+    fixed += sum(r * b for r, b in asks if r < rows)
+    assert peak <= rows * charge + fixed + 2**14  # 16 KB of fixed-size objects
+    assert rows * charge <= 2 * peak
+
+
+def test_enumerations_past_the_budget_are_refused_before_allocation():
+    rng = RandomSource(6)
+    a, target = rng.uniform_matrix(26, 40), rng.uniform_bits(37)
+    for call in (lambda: all_bit_vectors(26),
+                 lambda: key_distances(DEFAULT_SPEC, a, target),
+                 lambda: merge_error_distribution(NonlinearFunctionSpec(11, ((1, 11),)))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="exceeds"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 33, 63, 64])

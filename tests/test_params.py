@@ -121,6 +121,18 @@ def test_find_min_d_for_deployed_targets():
         assert not ok
 
 
+def test_find_min_d_when_false_reject_binds():
+    # false accept alone is met from D = 100; false reject holds the answer to D = 1038
+    eps, epsp = Fraction(1, 4), Fraction(348, 1000)
+    res = find_min_D(eps, epsp, -10.0, -40.0)
+    assert (res.d, res.u) == (1038, 361)
+    fa_met = [false_accept(d, threshold_u(epsp, d)).log2 <= -10.0 for d in range(1, 1039)]
+    both = [ok and false_reject(d, eps, threshold_u(epsp, d)).log2 <= -40.0
+            for d, ok in enumerate(fa_met, 1)]
+    assert fa_met.index(True) + 1 == 100
+    assert both.index(True) + 1 == res.d
+
+
 def test_find_min_d_cap():
     with pytest.raises(ParameterError):
         find_min_D(Fraction(1, 4), Fraction(348, 1000), -800.0, -400.0, cap=50)

@@ -193,10 +193,10 @@ def test_checked_key_is_the_callers_own_when_nothing_converts():
     key, plus_key = generate_key(p, RandomSource(3)), generate_key(plus, RandomSource(3))
     assert protocols._check_key(p, key) is key
     assert protocols._check_key(plus, plus_key) is plus_key
-    # a list must be converted, and an unblinded key drops a stray s2
+    # a list must be converted; an unblinded protocol keeps a stray s2 it never reads
     checked = protocols._check_key(p, SecretKey(s1=[1, 0] * 4))
     assert checked.s1.dtype == np.uint8 and checked.s1.tolist() == [1, 0] * 4
-    assert protocols._check_key(p, plus_key).s2 is None
+    assert protocols._check_key(p, plus_key) is plus_key
 
 
 def test_secret_key_checks_and_holds_its_bits_when_built():
