@@ -193,10 +193,25 @@ def _buckets(a_cols, bucket_rows):
     return np.split(order, np.flatnonzero(sorted_codes[1:] != sorted_codes[:-1]) + 1)
 
 
-def _pairs(bucket):
-    """All (left, right) column pairs of one bucket, left before right."""
-    li, ri = np.triu_indices(bucket.shape[0], 1)
-    return bucket[li], bucket[ri]
+# merged samples tallied per chunk in _merge_scores: 2^17 int64 tags, 1 MiB
+_PAIR_CHUNK = 1 << 17
+
+
+def _pair_tags(tags):
+    """The XOR of every pair of ``tags``, one bucket's, in chunks of at most
+    :data:`_PAIR_CHUNK` entries: a run of left entries against every entry
+    after the run, then the pairs within the run."""
+    m = tags.shape[0]
+    if m < 2:
+        return
+    step = max(1, _PAIR_CHUNK // m)
+    for lo in range(0, m - 1, step):
+        hi = min(lo + step, m)
+        if hi < m:
+            yield (tags[lo:hi, None] ^ tags[None, hi:]).ravel()
+        run = tags[lo:hi]
+        left, right = np.triu_indices(hi - lo, 1)
+        yield run[left] ^ run[right]
 
 
 def _score_block(rows_matrix, y):
@@ -211,8 +226,8 @@ def _score_block(rows_matrix, y):
 
 def _merge_scores(x, y, rows, bucket_rows):
     """:func:`_score_block` of ``rows`` over every pair of columns that agree
-    on ``bucket_rows``, XORed into one merged sample, counted one bucket at a
-    time so the pairs are never materialized.
+    on ``bucket_rows``, XORed into one merged sample, counted a chunk of
+    pairs at a time (:func:`_pair_tags`) so no bucket's pairs are held at once.
 
     Each sample is tagged ``2 * code + y`` with the b-bit code of its column
     on ``rows``; the XOR of two tags is the tag of the merged sample.  Returns
@@ -224,10 +239,10 @@ def _merge_scores(x, y, rows, bucket_rows):
     buckets = _buckets(x, bucket_rows)
     total = 0
     for bucket in buckets:
-        if bucket.shape[0] > 1:
-            left, right = _pairs(bucket)
-            counts += np.bincount(tags[left] ^ tags[right], minlength=2 << b)
-            total += left.shape[0]
+        for merged in _pair_tags(tags[bucket]):
+            tally = np.bincount(merged)
+            counts[: tally.shape[0]] += tally
+        total += bucket.shape[0] * (bucket.shape[0] - 1) // 2
     return fwht(counts[0::2] - counts[1::2]), total, len(buckets)
 
 
@@ -301,6 +316,9 @@ def lf2_attack(
     k = params.k
     if not 0 < b <= k:
         raise ParameterError("need 0 < b <= k")
+    if k - b > 64:
+        raise ParameterError("lf2 buckets on at most 64 rows (k - b), got k - b = %d: "
+                             "b must be at least %d" % (k - b, k - 64))
     check_enumerable(b, 36)  # per block: 2 int64 counts, their difference, FWHT temporaries
 
     x, y = _pool_samples(transcripts)

@@ -13,8 +13,12 @@ The payload layout is defined here, by :func:`_pack_payload` and
 first byte holding index 1, zero-padded at the end to a whole byte.  Its one
 other producer is :meth:`RandomSource._payload`, bound to them by
 ``test_draw_payload_is_the_packed_bits``; transcript records hold payloads.
-A (k, n) payload holds eight whole rows in each n bytes, so
-:func:`_payload_mat_vec_mul` computes s.A from it without unpacking A.
+A payload is also read as a big-endian int: a vector's payload less its pad
+is the int whose most significant of len bits is index 1 (:func:`_bits_int`,
+:func:`_int_bits` and :func:`_int_payload` convert), the form one exchange's
+image takes.  A (k, n) payload holds eight whole rows in each n bytes, so
+:func:`_payload_mat_vec_mul` computes s.A from it, as that int, without
+unpacking A.
 A block's text is three pieces, its header line, hex and newline
 (:func:`_block_pieces`), so a writer joins each hex into its text once.
 Integers there and in a decision are ASCII decimal (:func:`_decimal`).
@@ -129,21 +133,33 @@ def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(a[s.view(bool)], axis=0)
 
 
-def _payload_mat_vec_mul(masks: np.ndarray, payload: np.ndarray, n: int) -> np.ndarray:
+def _payload_mat_vec_mul(masks: np.ndarray, payload: np.ndarray, n: int) -> int:
     """:func:`_mat_vec_mul` of checked bits s and the (len(s), n) matrix whose
-    payload is the uint8 array ``payload``, without unpacking the matrix;
-    ``masks`` is :func:`_selected_masks` of s at width n.
+    payload is the uint8 array ``payload``, as the int of its n bits
+    (:func:`_bits_int`), without unpacking the matrix; ``masks`` is
+    :func:`_selected_masks` of s at width n.
 
     Byte block j of the payload (bytes j*n ... j*n+n-1) holds rows 8j ... 8j+7,
     row c of the block at its bits c*n ... c*n+n-1.  Each block is ANDed with
-    mask row j, which keeps the rows that s selects in it, the masked blocks
-    are XORed into n bytes, and the eight n-bit rows of those are folded into one.
+    mask row j, which keeps the rows that s selects in it, and the masked
+    blocks are XORed into n bytes.  Read big-endian, those are an 8n-bit int
+    with row 0 on top, and three halvings fold its eight n-bit rows into one.
     """
     if payload.size < masks.size:  # a partial last block reads as zero-extended
         payload = np.concatenate((payload, np.zeros(masks.size - payload.size, dtype=np.uint8)))
     blocks = np.bitwise_and(masks, payload.reshape(-1, n))
-    folded = np.unpackbits(np.bitwise_xor.reduce(blocks, axis=0)).reshape(8, n)
-    return np.bitwise_xor.reduce(folded, axis=0)
+    v = int.from_bytes(np.bitwise_xor.reduce(blocks, axis=0).tobytes(), "big")
+    half4, half2, half1 = _fold_masks(n)
+    v = (v >> 4 * n) ^ (v & half4)
+    v = (v >> 2 * n) ^ (v & half2)
+    return (v >> n) ^ (v & half1)
+
+
+@lru_cache(maxsize=8)
+def _fold_masks(n: int) -> tuple[int, int, int]:
+    """The masks of the low 4n, 2n and n bits, which keep the lower half at
+    each halving of :func:`_payload_mat_vec_mul`."""
+    return tuple((1 << w) - 1 for w in (4 * n, 2 * n, n))
 
 
 def _selected_masks(s: np.ndarray, n: int) -> np.ndarray:
@@ -338,6 +354,22 @@ def _unpack_payload(payload: bytes, shape: tuple) -> np.ndarray:
     # ``count=`` form without the copy took ~2,150 minor faults in every batch,
     # best replay 1,354/s.  So the copy stays.
     return np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:nbits].copy().reshape(shape)
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """A checked bit vector as an int: its payload read big-endian, less the
+    zero pad, so index 1 is the most significant of len(bits) bits."""
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.shape[0] % 8)
+
+
+def _int_payload(value: int, nbits: int) -> bytes:
+    """The payload of the ``nbits``-bit vector whose :func:`_bits_int` is ``value``."""
+    return (value << (-nbits % 8)).to_bytes((nbits + 7) // 8, "big")
+
+
+def _int_bits(value: int, nbits: int) -> np.ndarray:
+    """The fresh ``nbits``-bit vector whose :func:`_bits_int` is ``value``."""
+    return np.unpackbits(np.frombuffer(_int_payload(value, nbits), dtype=np.uint8), count=nbits)
 
 
 def _hex_payload(hexline: str, nbits: int, line: int | None = None) -> bytes:

@@ -34,6 +34,8 @@ from .gf2core import (
     code_rows,
     key_table,
     row_codes,
+    _bits_int,
+    _int_bits,
 )
 
 
@@ -155,8 +157,31 @@ def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:
 
 def _apply_f(spec: NonlinearFunctionSpec, x: np.ndarray) -> np.ndarray:
     """:func:`apply_f` for a bit vector already checked against the spec's
-    window."""
-    return _kernels.apply_window_batch(x[None, :], spec.monomials, x.shape[0] - spec.p)[0]
+    window, through :func:`_apply_f_int`."""
+    n = x.shape[0]
+    return _int_bits(_apply_f_int(spec, _bits_int(x), n), n - spec.p)
+
+
+def _apply_f_int(spec: NonlinearFunctionSpec, x: int, n: int) -> int:
+    """The response map of one n-bit state held as an int
+    (:func:`gf2core._bits_int`, x_1 most significant), as the int of its
+    n - p output bits.
+
+    ``x >> (p - o)`` holds x_{i+o} at the bit of output i, so each offset is
+    shifted once, each monomial is one AND of its shifts, and the output is
+    x >> p XOR the monomials, masked to n - p bits.
+    """
+    p = spec.p
+    if not spec.monomials:
+        return x >> p
+    shifted = [x >> (p - o) for o in range(p + 1)]
+    y = shifted[0]
+    for first, *rest in spec.monomials:
+        term = shifted[first]
+        for o in rest:
+            term &= shifted[o]
+        y ^= term
+    return y & ((1 << (n - p)) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,10 @@ from .gf2core import (
     read_payload,
     read_text,
     _block_pieces,
+    _bits_int,
     _decimal,
+    _int_bits,
+    _int_payload,
     _mat_vec_mul,
     _pack_payload,
     _payload_mat_vec_mul,
@@ -44,7 +47,7 @@ from .gf2core import (
 from .nlfunc import (
     IDENTITY_SPEC,
     NonlinearFunctionSpec,
-    _apply_f,
+    _apply_f_int,
     format_spec,
     parse_spec,
 )
@@ -265,37 +268,36 @@ def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
     return (_check_key(params, key), *_check_matrices(params, a, b))
 
 
-def _image(params: ProtocolParams, key: SecretKey, a, b, n: int | None = None) -> np.ndarray:
-    """Noise-free response image for checked operands, a fresh array.  The
-    matrices are bit arrays, or with ``n`` the payloads of (k, n) matrices,
-    which the key's payload masks multiply."""
+def _image(params: ProtocolParams, key: SecretKey, a, b, n: int | None = None) -> int:
+    """Noise-free response image for checked operands, as the int of its d
+    bits (:func:`gf2core._bits_int`).  The matrices are bit arrays, or with
+    ``n`` the payloads of (k, n) matrices, which the key's payload masks
+    multiply."""
     if n is None:
-        parts, product = (key.s1, key.s2), _mat_vec_mul
+        parts, product = (key.s1, key.s2), _bits_product
     else:
         parts, product = key._payload_masks(n), partial(_payload_mat_vec_mul, n=n)
-    image = _mapped(params.spec, product(parts[0], a if b is None else b))
+    spec, width = params.spec, params.n
+    image = _apply_f_int(spec, product(parts[0], a if b is None else b), width)
     if b is not None:
-        image ^= _mapped(params.spec, product(parts[1], a))
+        image ^= _apply_f_int(spec, product(parts[1], a), width)
     return image
 
 
-def _mapped(spec: NonlinearFunctionSpec, product: np.ndarray) -> np.ndarray:
-    """The response map of a fresh product: with no monomials, the product's
-    own first n - p bits, with no copy."""
-    if not spec.monomials:
-        return product[: product.shape[0] - spec.p]
-    return _apply_f(spec, product)
+def _bits_product(s: np.ndarray, a: np.ndarray) -> int:
+    """s.A of checked bit operands, as an int."""
+    return _bits_int(_mat_vec_mul(s, a))
 
 
 def _decide(params: ProtocolParams, key: SecretKey, a, z, b) -> tuple[bool, int]:
     """Verifier decision for checked operands."""
-    dist = int(np.count_nonzero(z != _image(params, key, a, b)))
+    dist = (_image(params, key, a, b) ^ _bits_int(z)).bit_count()
     return dist <= params.u, dist
 
 
 def expected_response(params: ProtocolParams, key: SecretKey, a, b=None) -> np.ndarray:
     """The noise-free response image for a given challenge (and blinding)."""
-    return _image(params, *_check_exchange(params, key, a, b))
+    return _int_bits(_image(params, *_check_exchange(params, key, a, b)), params.d)
 
 
 def respond(
@@ -312,7 +314,7 @@ def respond(
     """
     key, a, b = _check_exchange(params, key, a, b)
     if noise is not None:
-        return _image(params, key, a, b) ^ as_bits(noise, params.d)
+        return _int_bits(_image(params, key, a, b), params.d) ^ as_bits(noise, params.d)
     if rng is None:
         raise ParameterError("respond needs either an rng or an explicit noise vector")
     return _respond(params, key, a, b, rng)
@@ -321,7 +323,7 @@ def respond(
 def _respond(params: ProtocolParams, key: SecretKey, a, b, rng: RandomSource) -> np.ndarray:
     """The honest prover's answer for checked bit operands: the image plus
     Bernoulli(eps) noise drawn from ``rng``."""
-    return _image(params, key, a, b) ^ rng.bernoulli_bits(params.d, params.eps)
+    return _int_bits(_image(params, key, a, b), params.d) ^ rng.bernoulli_bits(params.d, params.eps)
 
 
 def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, int]:
@@ -349,9 +351,10 @@ def run_session(
     exactly where the noise is 1, so the verifier's distance is the weight
     of the prover's noise, the same (accepted, distance) that :func:`verify`
     returns for the transcript.  B and A are drawn as payloads
-    (:meth:`RandomSource._payload`) and the image is computed from them, so
-    no matrix is unpacked and only z is packed.  The key's parts multiply
-    them as the payload masks it keeps per n (:meth:`SecretKey._payload_masks`).
+    (:meth:`RandomSource._payload`) and the image is computed from them as
+    an int, so no matrix is unpacked; the noise is packed once, and z's
+    payload is written from the two ints.  The key's parts multiply the
+    payloads as the masks it keeps per n (:meth:`SecretKey._payload_masks`).
     This is the one caller that multiplies payloads; callers that hold bits
     answer through :func:`_respond`."""
     key = _check_key(params, key)
@@ -361,11 +364,11 @@ def run_session(
     a = rng_verifier._payload(params.k, params.n)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
-    z = _image(params, key, a, b, params.n)
-    z ^= noise
-    dist = int(np.count_nonzero(noise))
-    return _record(params, b if b is None else b.tobytes(), a.tobytes(),
-                   _pack_payload(z), dist <= params.u, dist)
+    noise = int.from_bytes(_pack_payload(noise), "big")  # the d bits, then the zero pad
+    image = _image(params, key, a, b, params.n)
+    z = _int_payload(image ^ (noise >> (-params.d % 8)), params.d)
+    dist = noise.bit_count()
+    return _record(params, b if b is None else b.tobytes(), a.tobytes(), z, dist <= params.u, dist)
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):

@@ -42,6 +42,7 @@ from .gf2core import (
     check_enumerable,
     code_rows,
     derive_seed,
+    _int_bits,
     _mat_vec_mul,
 )
 from .nlfunc import NonlinearFunctionSpec, _apply_f, key_distances
@@ -293,7 +294,7 @@ class PerfectPassiveForger(PassiveForger):
         self.key = _check_key(params, key)
 
     def forge(self, a):
-        return _image(self.params, self.key, a, None)
+        return _int_bits(_image(self.params, self.key, a, None), self.params.d)
 
 
 class HonestPassiveForger(PerfectPassiveForger):
@@ -436,7 +437,7 @@ class ActiveForger:
         params, b_hat = self.params, self._state["b_hat"]
         if noisy:
             return _respond(params, key, a, b_hat, self._message_rng("noise", a.tobytes()))
-        return _image(params, key, a, b_hat)
+        return _int_bits(_image(params, key, a, b_hat), params.d)
 
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the

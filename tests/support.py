@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nlhb import gf2core, protocols
-from nlhb.attacks import _buckets, _pairs
+from nlhb.attacks import _buckets
 from nlhb.gf2core import ParameterError, as_bit_matrix, as_bits
 from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec, apply_f_batch
 
@@ -168,6 +168,12 @@ def hybrid_tables(s, i, include_c):
             cell = ((a_codes ^ (c << shift)) << d) | z_code
             np.add.at(table, cell, weight)
     return table
+
+
+def _pairs(bucket):
+    """All (left, right) column pairs of one bucket, left before right."""
+    li, ri = np.triu_indices(bucket.shape[0], 1)
+    return bucket[li], bucket[ri]
 
 
 def lf2_merge(a_cols, z, b: int):

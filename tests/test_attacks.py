@@ -22,7 +22,7 @@ from nlhb.attacks import (
     noise_free_selection_attack,
 )
 from nlhb.gf2core import ParameterError, RandomSource, gf2_rank, hamming, mat_vec_mul
-from nlhb import reductions as red
+from nlhb import attacks, reductions as red
 from nlhb.nlfunc import DEFAULT_SPEC, merge_error_distribution
 from nlhb.protocols import (
     SecretKey,
@@ -215,6 +215,21 @@ def test_streamed_merge_scores_match_materialized_pairs(k, n_samples, data, seed
     assert nonempty == max(1, len({col.tobytes() for col in x[perm[b:]].T}))
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("k, b", [(3, 2), (6, 3)])
+def test_chunked_pairs_match_materialized_pairs(chunk, k, b, monkeypatch):
+    # chunks smaller than a bucket split it into runs of left columns, each
+    # against the columns after it and then within itself
+    monkeypatch.setattr(attacks, "_PAIR_CHUNK", chunk)
+    rng = RandomSource(100 * chunk + k)
+    x = rng.uniform_matrix(k, 150)
+    y = rng.uniform_bits(150)
+    merged, merged_y, log = lf2_merge(x, y, b)
+    scores, total, _ = _merge_scores(x, y, np.arange(b), np.arange(b, k))
+    assert np.array_equal(scores, _score_block(merged[:b], merged_y))
+    assert total == len(log)
+
+
 def test_lf2_merge_round_memory_is_bounded():
     # the merge round of the k=16 lf2 benchmark job: materializing its pairs
     # as bytes and then as uint64 codes peaked at 109 MB
@@ -229,6 +244,24 @@ def test_lf2_merge_round_memory_is_bounded():
         tracemalloc.stop()
     assert total > 10**6
     assert peak < 8 * 2**20
+
+
+def test_lf2_attack_memory_is_bounded_with_two_buckets():
+    # k = b + 1 leaves one bucket row, so 4,000 samples make two buckets of
+    # ~2,000 columns and ~4 * 10^6 pairs: materializing them took 93 MB
+    p = hb_params(9, 250, Fraction(1, 8), Fraction(1, 4))
+    key = generate_key(p, RandomSource(41))
+    ts = transcript_sampler(p, key, RandomSource(42), 16)
+    vts = transcript_sampler(p, key, RandomSource(43), 20)
+    tracemalloc.start()
+    try:
+        report = lf2_attack(ts, 8, p, verify_transcripts=vts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.stats["samples"] == 4000
+    assert report.stats["rounds"][0]["yield"] > 4 * 10**6
+    assert peak < 4 * 2**20
 
 
 def test_lf2_merge_apparent_noise_rate():

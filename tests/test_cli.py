@@ -243,6 +243,13 @@ def test_attack_lf2_splits_hb_from_nlhb():
     assert got["stat:verify_accepts"] == "0"
 
 
+def test_attack_lf2_refuses_more_than_64_bucket_rows():
+    code, out, err = run_cli(["attack", "--attack", "lf2", "--proto", "hb", "--k", "80",
+                              "--b", "8", "--samples", "20000"])
+    assert code == 1 and out == ""
+    assert err == "error: lf2 buckets on at most 64 rows (k - b), got k - b = 72: b must be at least 16\n"
+
+
 def test_attack_noisefree_output_is_stable():
     argv = ["attack", "--attack", "noisefree", "--proto", "nlhb",
             "--k", "12", "--n", "259", "--seed", "6"]

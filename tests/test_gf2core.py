@@ -130,8 +130,8 @@ def test_payload_product_is_mat_vec_mul(residue, k, blocks, fill, seed):
          "ones": np.ones(k, dtype=np.uint8)}[fill]
     before = payload.copy()
     got = gf2core._payload_mat_vec_mul(gf2core._selected_masks(s, n), payload, n)
-    assert got.dtype == np.uint8 and got.shape == (n,)
-    assert np.array_equal(got, gf2core._mat_vec_mul(s, a))
+    assert type(got) is int and got.bit_length() <= n
+    assert got == gf2core._bits_int(gf2core._mat_vec_mul(s, a))
     assert np.array_equal(payload, before)
 
 
@@ -580,6 +580,16 @@ def test_load_splits_lines_at_newline_only():
 def test_unpack_hex_round_trips(bits):
     v = np.array(bits, dtype=np.uint8)
     back = gf2core._unpack_hex(gf2core._pack_hex(v), len(v))
+    assert back.dtype == np.uint8 and np.array_equal(back, v)
+
+
+@given(st.lists(st.integers(0, 1), max_size=200))
+def test_int_form_is_the_payload_less_its_pad(bits):
+    v = np.array(bits, dtype=np.uint8)
+    value = gf2core._bits_int(v)
+    assert value == int("".join(map(str, bits)) or "0", 2)
+    assert gf2core._int_payload(value, len(v)) == gf2core._pack_payload(v)
+    back = gf2core._int_bits(value, len(v))
     assert back.dtype == np.uint8 and np.array_equal(back, v)
 
 

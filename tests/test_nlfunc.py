@@ -1,4 +1,5 @@
 import gc
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from support import layouts_st, operand
 
-from nlhb import nlfunc
+from nlhb import _kernels, gf2core, nlfunc
 from nlhb._kernels import hamming_rows
 from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource, key_table
 from nlhb.nlfunc import (
@@ -154,6 +155,37 @@ def test_apply_f_batch_matches_slow_oracle(seed, n):
     got = apply_f_batch(DEFAULT_SPEC, x)
     for row_in, row_out in zip(x, got):
         assert list(row_out) == slow_f(DEFAULT_SPEC, row_in)
+
+
+@st.composite
+def window_specs(draw):
+    """A spec of width 0..6 with any set of monomials of degree >= 2, the
+    empty set included."""
+    p = draw(st.integers(0, 6))
+    pool = [m for size in range(2, p + 1) for m in itertools.combinations(range(1, p + 1), size)]
+    chosen = draw(st.lists(st.sampled_from(pool), unique=True, max_size=10)) if pool else []
+    return NonlinearFunctionSpec(p, tuple(chosen))
+
+
+@pytest.mark.parametrize("residue", range(8))
+@settings(max_examples=30, deadline=None)
+@given(window_specs(), st.integers(0, 37), st.integers(0, 2**32 - 1))
+@example(DEFAULT_SPEC, 0, 0)
+@example(NonlinearFunctionSpec(6, ((1, 6), (2, 3, 4, 5, 6))), 37, 1)
+@example(IDENTITY_SPEC, 0, 2)
+def test_int_window_map_is_the_batch_kernel(residue, spec, blocks, seed):
+    # one n for every n mod 8, from p + 1 to ~300; the all-zero and all-one
+    # states ride along with two random ones
+    n = 8 * blocks + residue
+    while n <= spec.p:
+        n += 8
+    x = RandomSource(seed).uniform_matrix(4, n)
+    x[1], x[2] = 0, 1
+    batch = _kernels.apply_window_batch(x, spec.monomials, n - spec.p)
+    for row, want in zip(x, batch):
+        got = nlfunc._apply_f_int(spec, gf2core._bits_int(row), n)
+        assert got == gf2core._bits_int(want)
+        assert np.array_equal(nlfunc._apply_f(spec, row), want)
 
 
 def test_apply_f_batch_keeps_nothing_per_spec():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from support import counted_packs, edited_lines, edited_text, protocol_params
 
@@ -18,8 +18,9 @@ from nlhb.gf2core import (
     _block_text,
     dump_bits,
     dump_matrix,
+    mat_vec_mul,
 )
-from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC
+from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec, apply_f_batch
 from nlhb.protocols import (
     PROTOCOLS,
     ProtocolParams,
@@ -229,7 +230,7 @@ def test_key_masks_follow_the_width_one_table_per_part():
         masks = key._payload_masks(n)
         for s, m in zip((key.s1, key.s2), masks):
             assert m.shape == ((k + 7) // 8, n)
-            assert np.array_equal(gf2core._payload_mat_vec_mul(m, payload, n), gf2core._mat_vec_mul(s, a))
+            assert gf2core._payload_mat_vec_mul(m, payload, n) == gf2core._bits_int(gf2core._mat_vec_mul(s, a))
         [(held_n, *held)] = key._masks
         assert held_n == n and all(h is m for h, m in zip(held, masks))
         p = nlhb_params(k, n, EPS, EPSP, DEFAULT_SPEC, blinded=True)
@@ -709,6 +710,45 @@ def test_run_session_unpacks_no_matrix(p, monkeypatch):
     t = run_session(p, key, RandomSource(88), RandomSource(89))
     assert calls == []
     assert verify(p, key, t.a, t.z, t.b) == (t.accepted, t.distance)
+
+
+_KEY_FILLS = {"random": None, "zeros": 0, "ones": 1}
+
+
+@pytest.mark.parametrize("proto", PROTOCOLS)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 70), st.sampled_from(sorted(_KEY_FILLS)),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example(16, 64, "ones", False, 0)
+@example(13, 21, "zeros", True, 1)
+@example(9, 1, "random", True, 2)
+def test_int_image_and_z_payload_are_the_bit_path(proto, k, width, fill, over, seed):
+    # k and n of any residue mod 8; noise of weight u, which accepts, or u + 1
+    spec = IDENTITY_SPEC if proto.startswith("hb") else NonlinearFunctionSpec(5, ((1, 5), (2, 3, 4)))
+    params = ProtocolParams(proto, k, spec.p + width, EPS, EPSP, spec)
+    rng = RandomSource(seed)
+
+    def part():
+        value = _KEY_FILLS[fill]
+        return rng.uniform_bits(k) if value is None else np.full(k, value, dtype=np.uint8)
+
+    key = SecretKey(s1=part(), s2=part() if params.blinded else None)
+    weight = params.u + over
+    noise = np.zeros(params.d, dtype=np.uint8)
+    noise[np.argsort(rng.u64(params.d))[:weight]] = 1
+    t = run_session(params, key, RandomSource(seed + 1), RandomSource(seed + 2), noise=noise)
+    a, b = t.a, t.b
+    image = apply_f_batch(spec, mat_vec_mul(key.s1, a if b is None else b)[None, :])[0]
+    if b is not None:
+        image ^= apply_f_batch(spec, mat_vec_mul(key.s2, a)[None, :])[0]
+    want = gf2core._bits_int(image)
+    assert protocols._image(params, key, a, b) == want
+    payloads = [None if m is None else np.frombuffer(m, dtype=np.uint8) for m in (t._a, t._b)]
+    assert protocols._image(params, key, payloads[0], payloads[1], params.n) == want
+    assert t._z == gf2core._pack_payload(image ^ noise)
+    assert (t.accepted, t.distance) == (not over, weight)
+    assert verify(params, key, a, t.z, b) == (not over, weight)
+    assert np.array_equal(expected_response(params, key, a, b), image)
 
 
 def test_record_constructor_checks_shape_and_bits():
