@@ -1,9 +1,9 @@
 """Hot inner-loop kernels over the ``uint8`` bit layout, in plain numpy.
 
 There is one implementation of each kernel.  ``BACKEND`` names it so that
-timings can say what they measured.  The window map here is the batch form;
-one state held as an int goes through :func:`nlhb.nlfunc._apply_f_int`,
-which a test pins to :func:`apply_window_batch`.
+timings can say what they measured.  The window map here is the batch form,
+on bit rows; states held as codes, one int or a uint64 array, go through
+:func:`nlhb.nlfunc._apply_f_int`, which a test pins to :func:`apply_window_batch`.
 """
 
 from __future__ import annotations

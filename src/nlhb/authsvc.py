@@ -173,8 +173,9 @@ def parse_keystore(text: str) -> dict[str, KeystoreEntry]:
         identity = fields["identity"]
         try:
             params = _params_from_fields(fields)
-            s1 = _unpack_hex(fields["s1"], params.k)
-            s2 = _unpack_hex(fields["s2"], params.k) if params.blinded else None
+            # decoded case-blind, so that an upper-case digit is refused below by its written spelling
+            s1 = _unpack_hex(fields["s1"].lower(), params.k)
+            s2 = _unpack_hex(fields["s2"].lower(), params.k) if params.blinded else None
         except KeyError as exc:
             raise FormatError("keystore entry %r: missing %s" % (identity, exc)) from None
         except FormatError as exc:

@@ -27,13 +27,11 @@ from .gf2core import (
     DimensionError,
     FormatError,
     ParameterError,
-    all_bit_vectors,
     as_bit_matrix,
     as_bits,
     check_enumerable,
     code_rows,
     key_table,
-    row_codes,
     _bits_int,
     _int_bits,
 )
@@ -162,14 +160,16 @@ def _apply_f(spec: NonlinearFunctionSpec, x: np.ndarray) -> np.ndarray:
     return _int_bits(_apply_f_int(spec, _bits_int(x), n), n - spec.p)
 
 
-def _apply_f_int(spec: NonlinearFunctionSpec, x: int, n: int) -> int:
-    """The response map of one n-bit state held as an int
-    (:func:`gf2core._bits_int`, x_1 most significant), as the int of its
-    n - p output bits.
+def _apply_f_int(spec: NonlinearFunctionSpec, x, n: int):
+    """The response map of n-bit states held as codes (:func:`gf2core._bits_int`,
+    x_1 most significant; one int, or a uint64 array when n <= 64), as the
+    codes of their n - p output bits.
 
     ``x >> (p - o)`` holds x_{i+o} at the bit of output i, so each offset is
     shifted once, each monomial is one AND of its shifts, and the output is
-    x >> p XOR the monomials, masked to n - p bits.
+    x >> p XOR the monomials, masked to n - p bits.  The updates are out of
+    place: on an array, ``&=`` or ``^=`` would write into a shift that a
+    later monomial reads.
     """
     p = spec.p
     if not spec.monomials:
@@ -179,8 +179,8 @@ def _apply_f_int(spec: NonlinearFunctionSpec, x: int, n: int) -> int:
     for first, *rest in spec.monomials:
         term = shifted[first]
         for o in rest:
-            term &= shifted[o]
-        y ^= term
+            term = term & shifted[o]
+        y = y ^ term
     return y & ((1 << (n - p)) - 1)
 
 
@@ -201,21 +201,21 @@ class UniformityReport:
 
 
 def _check_balance(p: int, n: int) -> None:
-    """Size :func:`balance_check`'s 2**n inputs: each input's bytes, its n - p
-    output bits, those bits as uint64 in :func:`row_codes` and its code."""
-    check_enumerable(n, 8 * -(-n // 8) + 9 * (n - p) + 8)
+    """Size :func:`balance_check`'s 2**n inputs: each input's uint64 code,
+    and at the peak of :func:`_apply_f_int` its p + 1 shifts, the output
+    so far, a monomial's AND and the next output."""
+    check_enumerable(n, 8 * (p + 5))
 
 
 def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
     """Exhaustively verify that every output value occurs exactly 2**p times.
 
-    Refuses n when its 2**n inputs do not fit (n > 20 at p = 3).
+    Refuses n when its 2**n inputs do not fit (n > 22 at p = 3).
     """
     d = spec.output_length(n)
     _check_balance(spec.p, n)
-    inputs = all_bit_vectors(n)
-    codes = row_codes(apply_f_batch(spec, inputs)).astype(np.int64)
-    counts = np.bincount(codes, minlength=1 << d)
+    codes = _apply_f_int(spec, np.arange(1 << n, dtype=np.uint64), n)
+    counts = np.bincount(codes.view(np.int64), minlength=1 << d)
     expected = 1 << spec.p
     return UniformityReport(
         n=n,
@@ -268,14 +268,11 @@ def _dyadic_log2(x: Fraction) -> Fraction | None:
     return Fraction(num.bit_length() - den.bit_length())
 
 
-def merge_state_bytes(p: int, n: int | None = None) -> int:
+def merge_state_bytes(p: int) -> int:
     """Bytes :func:`merge_error_distribution` holds per merge state (each of
-    its 2^(2p+2) rows) when its use peaks, in :func:`row_codes`: the states'
-    bits, unpacked a whole byte of bits at a time, x and xbar (n each, by
-    default 2p+1), y, ybar and their XOR (n - p each), the p+1 error bits as
-    uint64 and the uint64 code."""
-    n = 2 * p + 1 if n is None else n
-    return 8 * -(-(2 * p + 2) // 8) + 2 * n + 3 * (n - p) + 8 * (p + 1) + 8
+    its 2^(2p+2) rows) when its use peaks, all uint64 codes: the assignment,
+    x, xbar and f(x), and the p + 4 arrays of :func:`_apply_f_int` on xbar."""
+    return 8 * (p + 8)
 
 
 def merge_error_distribution(
@@ -285,9 +282,9 @@ def merge_error_distribution(
 
     Evaluates the response map on paired states (x, x with bit j flipped by
     the source parity) over all assignments to the 2p+2 free bits: the
-    window x_{j-p} .. x_{j+p} and the source parity.  Defaults place the
-    merge at the smallest position with full context (n = 2p+1, j = p+1);
-    the law is independent of j whenever p < j <= n - p.
+    window x_{j-p} .. x_{j+p} and the source parity.  Outputs j-p .. j read
+    only that window, so the map runs on it as a (2p+1)-bit state, and the
+    law is the same for every (n, j) with p < j <= n - p (default (2p+1, p+1)).
     """
     p = spec.p
     if n is None:
@@ -299,23 +296,16 @@ def merge_error_distribution(
         raise ParameterError("merge position j=%d must satisfy p < j <= n-p" % j)
 
     free = 2 * p + 2
-    check_enumerable(free, merge_state_bytes(p, n))
-    assign = all_bit_vectors(free)
-    x = np.zeros((assign.shape[0], n), dtype=np.uint8)
-    x[:, j - p - 1 : j + p] = assign[:, : free - 1]
-    src = assign[:, free - 1]
-    xbar = x.copy()
-    xbar[:, j - 1] ^= src
+    check_enumerable(free, merge_state_bytes(p))
+    assign = np.arange(1 << free, dtype=np.uint64)
+    x = assign >> 1
+    xbar = x ^ ((assign & 1) << p)  # the window's middle bit is x_j
+    err = _apply_f_int(spec, x, free - 1) ^ _apply_f_int(spec, xbar, free - 1)
 
-    y = apply_f_batch(spec, x)
-    ybar = apply_f_batch(spec, xbar)
-    err = (y ^ ybar)[:, j - p - 1 : j]
-
-    total = assign.shape[0]
-    counts = np.bincount(row_codes(err).astype(np.int64), minlength=1 << (p + 1))
+    counts = np.bincount(err.view(np.int64), minlength=1 << (p + 1))
     seen = np.flatnonzero(counts)
     return MergeErrorDistribution({
-        tuple(outcome.tolist()): Fraction(int(counts[code]), total)
+        tuple(outcome.tolist()): Fraction(int(counts[code]), 1 << free)
         for code, outcome in zip(seen, code_rows(seen, p + 1))
     })
 

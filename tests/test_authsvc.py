@@ -16,6 +16,7 @@ from nlhb.gf2core import (
     RandomSource,
     _pack_hex,
     _unpack_hex,
+    dump_bits,
     dump_matrix,
     read_entries,
 )
@@ -479,6 +480,18 @@ def test_wrong_response_length_rejected(service):
         sock.sendall(svc.encode_frame(svc.RESPONSE, bad.encode()))
         tag, payload = svc.read_frame(sock)
         assert tag == svc.ERROR and b"expected bits %d" % params.d in payload
+    assert running.logged == 0 and _logged(running) == []
+
+
+def test_upper_case_hex_response_gets_error_frame(service):
+    running, entry = service
+    header, hexline = dump_bits(np.ones(entry.params.d, dtype=np.uint8)).split("\n")[:2]
+    with socket.create_connection(running.address, timeout=5) as sock:
+        sock.sendall(svc.encode_frame(svc.HELLO, b"tag-01"))
+        svc.read_frame(sock)  # challenge
+        sock.sendall(svc.encode_frame(svc.RESPONSE, ("%s\n%s\n" % (header, hexline.upper())).encode()))
+        tag, message = svc.read_frame(sock)
+        assert tag == svc.ERROR and b"upper-case" in message
     assert running.logged == 0 and _logged(running) == []
 
 

@@ -37,6 +37,7 @@ from nlhb.nlfunc import (
     IDENTITY_SPEC,
     NonlinearFunctionSpec,
     balance_check,
+    enumerate_functions,
     key_distances,
     merge_error_distribution,
 )
@@ -166,6 +167,18 @@ def test_code_rows_inverts_row_codes(width, values):
     rows = code_rows(codes, width)
     assert rows.shape == (len(values), width)
     assert np.array_equal(row_codes(rows), codes)
+
+
+def test_row_codes_holds_no_word_per_bit():
+    m = RandomSource(7).uniform_matrix(18, 1 << 18).T  # lf2 packs transposed columns
+    tracemalloc.start()
+    try:
+        codes = row_codes(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert codes[:3].tolist() == [gf2core._bits_int(row) for row in m[:3]]
+    assert peak <= 1.5 * m.nbytes  # a uint64 per bit peaked at 8.4x
 
 
 @pytest.mark.parametrize("s, a, error", [
@@ -409,6 +422,8 @@ _SITES = {
     "brute_force_unld": (lambda rng: partial(
         brute_force_unld, [_pair(rng, 20, 40) for _ in range(2)], 20, DEFAULT_SPEC), 0),
     "balance_check": (lambda rng: partial(balance_check, DEFAULT_SPEC, 16), 0),
+    "balance_check at p = 4, all 11 monomials": (lambda rng: partial(
+        balance_check, enumerate_functions(4)[-1], 16), 0),
     "merge_error_distribution": (lambda rng: partial(
         merge_error_distribution, NonlinearFunctionSpec(7, ((1, 7),))), 0),
     "merge_error_distribution at n > 2p + 1": (lambda rng: partial(
@@ -446,7 +461,8 @@ def test_enumerations_past_the_budget_are_refused_before_allocation():
     a, target = rng.uniform_matrix(26, 40), rng.uniform_bits(37)
     for call in (lambda: all_bit_vectors(26),
                  lambda: key_distances(DEFAULT_SPEC, a, target),
-                 lambda: merge_error_distribution(NonlinearFunctionSpec(11, ((1, 11),)))):
+                 lambda: merge_error_distribution(NonlinearFunctionSpec(11, ((1, 11),))),
+                 lambda: balance_check(DEFAULT_SPEC, 23)):
         tracemalloc.start()
         try:
             with pytest.raises(ParameterError, match="exceeds"):
@@ -509,6 +525,8 @@ def test_load_rejects_malformed():
         load_bits("bats 4\n00\n")  # bad header
     with pytest.raises(FormatError):
         load_matrix("mat 2 2\nff\n".replace("ff", "ffff"))  # wrong byte count
+    with pytest.raises(FormatError, match="upper-case"):
+        load_matrix("mat 2 4\nAb\n")  # "ab" is the written spelling
     err = None
     try:
         load_bits("bits 8\nab\nextra\n")

@@ -182,10 +182,14 @@ def test_int_window_map_is_the_batch_kernel(residue, spec, blocks, seed):
     x = RandomSource(seed).uniform_matrix(4, n)
     x[1], x[2] = 0, 1
     batch = _kernels.apply_window_batch(x, spec.monomials, n - spec.p)
-    for row, want in zip(x, batch):
-        got = nlfunc._apply_f_int(spec, gf2core._bits_int(row), n)
+    codes = [gf2core._bits_int(row) for row in x]
+    for row, code, want in zip(x, codes, batch):
+        got = nlfunc._apply_f_int(spec, code, n)
         assert got == gf2core._bits_int(want)
         assert np.array_equal(nlfunc._apply_f(spec, row), want)
+    if n <= 64:  # the same formula on a uint64 array of the rows' codes
+        got = nlfunc._apply_f_int(spec, np.array(codes, dtype=np.uint64), n)
+        assert got.tolist() == [gf2core._bits_int(want) for want in batch]
 
 
 def test_apply_f_batch_keeps_nothing_per_spec():
@@ -275,7 +279,7 @@ def test_balance_width2_n12_each_output_four_times():
 
 def test_balance_refuses_large_n():
     with pytest.raises(ParameterError):
-        balance_check(DEFAULT_SPEC, 21)
+        balance_check(DEFAULT_SPEC, 23)
 
 
 @settings(max_examples=15, deadline=None)
@@ -340,8 +344,8 @@ def test_merge_distribution_matches_slow_oracle(text):
 
 def test_merge_distribution_position_invariant():
     base = merge_error_distribution(DEFAULT_SPEC)
-    for j in (4, 6, 9):
-        moved = merge_error_distribution(DEFAULT_SPEC, n=12, j=j)
+    for n, j in ((12, 4), (12, 6), (12, 9), (100, 60)):
+        moved = merge_error_distribution(DEFAULT_SPEC, n=n, j=j)
         assert moved.probabilities == base.probabilities
 
 

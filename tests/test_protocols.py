@@ -501,10 +501,12 @@ def test_transcript_hostile_values_are_format_errors(tmp_path):
     key = generate_key(p, RandomSource(64))
     good = transcripts_to_text(transcript_sampler(p, key, RandomSource(65), 1))
     lines = good.splitlines()
+    hex_at = next(i for i, line in enumerate(lines) if line.startswith("mat ")) + 1
     cases = [
         ("\n".join(lines[:-1] + [lines[-1].split()[0] + " distance=abc"]), len(lines)),
         (good.replace("eps=1/4", "eps=1/0"), 2),
         (good.replace("p=3", "p=99"), 2),
+        ("\n".join(lines[:hex_at] + [lines[hex_at].upper()] + lines[hex_at + 1 :]), hex_at + 1),
     ]
     for text, line in cases:
         with pytest.raises(FormatError) as err:
