@@ -18,28 +18,30 @@ import socketserver
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2core import (
     DimensionError,
     FormatError,
     ParameterError,
     RandomSource,
     as_bits,
-    dump_bits,
-    load_matrix,
     read_entries,
     read_text,
     _block_text,
     _load,
     _pack_hex,
     _unpack_hex,
+    _unpack_payload,
 )
 from .protocols import (
     ProtocolParams,
     SecretKey,
     SessionTranscript,
     format_transcript,
-    respond,
     verify,
+    _answer,
+    _check_key,
     _decision_text,
     _param_fields,
     _params_from_fields,
@@ -284,14 +286,15 @@ class AuthService(socketserver.ThreadingTCPServer):
 
             b = b_payload = None
             if params.blinded:
-                b_payload, b = _load(_text(_expect(sock, BLIND)), "mat", shape)
+                b_payload = _load(_text(_expect(sock, BLIND)), "mat", shape)[0]
+                b = _unpack_payload(b_payload, shape)
 
             a, a_payload = rng._bits_and_payload(*shape)
             a_payload = a_payload.tobytes()
             _send(sock, CHALLENGE, _block_text("mat", shape, a_payload).encode("utf-8"))
-            z_payload, z = _load(_text(_expect(sock, RESPONSE)), "bits", (params.d,))
+            z_payload = _load(_text(_expect(sock, RESPONSE)), "bits", (params.d,))[0]
 
-            accepted, distance = verify(params, key, a, z, b=b)
+            accepted, distance = verify(params, key, a, _unpack_payload(z_payload, (params.d,)), b=b)
             self._log(_record(params, b_payload, a_payload, z_payload, accepted, distance))
             decision = b"muted" if self.mute_decisions else _decision_text(accepted, distance).encode()
             _send(sock, DECISION, decision)
@@ -332,22 +335,25 @@ def authenticate(
 ):
     """Run the prover half of the handshake; returns (accepted, distance).
 
+    The key is checked before connecting, and z is answered from the
+    payloads of B and A by :func:`protocols._answer`, as in a session.
     A muted server yields (None, None).  ERROR frames surface as
     :class:`RemoteError`; unreachable or silent servers as
     :class:`ServiceError` mentioning the timeout.
     """
+    key = _check_key(params, key)
+    shape = (params.k, params.n)
     try:
         with socket.create_connection(server_address, timeout=timeout) as sock:
             _send(sock, HELLO, identity.encode("utf-8"), frame_log)
             b = None
             if params.blinded:
-                b, payload = rng._bits_and_payload(params.k, params.n)
-                blind = _block_text("mat", b.shape, payload.tobytes())
-                _send(sock, BLIND, blind.encode("utf-8"), frame_log)
-            payload = _expect(sock, CHALLENGE, frame_log)
-            a = load_matrix(_text(payload), (params.k, params.n))
-            z = respond(params, key, a, b=b, rng=rng)
-            _send(sock, RESPONSE, dump_bits(z).encode("utf-8"), frame_log)
+                b = rng._payload(*shape)
+                _send(sock, BLIND, _block_text("mat", shape, b.tobytes()).encode("utf-8"), frame_log)
+            a = _load(_text(_expect(sock, CHALLENGE, frame_log)), "mat", shape)[0]
+            noise = rng.bernoulli_bits(params.d, params.eps)
+            z = _answer(params, key, np.frombuffer(a, dtype=np.uint8), b, noise)[0]
+            _send(sock, RESPONSE, _block_text("bits", (params.d,), z).encode("utf-8"), frame_log)
             payload = _expect(sock, DECISION, frame_log)
     except socket.timeout as exc:
         raise ServiceError("timeout waiting for the server: %s" % exc) from exc

@@ -498,24 +498,25 @@ def read_payload(reader: LineReader, want: str, shape: tuple | None = None) -> t
     return _hex_payload(hexline, math.prod(dims), reader.number), dims
 
 
-def _load(text: str, want: str, shape: tuple | None) -> tuple[bytes, np.ndarray]:
-    """The (payload, bits) of the one block of the two-line ``bits``/``mat`` form."""
+def _load(text: str, want: str, shape: tuple | None) -> tuple[bytes, tuple]:
+    """The (payload, dims) of the one block of the two-line ``bits``/``mat``
+    form, as :func:`read_payload` checks it; nothing is unpacked."""
     reader = LineReader(text)
-    payload, dims = read_payload(reader, want, shape)
+    block = read_payload(reader, want, shape)
     if next(reader, None) is not None:
         raise FormatError("expected header plus one hex line", reader.number)
-    return payload, _unpack_payload(payload, dims)
+    return block
 
 
 def load_bits(text: str) -> np.ndarray:
     """Parse the two-line ``bits`` form back into a vector (round-trips dump_bits)."""
-    return _load(text, "bits", None)[1]
+    return _unpack_payload(*_load(text, "bits", None))
 
 
-def load_matrix(text: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix),
-    of the (rows, cols) ``shape`` when a shape is given."""
-    return _load(text, "mat", shape)[1]
+def load_matrix(text: str) -> np.ndarray:
+    """Parse the two-line ``mat`` form back into a matrix (round-trips dump_matrix);
+    the service and its client read a frame's matrix as its payload (:func:`_load`)."""
+    return _unpack_payload(*_load(text, "mat", None))
 
 
 def read_entries(text: str):

@@ -149,15 +149,9 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
 def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     """Apply the response map to one n-bit vector, yielding n - p bits."""
     x = as_bits(x)
-    spec.output_length(x.shape[0])
-    return _apply_f(spec, x)
-
-
-def _apply_f(spec: NonlinearFunctionSpec, x: np.ndarray) -> np.ndarray:
-    """:func:`apply_f` for a bit vector already checked against the spec's
-    window, through :func:`_apply_f_int`."""
     n = x.shape[0]
-    return _int_bits(_apply_f_int(spec, _bits_int(x), n), n - spec.p)
+    d = spec.output_length(n)
+    return _int_bits(_apply_f_int(spec, _bits_int(x), n), d)
 
 
 def _apply_f_int(spec: NonlinearFunctionSpec, x, n: int):
@@ -275,26 +269,16 @@ def merge_state_bytes(p: int) -> int:
     return 8 * (p + 8)
 
 
-def merge_error_distribution(
-    spec: NonlinearFunctionSpec, n: int | None = None, j: int | None = None
-) -> MergeErrorDistribution:
+def merge_error_distribution(spec: NonlinearFunctionSpec) -> MergeErrorDistribution:
     """Exact joint distribution of the merge-induced output errors.
 
     Evaluates the response map on paired states (x, x with bit j flipped by
     the source parity) over all assignments to the 2p+2 free bits: the
     window x_{j-p} .. x_{j+p} and the source parity.  Outputs j-p .. j read
     only that window, so the map runs on it as a (2p+1)-bit state, and the
-    law is the same for every (n, j) with p < j <= n - p (default (2p+1, p+1)).
+    law is the same for every (n, j) with p < j <= n - p.
     """
     p = spec.p
-    if n is None:
-        n = 2 * p + 1
-    if j is None:
-        j = p + 1
-    d = spec.output_length(n)
-    if not p < j <= d:
-        raise ParameterError("merge position j=%d must satisfy p < j <= n-p" % j)
-
     free = 2 * p + 2
     check_enumerable(free, merge_state_bytes(p))
     assign = np.arange(1 << free, dtype=np.uint64)

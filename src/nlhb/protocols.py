@@ -295,9 +295,14 @@ def _decide(params: ProtocolParams, key: SecretKey, a, z, b) -> tuple[bool, int]
     return dist <= params.u, dist
 
 
+def _expected(params: ProtocolParams, key: SecretKey, a, b) -> np.ndarray:
+    """The noise-free response image for checked bit operands, as d bits."""
+    return _int_bits(_image(params, key, a, b), params.d)
+
+
 def expected_response(params: ProtocolParams, key: SecretKey, a, b=None) -> np.ndarray:
     """The noise-free response image for a given challenge (and blinding)."""
-    return _int_bits(_image(params, *_check_exchange(params, key, a, b)), params.d)
+    return _expected(params, *_check_exchange(params, key, a, b))
 
 
 def respond(
@@ -314,7 +319,7 @@ def respond(
     """
     key, a, b = _check_exchange(params, key, a, b)
     if noise is not None:
-        return _int_bits(_image(params, key, a, b), params.d) ^ as_bits(noise, params.d)
+        return _expected(params, key, a, b) ^ as_bits(noise, params.d)
     if rng is None:
         raise ParameterError("respond needs either an rng or an explicit noise vector")
     return _respond(params, key, a, b, rng)
@@ -323,7 +328,7 @@ def respond(
 def _respond(params: ProtocolParams, key: SecretKey, a, b, rng: RandomSource) -> np.ndarray:
     """The honest prover's answer for checked bit operands: the image plus
     Bernoulli(eps) noise drawn from ``rng``."""
-    return _int_bits(_image(params, key, a, b), params.d) ^ rng.bernoulli_bits(params.d, params.eps)
+    return _expected(params, key, a, b) ^ rng.bernoulli_bits(params.d, params.eps)
 
 
 def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, int]:
@@ -351,12 +356,9 @@ def run_session(
     exactly where the noise is 1, so the verifier's distance is the weight
     of the prover's noise, the same (accepted, distance) that :func:`verify`
     returns for the transcript.  B and A are drawn as payloads
-    (:meth:`RandomSource._payload`) and the image is computed from them as
-    an int, so no matrix is unpacked; the noise is packed once, and z's
-    payload is written from the two ints.  The key's parts multiply the
-    payloads as the masks it keeps per n (:meth:`SecretKey._payload_masks`).
-    This is the one caller that multiplies payloads; callers that hold bits
-    answer through :func:`_respond`."""
+    (:meth:`RandomSource._payload`) and answered by :func:`_answer`, so no
+    matrix is unpacked.  The demo client answers a challenge payload by the
+    same step; callers that hold bits answer through :func:`_respond`."""
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
@@ -364,11 +366,17 @@ def run_session(
     a = rng_verifier._payload(params.k, params.n)
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
+    z, dist = _answer(params, key, a, b, noise)
+    return _record(params, b if b is None else b.tobytes(), a.tobytes(), z, dist <= params.u, dist)
+
+
+def _answer(params: ProtocolParams, key: SecretKey, a, b, noise: np.ndarray) -> tuple[bytes, int]:
+    """z's payload and the noise weight, for a checked key, the uint8
+    payloads of A and B (None when unblinded) and checked noise bits.  The
+    image is an int of the payloads (:func:`_image`), and the noise is packed once."""
     noise = int.from_bytes(_pack_payload(noise), "big")  # the d bits, then the zero pad
     image = _image(params, key, a, b, params.n)
-    z = _int_payload(image ^ (noise >> (-params.d % 8)), params.d)
-    dist = noise.bit_count()
-    return _record(params, b if b is None else b.tobytes(), a.tobytes(), z, dist <= params.u, dist)
+    return _int_payload(image ^ (noise >> (-params.d % 8)), params.d), noise.bit_count()
 
 
 def transcript_sampler(params, key, rng: RandomSource, count: int):

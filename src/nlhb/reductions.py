@@ -42,16 +42,14 @@ from .gf2core import (
     check_enumerable,
     code_rows,
     derive_seed,
-    _int_bits,
-    _mat_vec_mul,
 )
-from .nlfunc import NonlinearFunctionSpec, _apply_f, key_distances
+from .nlfunc import NonlinearFunctionSpec, key_distances
 from .protocols import (
     ProtocolParams,
     SecretKey,
     _check_key,
     _decide,
-    _image,
+    _expected,
     _respond,
 )
 
@@ -294,7 +292,7 @@ class PerfectPassiveForger(PassiveForger):
         self.key = _check_key(params, key)
 
     def forge(self, a):
-        return _int_bits(_image(self.params, self.key, a, None), self.params.d)
+        return _expected(self.params, self.key, a, None)
 
 
 class HonestPassiveForger(PerfectPassiveForger):
@@ -437,7 +435,7 @@ class ActiveForger:
         params, b_hat = self.params, self._state["b_hat"]
         if noisy:
             return _respond(params, key, a, b_hat, self._message_rng("noise", a.tobytes()))
-        return _int_bits(_image(params, key, a, b_hat), params.d)
+        return _expected(params, key, a, b_hat)
 
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the
@@ -493,7 +491,7 @@ class ExtractingActiveForger(ActiveForger):
         super().__init__(params)
         if params.k > 16:
             raise ParameterError("extraction brute-forces 2^k candidates; need k <= 16")
-        self.s1 = as_bits(s1, params.k)
+        self.s1_key = SecretKey(s1=as_bits(s1, params.k))  # s1 alone, for f(s1 . B)
 
     def reset(self, seed: int) -> None:
         super().reset(seed)
@@ -508,7 +506,7 @@ class ExtractingActiveForger(ActiveForger):
         return self._state["a_star"]
 
     def _on_response(self, z):
-        known = _apply_f(self.params.spec, _mat_vec_mul(self.s1, self._state["b_bar"]))
+        known = _expected(self.params, self.s1_key, self._state["b_bar"], None)
         # a new array, so the base class's shallow snapshot stays intact
         self._state["votes"] = self._state["votes"] + (z ^ known)
 
@@ -522,7 +520,7 @@ class ExtractingActiveForger(ActiveForger):
         )
 
     def _respond(self, a):
-        key = SecretKey(s1=self.s1, s2=self._state["s2_hat"])
+        key = SecretKey(s1=self.s1_key.s1, s2=self._state["s2_hat"])
         return self._prover_response(key, a, True)
 
 
@@ -559,13 +557,13 @@ def active_forger_to_distinguisher(
         if not callable(getattr(zp, method, None)):
             raise ParameterError("active forger lacks %s(): rewinding unsupported" % method)
     u_1, declared = _threshold(params, epsilon_1, rewinding_distinguisher_interval(params))
-    s2 = rewinding_s2(params, seed)
+    s2 = SecretKey(s1=rewinding_s2(params, seed))  # s2 alone, for f(s2 . A)
 
     def func(strings):
         zp.reset(seed)
         for b_bar, z_bar in zip(*batch_views(strings, params)):
             a = zp.on_blinding(b_bar)
-            zp.on_response(z_bar ^ _apply_f(params.spec, _mat_vec_mul(s2, a)))
+            zp.on_response(z_bar ^ _expected(params, s2, a, None))
         zp.commit_blinding()
         challenge_rng = RandomSource(derive_seed(seed, strings.tobytes()))
         a1 = challenge_rng.uniform_matrix(params.k, params.n)
@@ -574,9 +572,7 @@ def active_forger_to_distinguisher(
         z1 = zp.respond(a1)
         zp.restore(state)
         z2 = zp.respond(a2)
-        target = _apply_f(params.spec, _mat_vec_mul(s2, a1)) ^ _apply_f(
-            params.spec, _mat_vec_mul(s2, a2)
-        )
+        target = _expected(params, s2, a1, None) ^ _expected(params, s2, a2, None)
         return int(np.count_nonzero(z1 ^ z2 != target) <= u_1)
 
     return DistinguisherOracle(func=func, q=q, advantage=declared, seed=seed, params=params)

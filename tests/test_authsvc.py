@@ -14,10 +14,12 @@ from nlhb.gf2core import (
     FormatError,
     ParameterError,
     RandomSource,
+    _block_text,
     _pack_hex,
     _unpack_hex,
     dump_bits,
     dump_matrix,
+    load_matrix,
     read_entries,
 )
 from nlhb.nlfunc import DEFAULT_SPEC
@@ -30,9 +32,10 @@ from nlhb.protocols import (
     hb_params,
     nlhb_params,
     read_transcripts,
+    respond,
     verify,
 )
-from nlhb import authsvc as svc
+from nlhb import authsvc as svc, gf2core, protocols
 
 
 def _params():
@@ -413,6 +416,71 @@ def test_handshake_packs_no_matrix(monkeypatch):
                              rng=RandomSource(40 + j))
         assert running.logged == 2
     assert packed == [(entry.params.d,) for entry in entries.values()]
+
+
+def _four_entries():
+    """One entry of each protocol, at k and n that are not multiples of 8."""
+    eps, epsp = Fraction(1, 4), Fraction(348, 1000)
+    params = [hb_params(5, 19, eps, epsp), hb_params(5, 19, eps, epsp, blinded=True),
+              nlhb_params(3, 23, eps, epsp, DEFAULT_SPEC),
+              nlhb_params(3, 23, eps, epsp, DEFAULT_SPEC, blinded=True)]
+    return [svc.KeystoreEntry(p.proto, p, generate_key(p, RandomSource(60 + j))) for j, p in enumerate(params)]
+
+
+def test_client_frames_are_the_bit_path():
+    # The client answers from the challenge payload; on the same seed, the
+    # bit-array path draws the same B, reads the same A and sends the same z.
+    entries = _four_entries()
+    with svc.AuthService(("127.0.0.1", 0), {e.identity: e for e in entries}, seed=9) as running:
+        for seed in (70, 71, 72):
+            for entry in entries:
+                params, frames = entry.params, []
+                svc.authenticate(running.address, entry.identity, entry.key, params,
+                                 rng=RandomSource(seed), frame_log=frames)
+                sent = {tag: payload.decode("utf-8") for tag, payload in frames}
+                rng, b = RandomSource(seed), None
+                if params.blinded:
+                    b, payload = rng._bits_and_payload(params.k, params.n)
+                    assert sent[svc.BLIND] == _block_text("mat", (params.k, params.n), payload.tobytes())
+                else:
+                    assert svc.BLIND not in sent
+                z = respond(params, entry.key, load_matrix(sent[svc.CHALLENGE]), b, rng=rng)
+                assert sent[svc.RESPONSE] == dump_bits(z)
+
+
+def test_client_unpacks_no_matrix(monkeypatch):
+    # B is drawn and A read as payloads, and z answered from them; the
+    # server's own thread, which unpacks B, A and z, shows the counters work
+    entries, client, calls = _four_entries(), threading.get_ident(), []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append((threading.get_ident() == client, name))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(RandomSource, "_bits_and_payload",
+                        counted("_bits_and_payload", RandomSource._bits_and_payload))
+    for module in (gf2core, protocols, svc):
+        monkeypatch.setattr(module, "_unpack_payload", counted("_unpack_payload", module._unpack_payload))
+    with svc.AuthService(("127.0.0.1", 0), {e.identity: e for e in entries}, seed=10) as running:
+        for entry in entries:
+            svc.authenticate(running.address, entry.identity, entry.key, entry.params, rng=RandomSource(73))
+    assert [name for mine, name in calls if mine] == []
+    assert {name for mine, name in calls if not mine} == {"_bits_and_payload", "_unpack_payload"}
+
+
+@pytest.mark.parametrize("params, key, error", [
+    (_params(), SecretKey(s1=np.zeros(15, np.uint8)), DimensionError),  # k = 16
+    (_blinded_params(), SecretKey(s1=np.zeros(8, np.uint8)), ParameterError),  # no s2
+], ids=["short-key", "one-part-key"])
+def test_client_refuses_a_bad_key_before_connecting(params, key, error):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(0.2)
+        with pytest.raises(error):
+            svc.authenticate(listener.getsockname(), "tag-01", key, params, rng=RandomSource(24), timeout=5)
+        with pytest.raises(socket.timeout):  # no connection was made
+            listener.accept()
 
 
 def test_muted_service_returns_no_decision(service_factory=None):

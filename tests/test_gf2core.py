@@ -426,8 +426,6 @@ _SITES = {
         balance_check, enumerate_functions(4)[-1], 16), 0),
     "merge_error_distribution": (lambda rng: partial(
         merge_error_distribution, NonlinearFunctionSpec(7, ((1, 7),))), 0),
-    "merge_error_distribution at n > 2p + 1": (lambda rng: partial(
-        merge_error_distribution, NonlinearFunctionSpec(5, ((1, 5),)), n=40), 0),
     "lf2_attack": (_lf2_call, 2**18),
 }
 

@@ -186,7 +186,7 @@ def test_int_window_map_is_the_batch_kernel(residue, spec, blocks, seed):
     for row, code, want in zip(x, codes, batch):
         got = nlfunc._apply_f_int(spec, code, n)
         assert got == gf2core._bits_int(want)
-        assert np.array_equal(nlfunc._apply_f(spec, row), want)
+        assert np.array_equal(nlfunc.apply_f(spec, row), want)
     if n <= 64:  # the same formula on a uint64 array of the rows' codes
         got = nlfunc._apply_f_int(spec, np.array(codes, dtype=np.uint64), n)
         assert got.tolist() == [gf2core._bits_int(want) for want in batch]
@@ -342,18 +342,12 @@ def test_merge_distribution_matches_slow_oracle(text):
     assert merge_error_distribution(spec).probabilities == slow_merge_distribution(spec, n, j)
 
 
-def test_merge_distribution_position_invariant():
-    base = merge_error_distribution(DEFAULT_SPEC)
-    for n, j in ((12, 4), (12, 6), (12, 9), (100, 60)):
-        moved = merge_error_distribution(DEFAULT_SPEC, n=n, j=j)
-        assert moved.probabilities == base.probabilities
-
-
-def test_merge_distribution_rejects_bad_position():
-    with pytest.raises(ParameterError):
-        merge_error_distribution(DEFAULT_SPEC, n=12, j=3)  # j must exceed p
-    with pytest.raises(ParameterError):
-        merge_error_distribution(DEFAULT_SPEC, n=12, j=10)  # j must leave a full window
+@pytest.mark.parametrize("text", ["p=3; g=x1x2+x1x3+x2x3", "p=4; g=x1x4+x2x3"])
+def test_merge_distribution_position_invariant(text):
+    spec = parse_spec(text)
+    law = merge_error_distribution(spec).probabilities
+    for n, j in ((12, 5), (12, 6), (12, 8), (100, 60)):
+        assert law == slow_merge_distribution(spec, n, j)
 
 
 def test_merge_last_error_bit_is_source_parity():

@@ -590,7 +590,8 @@ def test_honest_source_packs_transcript_sampler(proto, shape, count):
 @pytest.mark.parametrize("proto, shape", [("hb", (8, 256)), ("nlhb", (8, 259))], ids=["hb", "nlhb"])
 def test_honest_source_multiplies_bits(proto, shape, monkeypatch):
     # The source holds A's bits, so it answers through the bit kernel; only
-    # run_session, which draws payloads, multiplies them.
+    # the prover step on payloads (protocols._answer, which run_session and
+    # the demo client call) multiplies them.
     kernel, calls = gf2core._payload_mat_vec_mul, []
 
     def counted(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Five structural rules for ``src/nlhb``, checked with ``ast``.
+"""Six structural rules for ``src/nlhb``, checked with ``ast``.
 
 - No ``class`` statement sits inside a function body: a class built per call
   is a new type each time, which nothing can patch or subclass.
@@ -13,6 +13,10 @@
   default that nothing overrides is a constant dressed as an option.
 - Every defaulted parameter of a public top-level function is passed by some
   call in the package, the benchmark or the tests.
+- Exchange images are built in ``gf2core``, ``nlfunc`` and ``protocols``
+  only: no other module imports, or reads as an attribute, the kernels that
+  multiply, map or convert one (:data:`IMAGE_KERNELS`).  They answer through
+  ``protocols``.
 """
 
 import ast
@@ -241,3 +245,41 @@ def test_every_public_default_is_passed():
     package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     found = _unpassed_defaults(package, [p.read_text(encoding="utf-8") for p in BENCH + TESTS], public=True)
     assert not found, "defaulted and never passed, not even by a test: %s" % found
+
+
+IMAGE_KERNELS = {"_mat_vec_mul", "_payload_mat_vec_mul", "_apply_f_int", "_bits_int",
+                 "_int_bits", "_int_payload", "_image"}
+IMAGE_HOMES = {"gf2core", "nlfunc", "protocols"}
+
+
+def _image_kernel_uses(package: dict[str, str]) -> list[str]:
+    """``module.name`` of each :data:`IMAGE_KERNELS` name that a module of
+    ``package`` (module name -> source) outside :data:`IMAGE_HOMES` imports
+    or reads as an attribute."""
+    return sorted({
+        "%s.%s" % (module, name)
+        for module, source in package.items() if module not in IMAGE_HOMES
+        for node in ast.walk(ast.parse(source))
+        for name in ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+        if name in IMAGE_KERNELS
+    })
+
+
+@pytest.mark.parametrize("package, found", [
+    ({"a": "from .gf2core import _bits_int, as_bits\n"}, ["a._bits_int"]),
+    ({"a": "from .gf2core import (\n    _mat_vec_mul as mul,\n)\n"}, ["a._mat_vec_mul"]),
+    ({"a": "from . import gf2core\ngf2core._int_bits(1, 2)\n"}, ["a._int_bits"]),
+    ({"a": "from .protocols import _expected, _image\n"}, ["a._image"]),
+    ({"a": "from .protocols import _expected, _answer\n"}, []),
+    ({"protocols": "from .nlfunc import _apply_f_int\n", "nlfunc": "from .gf2core import _bits_int\n"}, []),
+    ({"a": "def _image(): pass\n"}, []),
+])
+def test_the_image_kernel_check_reads_each_form(package, found):
+    assert _image_kernel_uses(package) == found
+
+
+def test_exchange_images_are_built_in_protocols():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = _image_kernel_uses(package)
+    assert not found, "an image kernel used outside gf2core, nlfunc and protocols: %s" % found
