@@ -1,9 +1,8 @@
 """Hot inner-loop kernels over the ``uint8`` bit layout, in plain numpy.
 
 There is one implementation of each kernel.  ``BACKEND`` names it so that
-timings can say what they measured.  The window map here is the batch form,
-on bit rows; states held as codes, one int or a uint64 array, go through
-:func:`nlhb.nlfunc._apply_f_int`, which a test pins to :func:`apply_window_batch`.
+timings can say what they measured.  The window map is not here: it has one
+formula, :func:`nlhb.nlfunc._window_map`, for ints, codes and bit rows.
 """
 
 from __future__ import annotations
@@ -11,29 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
-
-
-def apply_window_batch(x, monomials, d):
-    """Evaluate the sliding-window response map on a batch of inputs.
-
-    Args:
-        x: uint8 array of shape (batch, n) with entries in {0, 1}.
-        monomials: the monomials of g, each a tuple of its window offsets
-            (1-based, i.e. 1..p), as ``NonlinearFunctionSpec.monomials``
-            holds them.
-        d: number of output bits per row (d <= n - p).
-
-    Returns:
-        uint8 array of shape (batch, d): out[b, i] = x[b, i] XOR the sum of
-        monomial products over the window x[b, i+1 .. i+p].
-    """
-    out = x[:, :d].copy()
-    for first, *rest in monomials:
-        term = x[:, first:first + d].copy()
-        for o in rest:
-            term &= x[:, o:o + d]
-        out ^= term
-    return out
 
 
 def hamming_rows(z, target):

@@ -304,7 +304,7 @@ def _cmd_analyze(args, report) -> None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
     if args.balance_n is not None:  # sized first, so the merge does not run if it is refused
-        _check_balance(spec.p, args.balance_n)
+        _check_balance(spec, args.balance_n)
     dist = merge_error_distribution(spec)
     report.row("g", format_spec(spec))
     report.row("entropy_bits", "%g" % dist.entropy_bits())

@@ -163,25 +163,15 @@ def _fold_masks(n: int) -> tuple[int, int, int]:
 
 
 def _selected_masks(s: np.ndarray, n: int) -> np.ndarray:
-    """The (ceil(len(s)/8), n) rows of :func:`_row_masks` that the packed
-    bytes of checked bits s pick: row j keeps the rows of payload block j
-    that s selects.  Read-only, as a key keeps them for every later product."""
-    masks = _row_masks(n).take(np.packbits(s), axis=0)
+    """The (ceil(len(s)/8), n) masks of checked bits s at width n: row j
+    keeps the rows of payload block j that s selects, as the packed bits
+    s[8j], ..., s[8j+7] (zero past the end of s) each repeated n times.
+    Read-only, as a key keeps them for every later product."""
+    bits = np.zeros(-(-s.size // 8) * 8, dtype=np.uint8)
+    bits[: s.size] = s
+    masks = np.packbits(np.repeat(bits, n).reshape(bits.size // 8, 8 * n), axis=1)
     masks.flags.writeable = False
     return masks
-
-
-@lru_cache(maxsize=8)
-def _row_masks(n: int) -> np.ndarray:
-    """The (256, n) table whose row m keeps, of an n-byte block of eight
-    n-bit rows, the rows that the bits of m select (row 0 by its most
-    significant bit).  It depends on n only, never on a key."""
-    rows = np.packbits(np.repeat(np.eye(8, dtype=np.uint8), n, axis=1), axis=1)
-    out = np.zeros((256, n), dtype=np.uint8)
-    for j in range(8):
-        h = 1 << j
-        np.bitwise_or(out[:h], rows[7 - j], out=out[h : 2 * h])
-    return out
 
 
 def key_table(a) -> np.ndarray:

@@ -62,6 +62,9 @@ class NonlinearFunctionSpec:
         if len(set(canon)) != len(canon):
             raise ParameterError("monomial set contains duplicates")
         object.__setattr__(self, "monomials", tuple(sorted(canon)))
+        # the window offsets the map reads: 0 for x_i, then each one g reads;
+        # held beside the fields, so it is neither compared nor passed in
+        object.__setattr__(self, "_offsets", tuple(sorted({0, *itertools.chain(*canon)})))
 
     def output_length(self, n: int) -> int:
         d = n - self.p
@@ -112,7 +115,29 @@ def parse_spec(text: str) -> NonlinearFunctionSpec:
 def apply_f_batch(spec: NonlinearFunctionSpec, x) -> np.ndarray:
     """Apply the response map to every row of a (batch, n) bit matrix."""
     x = as_bit_matrix(x)
-    return _kernels.apply_window_batch(x, spec.monomials, spec.output_length(x.shape[1]))
+    y = _window_map(spec, _aligned_rows(spec, x, spec.output_length(x.shape[1])))
+    return y if spec.monomials else y.copy()  # never a view of x
+
+
+def _aligned_rows(spec: NonlinearFunctionSpec, x: np.ndarray, d: int) -> dict:
+    """:func:`_window_map`'s operands for the rows of a bit matrix: the
+    column view ``x[:, o:o + d]`` holds x_{i+o} at column i."""
+    return {o: x[:, o : o + d] for o in spec._offsets}
+
+
+def _window_map(spec: NonlinearFunctionSpec, at: dict):
+    """y = at[0] XOR, over the monomials of g, the AND of ``at[o]`` for each
+    offset o the monomial reads, where ``at[o]`` holds x_{i+o} lined up with
+    output i for each offset in ``spec._offsets``.  The operands are ints,
+    uint64 code arrays or bit-row views, and every step is out of place, so
+    none of them is written to; without monomials, y is ``at[0]`` itself."""
+    y = at[0]
+    for mono in spec.monomials:  # each of degree >= 2
+        term = at[mono[0]] & at[mono[1]]
+        for o in mono[2:]:
+            term = term & at[o]
+        y = y ^ term
+    return y
 
 
 # key bits enumerated inside one chunk of :func:`key_distances`: a chunk is
@@ -135,13 +160,15 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
     d = spec.output_length(n)
     target = as_bits(target, d)
     low = min(k, _CHUNK_BITS)
-    check_enumerable(low, n + 4 * d + 16)  # bits, 4 d-byte rows (output, 2 terms, last output), 2 int64
+    # bits, 4 d-byte rows (the last chunk's output, the output so far, a
+    # term, the next output) and 2 int64
+    check_enumerable(low, n + 4 * d + 16)
     inner = key_table(a[k - low :])
     chunk = np.empty_like(inner)
     out = np.empty(1 << k, dtype=np.int64)
     for h, row in enumerate(key_table(a[: k - low])):
         np.bitwise_xor(inner, row, out=chunk)
-        y = _kernels.apply_window_batch(chunk, spec.monomials, d)
+        y = _window_map(spec, _aligned_rows(spec, chunk, d))
         out[h << low : (h + 1) << low] = _kernels.hamming_rows(y, target)
     return out
 
@@ -159,23 +186,14 @@ def _apply_f_int(spec: NonlinearFunctionSpec, x, n: int):
     x_1 most significant; one int, or a uint64 array when n <= 64), as the
     codes of their n - p output bits.
 
-    ``x >> (p - o)`` holds x_{i+o} at the bit of output i, so each offset is
-    shifted once, each monomial is one AND of its shifts, and the output is
-    x >> p XOR the monomials, masked to n - p bits.  The updates are out of
-    place: on an array, ``&=`` or ``^=`` would write into a shift that a
-    later monomial reads.
+    ``x >> (p - o)`` holds x_{i+o} at the bit of output i, so each offset
+    the map reads is shifted once for :func:`_window_map`, and its output is
+    masked to n - p bits.
     """
     p = spec.p
     if not spec.monomials:
         return x >> p
-    shifted = [x >> (p - o) for o in range(p + 1)]
-    y = shifted[0]
-    for first, *rest in spec.monomials:
-        term = shifted[first]
-        for o in rest:
-            term = term & shifted[o]
-        y = y ^ term
-    return y & ((1 << (n - p)) - 1)
+    return _window_map(spec, {o: x >> (p - o) for o in spec._offsets}) & ((1 << (n - p)) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +212,11 @@ class UniformityReport:
     is_uniform: bool
 
 
-def _check_balance(p: int, n: int) -> None:
+def _check_balance(spec: NonlinearFunctionSpec, n: int) -> None:
     """Size :func:`balance_check`'s 2**n inputs: each input's uint64 code,
-    and at the peak of :func:`_apply_f_int` its p + 1 shifts, the output
-    so far, a monomial's AND and the next output."""
-    check_enumerable(n, 8 * (p + 5))
+    and at the peak of :func:`_apply_f_int` a shift per offset the spec
+    reads, the output so far, a monomial's AND and the next output."""
+    check_enumerable(n, 8 * (len(spec._offsets) + 4))
 
 
 def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
@@ -207,7 +225,7 @@ def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
     Refuses n when its 2**n inputs do not fit (n > 22 at p = 3).
     """
     d = spec.output_length(n)
-    _check_balance(spec.p, n)
+    _check_balance(spec, n)
     codes = _apply_f_int(spec, np.arange(1 << n, dtype=np.uint64), n)
     counts = np.bincount(codes.view(np.int64), minlength=1 << d)
     expected = 1 << spec.p
@@ -262,11 +280,12 @@ def _dyadic_log2(x: Fraction) -> Fraction | None:
     return Fraction(num.bit_length() - den.bit_length())
 
 
-def merge_state_bytes(p: int) -> int:
+def merge_state_bytes(spec: NonlinearFunctionSpec) -> int:
     """Bytes :func:`merge_error_distribution` holds per merge state (each of
     its 2^(2p+2) rows) when its use peaks, all uint64 codes: the assignment,
-    x, xbar and f(x), and the p + 4 arrays of :func:`_apply_f_int` on xbar."""
-    return 8 * (p + 8)
+    x, xbar and f(x), and the arrays of :func:`_apply_f_int` on xbar, a
+    shift per offset the spec reads and three more."""
+    return 8 * (len(spec._offsets) + 7)
 
 
 def merge_error_distribution(spec: NonlinearFunctionSpec) -> MergeErrorDistribution:
@@ -280,7 +299,7 @@ def merge_error_distribution(spec: NonlinearFunctionSpec) -> MergeErrorDistribut
     """
     p = spec.p
     free = 2 * p + 2
-    check_enumerable(free, merge_state_bytes(p))
+    check_enumerable(free, merge_state_bytes(spec))
     assign = np.arange(1 << free, dtype=np.uint64)
     x = assign >> 1
     xbar = x ^ ((assign & 1) << p)  # the window's middle bit is x_j

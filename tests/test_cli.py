@@ -790,7 +790,8 @@ def test_analyze_refuses_a_merge_too_large_to_hold(p):
 
 
 def test_merge_size_guard_admits_p9_and_covers_the_measured_peak():
-    check_enumerable(20, nlfunc.merge_state_bytes(9))  # p = 9 still runs
+    check_enumerable(20, nlfunc.merge_state_bytes(nlfunc.NonlinearFunctionSpec(  # p = 9 still runs
+        9, tuple((o, o + 1) for o in range(1, 9)))))
     for p in (4, 5, 6, 7):
         spec = nlfunc.NonlinearFunctionSpec(p, ((1, p),))
         tracemalloc.start()
@@ -800,7 +801,7 @@ def test_merge_size_guard_admits_p9_and_covers_the_measured_peak():
         finally:
             tracemalloc.stop()
         # the rows' bytes, to within the few KB of its fixed-size objects
-        held = (1 << 2 * p + 2) * nlfunc.merge_state_bytes(p)
+        held = (1 << 2 * p + 2) * nlfunc.merge_state_bytes(spec)
         assert held * 0.9 <= peak <= held + 2**14
 
 

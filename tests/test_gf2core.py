@@ -181,6 +181,19 @@ def test_row_codes_holds_no_word_per_bit():
     assert peak <= 1.5 * m.nbytes  # a uint64 per bit peaked at 8.4x
 
 
+def test_one_bit_key_masks_hold_a_few_bytes_per_column():
+    n = 200003
+    tracemalloc.start()
+    try:
+        masks = gf2core._selected_masks(np.ones(1, dtype=np.uint8), n)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (1, n) and masks[0, : n // 8].min() == 255 and not masks[0, n // 8 + 1 :].any()
+    assert current <= 2 * n  # nothing kept beside the masks
+    assert peak <= 16 * n  # a table of the masks of all 256 bytes held 256 n
+
+
 @pytest.mark.parametrize("s, a, error", [
     ([[1, 0]], np.zeros((2, 3), dtype=np.uint8), DimensionError),
     ([1, 0], np.zeros(3, dtype=np.uint8), DimensionError),

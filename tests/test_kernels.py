@@ -5,7 +5,7 @@ import pytest
 
 from nlhb import _kernels as K
 from nlhb.gf2core import RandomSource
-from nlhb.nlfunc import NonlinearFunctionSpec
+from nlhb.nlfunc import NonlinearFunctionSpec, apply_f_batch
 
 
 def slow_window_eval(x, monomials, d):
@@ -33,7 +33,7 @@ MONOMIAL_SETS = [
 
 
 @pytest.mark.parametrize("monomials", MONOMIAL_SETS)
-def test_apply_window_batch_matches_oracle_and_backends(monomials):
+def test_apply_f_batch_matches_window_oracle(monomials):
     p = max((max(m) for m in monomials), default=0)
     n = p + 6
     d = n - p
@@ -41,7 +41,7 @@ def test_apply_window_batch_matches_oracle_and_backends(monomials):
     x = rng.uniform_matrix(9, n)
     spec = NonlinearFunctionSpec(p, tuple(monomials))
     ref = np.array([slow_window_eval(row, monomials, d) for row in x], dtype=np.uint8)
-    assert np.array_equal(K.apply_window_batch(x, spec.monomials, d), ref)
+    assert np.array_equal(apply_f_batch(spec, x), ref)
 
 
 def test_hamming_rows_matches_oracle():

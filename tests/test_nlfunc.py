@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from support import layouts_st, operand
 
-from nlhb import _kernels, gf2core, nlfunc
+from nlhb import gf2core, nlfunc
 from nlhb._kernels import hamming_rows
 from nlhb.gf2core import DimensionError, FormatError, ParameterError, RandomSource, key_table
 from nlhb.nlfunc import (
@@ -173,7 +173,7 @@ def window_specs(draw):
 @example(DEFAULT_SPEC, 0, 0)
 @example(NonlinearFunctionSpec(6, ((1, 6), (2, 3, 4, 5, 6))), 37, 1)
 @example(IDENTITY_SPEC, 0, 2)
-def test_int_window_map_is_the_batch_kernel(residue, spec, blocks, seed):
+def test_window_map_forms_are_the_oracle(residue, spec, blocks, seed):
     # one n for every n mod 8, from p + 1 to ~300; the all-zero and all-one
     # states ride along with two random ones
     n = 8 * blocks + residue
@@ -181,15 +181,25 @@ def test_int_window_map_is_the_batch_kernel(residue, spec, blocks, seed):
         n += 8
     x = RandomSource(seed).uniform_matrix(4, n)
     x[1], x[2] = 0, 1
-    batch = _kernels.apply_window_batch(x, spec.monomials, n - spec.p)
+    want = [slow_f(spec, row) for row in x]
+    want_codes = [gf2core._bits_int(np.array(bits, dtype=np.uint8)) for bits in want]
+    assert apply_f_batch(spec, x).tolist() == want  # bit rows
     codes = [gf2core._bits_int(row) for row in x]
-    for row, code, want in zip(x, codes, batch):
-        got = nlfunc._apply_f_int(spec, code, n)
-        assert got == gf2core._bits_int(want)
-        assert np.array_equal(nlfunc.apply_f(spec, row), want)
+    for row, code, bits, want_code in zip(x, codes, want, want_codes):
+        assert nlfunc._apply_f_int(spec, code, n) == want_code  # one int
+        assert apply_f(spec, row).tolist() == bits
     if n <= 64:  # the same formula on a uint64 array of the rows' codes
         got = nlfunc._apply_f_int(spec, np.array(codes, dtype=np.uint64), n)
-        assert got.tolist() == [gf2core._bits_int(want) for want in batch]
+        assert got.tolist() == want_codes
+
+
+@pytest.mark.parametrize("spec", [IDENTITY_SPEC, NonlinearFunctionSpec(3, ())])
+def test_identity_batch_map_is_a_copy(spec):
+    x = RandomSource(3).uniform_matrix(4, 11)
+    before = x.copy()
+    y = apply_f_batch(spec, x)
+    y[:] = 1 - y
+    assert np.array_equal(x, before)
 
 
 def test_apply_f_batch_keeps_nothing_per_spec():

@@ -20,7 +20,7 @@ from nlhb.gf2core import (
     dump_matrix,
     mat_vec_mul,
 )
-from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec, apply_f_batch
+from nlhb.nlfunc import DEFAULT_SPEC, IDENTITY_SPEC, NonlinearFunctionSpec, apply_f_batch, parse_spec
 from nlhb.protocols import (
     PROTOCOLS,
     ProtocolParams,
@@ -239,6 +239,23 @@ def test_key_masks_follow_the_width_one_table_per_part():
         b = prover.uniform_matrix(k, n)
         a = RandomSource(2).uniform_matrix(k, n)
         assert np.array_equal(t.z, respond(p, key, a, b=b, rng=prover))
+
+
+def test_wide_sparse_window_holds_a_few_bytes_per_state_bit():
+    # g reads offsets 1 and 20000 of a 20000-bit window: the map aligns
+    # those and offset 0 only, and a one-bit key's masks are n bytes
+    n = 20011
+    params = nlhb_params(1, n, EPS, EPSP, parse_spec("p=20000; g=x1x20000"))
+    key = generate_key(params, RandomSource(1))
+    tracemalloc.start()
+    try:
+        t = run_session(params, key, RandomSource(2), RandomSource(3))
+        decision = verify(params, key, t.a, t.z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert decision == (t.accepted, t.distance)
+    assert peak <= 16 * n  # a shift per window offset peaked at 1,600 n
 
 
 @pytest.mark.parametrize("proto", PROTOCOLS)

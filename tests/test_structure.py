@@ -247,8 +247,8 @@ def test_every_public_default_is_passed():
     assert not found, "defaulted and never passed, not even by a test: %s" % found
 
 
-IMAGE_KERNELS = {"_mat_vec_mul", "_payload_mat_vec_mul", "_apply_f_int", "_bits_int",
-                 "_int_bits", "_int_payload", "_image"}
+IMAGE_KERNELS = {"_mat_vec_mul", "_payload_mat_vec_mul", "_apply_f_int", "_window_map",
+                 "_aligned_rows", "_bits_int", "_int_bits", "_int_payload", "_image"}
 IMAGE_HOMES = {"gf2core", "nlfunc", "protocols"}
 
 
