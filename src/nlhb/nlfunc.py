@@ -160,16 +160,16 @@ def key_distances(spec: NonlinearFunctionSpec, a, target) -> np.ndarray:
     d = spec.output_length(n)
     target = as_bits(target, d)
     low = min(k, _CHUNK_BITS)
-    # bits, 4 d-byte rows (the last chunk's output, the output so far, a
-    # term, the next output) and 2 int64
-    check_enumerable(low, n + 4 * d + 16)
+    # bits, 3 d-byte rows (the output so far, a term, the next output: a chunk is
+    # scored in one expression, so its output is freed before the next map) and 2 int64
+    check_enumerable(low, n + 3 * d + 16)
     inner = key_table(a[k - low :])
     chunk = np.empty_like(inner)
     out = np.empty(1 << k, dtype=np.int64)
     for h, row in enumerate(key_table(a[: k - low])):
         np.bitwise_xor(inner, row, out=chunk)
-        y = _window_map(spec, _aligned_rows(spec, chunk, d))
-        out[h << low : (h + 1) << low] = _kernels.hamming_rows(y, target)
+        out[h << low : (h + 1) << low] = _kernels.hamming_rows(
+            _window_map(spec, _aligned_rows(spec, chunk, d)), target)
     return out
 
 

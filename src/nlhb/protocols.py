@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .gf2core import (
     _decimal,
     _int_bits,
     _int_payload,
-    _mat_vec_mul,
     _pack_payload,
     _payload_mat_vec_mul,
     _selected_masks,
@@ -268,36 +267,33 @@ def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
     return (_check_key(params, key), *_check_matrices(params, a, b))
 
 
-def _image(params: ProtocolParams, key: SecretKey, a, b, n: int | None = None) -> int:
-    """Noise-free response image for checked operands, as the int of its d
-    bits (:func:`gf2core._bits_int`).  The matrices are bit arrays, or with
-    ``n`` the payloads of (k, n) matrices, which the key's payload masks
-    multiply."""
-    if n is None:
-        parts, product = (key.s1, key.s2), _bits_product
-    else:
-        parts, product = key._payload_masks(n), partial(_payload_mat_vec_mul, n=n)
-    spec, width = params.spec, params.n
-    image = _apply_f_int(spec, product(parts[0], a if b is None else b), width)
+def _image(params: ProtocolParams, key: SecretKey, a, b) -> int:
+    """Noise-free response image for a checked key and the uint8 payloads of
+    A and B (None when unblinded), as the int of its d bits
+    (:func:`gf2core._bits_int`): the key's payload masks multiply them."""
+    n, spec = params.n, params.spec
+    masks = key._payload_masks(n)
+    image = _apply_f_int(spec, _payload_mat_vec_mul(masks[0], a if b is None else b, n), n)
     if b is not None:
-        image ^= _apply_f_int(spec, product(parts[1], a), width)
+        image ^= _apply_f_int(spec, _payload_mat_vec_mul(masks[1], a, n), n)
     return image
 
 
-def _bits_product(s: np.ndarray, a: np.ndarray) -> int:
-    """s.A of checked bit operands, as an int."""
-    return _bits_int(_mat_vec_mul(s, a))
+def _payloads(a, b):
+    """The uint8 payloads of checked bit matrices A and B (None when
+    unblinded), the bytes of :func:`gf2core._pack_payload`."""
+    return np.packbits(a), None if b is None else np.packbits(b)
 
 
 def _decide(params: ProtocolParams, key: SecretKey, a, z, b) -> tuple[bool, int]:
-    """Verifier decision for checked operands."""
-    dist = (_image(params, key, a, b) ^ _bits_int(z)).bit_count()
+    """Verifier decision for checked bit operands, packed once for :func:`_image`."""
+    dist = (_image(params, key, *_payloads(a, b)) ^ _bits_int(z)).bit_count()
     return dist <= params.u, dist
 
 
 def _expected(params: ProtocolParams, key: SecretKey, a, b) -> np.ndarray:
     """The noise-free response image for checked bit operands, as d bits."""
-    return _int_bits(_image(params, key, a, b), params.d)
+    return _int_bits(_image(params, key, *_payloads(a, b)), params.d)
 
 
 def expected_response(params: ProtocolParams, key: SecretKey, a, b=None) -> np.ndarray:
@@ -318,17 +314,17 @@ def respond(
     Pass ``noise`` explicitly (test hook) or an ``rng`` to draw it.
     """
     key, a, b = _check_exchange(params, key, a, b)
-    if noise is not None:
-        return _expected(params, key, a, b) ^ as_bits(noise, params.d)
-    if rng is None:
+    if noise is None and rng is None:
         raise ParameterError("respond needs either an rng or an explicit noise vector")
-    return _respond(params, key, a, b, rng)
+    noise = rng.bernoulli_bits(params.d, params.eps) if noise is None else as_bits(noise, params.d)
+    return _respond(params, key, *_payloads(a, b), noise)
 
 
-def _respond(params: ProtocolParams, key: SecretKey, a, b, rng: RandomSource) -> np.ndarray:
-    """The honest prover's answer for checked bit operands: the image plus
-    Bernoulli(eps) noise drawn from ``rng``."""
-    return _expected(params, key, a, b) ^ rng.bernoulli_bits(params.d, params.eps)
+def _respond(params: ProtocolParams, key: SecretKey, a, b, noise: np.ndarray) -> np.ndarray:
+    """The prover's answer as fresh d bits, for a checked key, the uint8
+    payloads of A and B (None when unblinded) and checked noise bits: the z
+    payload of :func:`_answer`, unpacked once."""
+    return _unpack_payload(_answer(params, key, a, b, noise)[0], (params.d,))
 
 
 def verify(params: ProtocolParams, key: SecretKey, a, z, b=None) -> tuple[bool, int]:
@@ -357,8 +353,8 @@ def run_session(
     of the prover's noise, the same (accepted, distance) that :func:`verify`
     returns for the transcript.  B and A are drawn as payloads
     (:meth:`RandomSource._payload`) and answered by :func:`_answer`, so no
-    matrix is unpacked.  The demo client answers a challenge payload by the
-    same step; callers that hold bits answer through :func:`_respond`."""
+    matrix is unpacked.  :func:`respond`, the demo client and the honest
+    source of :mod:`nlhb.reductions` answer by the same step."""
     key = _check_key(params, key)
     if noise is not None:
         noise = as_bits(noise, params.d)
@@ -372,10 +368,10 @@ def run_session(
 
 def _answer(params: ProtocolParams, key: SecretKey, a, b, noise: np.ndarray) -> tuple[bytes, int]:
     """z's payload and the noise weight, for a checked key, the uint8
-    payloads of A and B (None when unblinded) and checked noise bits.  The
-    image is an int of the payloads (:func:`_image`), and the noise is packed once."""
+    payloads of A and B (None when unblinded) and checked noise bits: every
+    exchange's prover step.  The image is an int of the payloads (:func:`_image`)."""
     noise = int.from_bytes(_pack_payload(noise), "big")  # the d bits, then the zero pad
-    image = _image(params, key, a, b, params.n)
+    image = _image(params, key, a, b)
     return _int_payload(image ^ (noise >> (-params.d % 8)), params.d), noise.bit_count()
 
 

@@ -50,6 +50,7 @@ from .protocols import (
     _check_key,
     _decide,
     _expected,
+    _payloads,
     _respond,
 )
 
@@ -87,8 +88,9 @@ def _single_secret(params: ProtocolParams) -> None:
 
 def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: RandomSource):
     """Unbounded source of honest transcript batches: the sessions of
-    :func:`transcript_sampler` on ``rng``, one (A, z) row each, so a draw of
-    c rows equals any split of c into smaller draws."""
+    :func:`transcript_sampler` on ``rng``, each A answered from its drawn
+    payload, one (A, z) row each, so a draw of c rows equals any split of c
+    into smaller draws."""
     _single_secret(params)
     key = _check_key(params, key)
 
@@ -96,8 +98,8 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
         out = np.empty((count, string_length(params)), dtype=np.uint8)
         a, z = batch_views(out, params)
         for row in range(count):
-            a[row] = rng.uniform_matrix(params.k, params.n)
-            z[row] = _respond(params, key, a[row], None, rng)
+            a[row], payload = rng._bits_and_payload(params.k, params.n)
+            z[row] = _respond(params, key, payload, None, rng.bernoulli_bits(params.d, params.eps))
         return out
 
     return draw
@@ -299,7 +301,8 @@ class HonestPassiveForger(PerfectPassiveForger):
     """Knows the key but answers like the honest noisy prover."""
 
     def forge(self, a):
-        return _respond(self.params, self.key, a, None, self._rng)
+        noise = self._rng.bernoulli_bits(self.params.d, self.params.eps)
+        return _respond(self.params, self.key, *_payloads(a, None), noise)
 
 
 class RandomPassiveForger(PassiveForger):
@@ -433,9 +436,10 @@ class ActiveForger:
         """The honest blinded prover's answer to ``a`` under ``key`` and B_hat.
         Its noise comes from coins tied to ``a``, so a rewound replay repeats it."""
         params, b_hat = self.params, self._state["b_hat"]
-        if noisy:
-            return _respond(params, key, a, b_hat, self._message_rng("noise", a.tobytes()))
-        return _expected(params, key, a, b_hat)
+        if not noisy:
+            return _expected(params, key, a, b_hat)
+        noise = self._message_rng("noise", a.tobytes()).bernoulli_bits(params.d, params.eps)
+        return _respond(params, key, *_payloads(a, b_hat), noise)
 
     def _message_rng(self, label: str, payload: bytes) -> RandomSource:
         """Coins tied to (seed, message): a restored snapshot replays the
@@ -499,7 +503,6 @@ class ExtractingActiveForger(ActiveForger):
             self.params.k, self.params.n
         )
         self._state["votes"] = np.zeros(self.params.d, dtype=np.int64)
-        self._state["s2_hat"] = None
 
     def _on_blinding(self, b):
         self._state["b_bar"] = b
@@ -515,13 +518,11 @@ class ExtractingActiveForger(ActiveForger):
         if count == 0:
             raise ParameterError("extraction needs at least one query round")
         image = (2 * self._state["votes"] > count).astype(np.uint8)
-        self._state["s2_hat"], _ = brute_force_unld(
-            [(self._state["a_star"], image)], self.params.k, self.params.spec
-        )
+        s2_hat, _ = brute_force_unld([(self._state["a_star"], image)], self.params.k, self.params.spec)
+        self._state["key"] = SecretKey(s1=self.s1_key.s1, s2=s2_hat)  # built once, for every rewound call
 
     def _respond(self, a):
-        key = SecretKey(s1=self.s1_key.s1, s2=self._state["s2_hat"])
-        return self._prover_response(key, a, True)
+        return self._prover_response(self._state["key"], a, True)
 
 
 def rewinding_distinguisher_interval(params: ProtocolParams):

@@ -760,10 +760,8 @@ def test_int_image_and_z_payload_are_the_bit_path(proto, k, width, fill, over, s
     image = apply_f_batch(spec, mat_vec_mul(key.s1, a if b is None else b)[None, :])[0]
     if b is not None:
         image ^= apply_f_batch(spec, mat_vec_mul(key.s2, a)[None, :])[0]
-    want = gf2core._bits_int(image)
-    assert protocols._image(params, key, a, b) == want
     payloads = [None if m is None else np.frombuffer(m, dtype=np.uint8) for m in (t._a, t._b)]
-    assert protocols._image(params, key, payloads[0], payloads[1], params.n) == want
+    assert protocols._image(params, key, *payloads) == gf2core._bits_int(image)
     assert t._z == gf2core._pack_payload(image ^ noise)
     assert (t.accepted, t.distance) == (not over, weight)
     assert verify(params, key, a, t.z, b) == (not over, weight)

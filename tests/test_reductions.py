@@ -588,10 +588,9 @@ def test_honest_source_packs_transcript_sampler(proto, shape, count):
 
 
 @pytest.mark.parametrize("proto, shape", [("hb", (8, 256)), ("nlhb", (8, 259))], ids=["hb", "nlhb"])
-def test_honest_source_multiplies_bits(proto, shape, monkeypatch):
-    # The source holds A's bits, so it answers through the bit kernel; only
-    # the prover step on payloads (protocols._answer, which run_session and
-    # the demo client call) multiplies them.
+def test_honest_source_multiplies_drawn_payloads(proto, shape, monkeypatch):
+    # Each row's A is answered from the payload its draw makes: one payload
+    # product per row, and only the d noise bits are packed.
     kernel, calls = gf2core._payload_mat_vec_mul, []
 
     def counted(*args, **kwargs):
@@ -602,10 +601,12 @@ def test_honest_source_multiplies_bits(proto, shape, monkeypatch):
         monkeypatch.setattr(module, "_payload_mat_vec_mul", counted)
     params = _source_params(proto, shape)
     key = generate_key(params, RandomSource(154))
+    key._payload_masks(params.n)  # built before the spy, which sees every packbits
+    packbits, packed = np.packbits, []
+    monkeypatch.setattr(np, "packbits", lambda bits, *args: packed.append(bits.shape) or packbits(bits, *args))
     red.honest_transcript_source(params, key, RandomSource(155))(3)
-    assert calls == []
-    transcript_sampler(params, key, RandomSource(155), 1)  # the counter sees a session's product
-    assert len(calls) == 1
+    assert len(calls) == 3
+    assert packed == [(params.d,)] * 3
 
 
 @pytest.mark.parametrize("proto", ["hb+", "nlhb+"])

@@ -1,4 +1,4 @@
-"""Six structural rules for ``src/nlhb``, checked with ``ast``.
+"""Seven structural rules for ``src/nlhb``, checked with ``ast``.
 
 - No ``class`` statement sits inside a function body: a class built per call
   is a new type each time, which nothing can patch or subclass.
@@ -17,6 +17,8 @@
   only: no other module imports, or reads as an attribute, the kernels that
   multiply, map or convert one (:data:`IMAGE_KERNELS`).  They answer through
   ``protocols``.
+- An exchange has one s.A kernel: ``protocols`` multiplies payloads only, and
+  imports no product of bit arrays (:data:`BIT_PRODUCTS`).
 """
 
 import ast
@@ -252,6 +254,16 @@ IMAGE_KERNELS = {"_mat_vec_mul", "_payload_mat_vec_mul", "_apply_f_int", "_windo
 IMAGE_HOMES = {"gf2core", "nlfunc", "protocols"}
 
 
+def _used_names(source: str) -> set[str]:
+    """The names that ``source`` imports or reads as an attribute."""
+    return {
+        name
+        for node in ast.walk(ast.parse(source))
+        for name in ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                     else [node.attr] if isinstance(node, ast.Attribute) else [])
+    }
+
+
 def _image_kernel_uses(package: dict[str, str]) -> list[str]:
     """``module.name`` of each :data:`IMAGE_KERNELS` name that a module of
     ``package`` (module name -> source) outside :data:`IMAGE_HOMES` imports
@@ -259,10 +271,7 @@ def _image_kernel_uses(package: dict[str, str]) -> list[str]:
     return sorted({
         "%s.%s" % (module, name)
         for module, source in package.items() if module not in IMAGE_HOMES
-        for node in ast.walk(ast.parse(source))
-        for name in ([alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
-                     else [node.attr] if isinstance(node, ast.Attribute) else [])
-        if name in IMAGE_KERNELS
+        for name in _used_names(source) & IMAGE_KERNELS
     })
 
 
@@ -283,3 +292,22 @@ def test_exchange_images_are_built_in_protocols():
     package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     found = _image_kernel_uses(package)
     assert not found, "an image kernel used outside gf2core, nlfunc and protocols: %s" % found
+
+
+BIT_PRODUCTS = {"_mat_vec_mul", "mat_vec_mul"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .gf2core import _mat_vec_mul, _payload_mat_vec_mul\n", ["_mat_vec_mul"]),
+    ("from .gf2core import (\n    mat_vec_mul as mul,\n)\n", ["mat_vec_mul"]),
+    ("from . import gf2core\ngf2core._mat_vec_mul(s, a)\n", ["_mat_vec_mul"]),
+    ("from .gf2core import _payload_mat_vec_mul\n", []),
+    ("def mat_vec_mul(): pass\n", []),
+])
+def test_the_bit_product_check_reads_each_form(source, found):
+    assert sorted(_used_names(source) & BIT_PRODUCTS) == found
+
+
+def test_an_exchange_has_one_product_kernel():
+    found = _used_names((PACKAGE / "protocols.py").read_text(encoding="utf-8")) & BIT_PRODUCTS
+    assert not found, "protocols multiplies bit arrays through %s" % sorted(found)
