@@ -18,8 +18,6 @@ import socketserver
 import threading
 from dataclasses import dataclass
 
-import numpy as np
-
 from .gf2core import (
     DimensionError,
     FormatError,
@@ -289,11 +287,11 @@ class AuthService(socketserver.ThreadingTCPServer):
                 b_payload = _load(_text(_expect(sock, BLIND)), "mat", shape)[0]
                 b = _unpack_payload(b_payload, shape)
 
-            a, a_payload = rng._bits_and_payload(*shape)
-            a_payload = a_payload.tobytes()
+            a_payload = rng._payload(*shape)
             _send(sock, CHALLENGE, _block_text("mat", shape, a_payload).encode("utf-8"))
             z_payload = _load(_text(_expect(sock, RESPONSE)), "bits", (params.d,))[0]
 
+            a = _unpack_payload(a_payload, shape)
             accepted, distance = verify(params, key, a, _unpack_payload(z_payload, (params.d,)), b=b)
             self._log(_record(params, b_payload, a_payload, z_payload, accepted, distance))
             decision = b"muted" if self.mute_decisions else _decision_text(accepted, distance).encode()
@@ -349,10 +347,10 @@ def authenticate(
             b = None
             if params.blinded:
                 b = rng._payload(*shape)
-                _send(sock, BLIND, _block_text("mat", shape, b.tobytes()).encode("utf-8"), frame_log)
+                _send(sock, BLIND, _block_text("mat", shape, b).encode("utf-8"), frame_log)
             a = _load(_text(_expect(sock, CHALLENGE, frame_log)), "mat", shape)[0]
             noise = rng.bernoulli_bits(params.d, params.eps)
-            z = _answer(params, key, np.frombuffer(a, dtype=np.uint8), b, noise)[0]
+            z = _answer(params, key, a, b, noise)[0]
             _send(sock, RESPONSE, _block_text("bits", (params.d,), z).encode("utf-8"), frame_log)
             payload = _expect(sock, DECISION, frame_log)
     except socket.timeout as exc:

@@ -10,9 +10,11 @@ Serialized form is a header line ``bits <len>`` or ``mat <rows> <cols>``
 followed by one line of lowercase hex that spells the array's *payload*.
 The payload layout is defined here, by :func:`_pack_payload` and
 :func:`_unpack_payload`: the bits row-major, the most significant bit of the
-first byte holding index 1, zero-padded at the end to a whole byte.  Its one
-other producer is :meth:`RandomSource._payload`, bound to them by
-``test_draw_payload_is_the_packed_bits``; transcript records hold payloads.
+first byte holding index 1, zero-padded at the end to a whole byte.  A
+payload is always ``bytes``, and those two are the only pack and unpack.  Its
+one other producer is :meth:`RandomSource._payload`, bound to them by
+``test_draw_payload_is_the_packed_bits``; draws, transcript records, frames
+and the operands of an exchange's image are payloads.
 A payload is also read as a big-endian int: a vector's payload less its pad
 is the int whose most significant of len bits is index 1 (:func:`_bits_int`,
 :func:`_int_bits` and :func:`_int_payload` convert), the form one exchange's
@@ -133,11 +135,11 @@ def _mat_vec_mul(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(a[s.view(bool)], axis=0)
 
 
-def _payload_mat_vec_mul(masks: np.ndarray, payload: np.ndarray, n: int) -> int:
+def _payload_mat_vec_mul(masks: np.ndarray, payload: bytes, n: int) -> int:
     """:func:`_mat_vec_mul` of checked bits s and the (len(s), n) matrix whose
-    payload is the uint8 array ``payload``, as the int of its n bits
-    (:func:`_bits_int`), without unpacking the matrix; ``masks`` is
-    :func:`_selected_masks` of s at width n.
+    payload is ``payload``, as the int of its n bits (:func:`_bits_int`),
+    without unpacking the matrix; ``masks`` is :func:`_selected_masks` of s
+    at width n.
 
     Byte block j of the payload (bytes j*n ... j*n+n-1) holds rows 8j ... 8j+7,
     row c of the block at its bits c*n ... c*n+n-1.  Each block is ANDed with
@@ -145,6 +147,7 @@ def _payload_mat_vec_mul(masks: np.ndarray, payload: np.ndarray, n: int) -> int:
     blocks are XORed into n bytes.  Read big-endian, those are an 8n-bit int
     with row 0 on top, and three halvings fold its eight n-bit rows into one.
     """
+    payload = np.frombuffer(payload, dtype=np.uint8)
     if payload.size < masks.size:  # a partial last block reads as zero-extended
         payload = np.concatenate((payload, np.zeros(masks.size - payload.size, dtype=np.uint8)))
     blocks = np.bitwise_and(masks, payload.reshape(-1, n))
@@ -352,7 +355,7 @@ def _unpack_payload(payload: bytes, shape: tuple) -> np.ndarray:
 def _bits_int(bits: np.ndarray) -> int:
     """A checked bit vector as an int: its payload read big-endian, less the
     zero pad, so index 1 is the most significant of len(bits) bits."""
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.shape[0] % 8)
+    return int.from_bytes(_pack_payload(bits), "big") >> (-bits.shape[0] % 8)
 
 
 def _int_payload(value: int, nbits: int) -> bytes:
@@ -362,7 +365,7 @@ def _int_payload(value: int, nbits: int) -> bytes:
 
 def _int_bits(value: int, nbits: int) -> np.ndarray:
     """The fresh ``nbits``-bit vector whose :func:`_bits_int` is ``value``."""
-    return np.unpackbits(np.frombuffer(_int_payload(value, nbits), dtype=np.uint8), count=nbits)
+    return _unpack_payload(_int_payload(value, nbits), (nbits,))
 
 
 def _hex_payload(hexline: str, nbits: int, line: int | None = None) -> bytes:
@@ -556,9 +559,9 @@ class RandomSource:
     reproducible bit-for-bit from its seed.  Every draw consumes raw PCG64
     output words (``random_raw``), the same words numpy's
     ``Generator.integers(0, 2**64, dtype=uint64)`` returns for that seed.
-    Uniform bits are the words' big-endian bits; :meth:`_payload` hands them
-    out as a payload and :meth:`_bits_and_payload` unpacked as well, never
-    repacked.
+    Uniform bits are the words' big-endian bits: :meth:`_payload` hands them
+    out as a payload, and :meth:`uniform_bits` and :meth:`uniform_matrix`
+    unpack that payload, so no draw is ever repacked.
 
     Bernoulli sampling is exact for rational eps: each bit consumes one
     64-bit uniform word compared against floor(eps * 2**64), and the
@@ -584,28 +587,22 @@ class RandomSource:
         """Draw a uniform bit vector of the given length."""
         if length < 0:
             raise ParameterError("length must be nonnegative")
-        return self._bits_and_payload(1, length)[0][0]
+        return _unpack_payload(self._payload(1, length), (length,))
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         """Draw a uniform bit matrix of shape (rows, cols)."""
-        return self._bits_and_payload(rows, cols)[0]
+        return _unpack_payload(self._payload(rows, cols), (rows, cols))
 
-    def _bits_and_payload(self, rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """A uniform (rows, cols) bit matrix and its payload, of one
-        :meth:`_payload` draw."""
-        payload = self._payload(rows, cols)
-        return np.unpackbits(payload, count=rows * cols).reshape(rows, cols), payload
-
-    def _payload(self, rows: int, cols: int) -> np.ndarray:
-        """The payload of a uniform (rows, cols) bit matrix as a uint8 array:
-        the big-endian bytes of ceil(rows*cols / 64) words, pad bits zero."""
+    def _payload(self, rows: int, cols: int) -> bytes:
+        """The payload of a uniform (rows, cols) bit matrix: the leading
+        big-endian bytes of ceil(rows*cols / 64) words, pad bits zero."""
         if rows < 0 or cols < 0:
             raise ParameterError("matrix shape must be nonnegative, got (%d, %d)" % (rows, cols))
         nbits = rows * cols
         raw = self.u64((nbits + 63) // 64).astype(">u8").view(np.uint8)
         if nbits % 8:
             raw[nbits // 8] &= (0xFF00 >> nbits % 8) & 0xFF
-        return raw[: (nbits + 7) // 8]
+        return raw[: (nbits + 7) // 8].tobytes()
 
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:
         """Draw ``length`` i.i.d. Bernoulli(eps) bits for rational 0 < eps < 1/2."""

@@ -129,7 +129,7 @@ def _window_map(spec: NonlinearFunctionSpec, at: dict):
     """y = at[0] XOR, over the monomials of g, the AND of ``at[o]`` for each
     offset o the monomial reads, where ``at[o]`` holds x_{i+o} lined up with
     output i for each offset in ``spec._offsets``.  The operands are ints,
-    uint64 code arrays or bit-row views, and every step is out of place, so
+    unsigned code arrays or bit-row views, and every step is out of place, so
     none of them is written to; without monomials, y is ``at[0]`` itself."""
     y = at[0]
     for mono in spec.monomials:  # each of degree >= 2
@@ -183,8 +183,8 @@ def apply_f(spec: NonlinearFunctionSpec, x) -> np.ndarray:
 
 def _apply_f_int(spec: NonlinearFunctionSpec, x, n: int):
     """The response map of n-bit states held as codes (:func:`gf2core._bits_int`,
-    x_1 most significant; one int, or a uint64 array when n <= 64), as the
-    codes of their n - p output bits.
+    x_1 most significant; one int, or an unsigned array wide enough for n
+    bits), as the codes of their n - p output bits.
 
     ``x >> (p - o)`` holds x_{i+o} at the bit of output i, so each offset
     the map reads is shifted once for :func:`_window_map`, and its output is
@@ -213,21 +213,21 @@ class UniformityReport:
 
 
 def _check_balance(spec: NonlinearFunctionSpec, n: int) -> None:
-    """Size :func:`balance_check`'s 2**n inputs: each input's uint64 code,
+    """Size :func:`balance_check`'s 2**n inputs: each input's uint32 code,
     and at the peak of :func:`_apply_f_int` a shift per offset the spec
     reads, the output so far, a monomial's AND and the next output."""
-    check_enumerable(n, 8 * (len(spec._offsets) + 4))
+    check_enumerable(n, 4 * (len(spec._offsets) + 4))
 
 
 def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
     """Exhaustively verify that every output value occurs exactly 2**p times.
 
-    Refuses n when its 2**n inputs do not fit (n > 22 at p = 3).
+    Refuses n when its 2**n inputs do not fit (n > 23 at p = 3).
     """
     d = spec.output_length(n)
     _check_balance(spec, n)
-    codes = _apply_f_int(spec, np.arange(1 << n, dtype=np.uint64), n)
-    counts = np.bincount(codes.view(np.int64), minlength=1 << d)
+    codes = _apply_f_int(spec, np.arange(1 << n, dtype=np.uint32), n)
+    counts = np.bincount(codes, minlength=1 << d)
     expected = 1 << spec.p
     return UniformityReport(
         n=n,
@@ -282,10 +282,10 @@ def _dyadic_log2(x: Fraction) -> Fraction | None:
 
 def merge_state_bytes(spec: NonlinearFunctionSpec) -> int:
     """Bytes :func:`merge_error_distribution` holds per merge state (each of
-    its 2^(2p+2) rows) when its use peaks, all uint64 codes: the assignment,
+    its 2^(2p+2) rows) when its use peaks, all uint32 codes: the assignment,
     x, xbar and f(x), and the arrays of :func:`_apply_f_int` on xbar, a
     shift per offset the spec reads and three more."""
-    return 8 * (len(spec._offsets) + 7)
+    return 4 * (len(spec._offsets) + 7)
 
 
 def merge_error_distribution(spec: NonlinearFunctionSpec) -> MergeErrorDistribution:
@@ -300,12 +300,12 @@ def merge_error_distribution(spec: NonlinearFunctionSpec) -> MergeErrorDistribut
     p = spec.p
     free = 2 * p + 2
     check_enumerable(free, merge_state_bytes(spec))
-    assign = np.arange(1 << free, dtype=np.uint64)
+    assign = np.arange(1 << free, dtype=np.uint32)
     x = assign >> 1
     xbar = x ^ ((assign & 1) << p)  # the window's middle bit is x_j
     err = _apply_f_int(spec, x, free - 1) ^ _apply_f_int(spec, xbar, free - 1)
 
-    counts = np.bincount(err.view(np.int64), minlength=1 << (p + 1))
+    counts = np.bincount(err, minlength=1 << (p + 1))
     seen = np.flatnonzero(counts)
     return MergeErrorDistribution({
         tuple(outcome.tolist()): Fraction(int(counts[code]), 1 << free)

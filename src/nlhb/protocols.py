@@ -268,8 +268,8 @@ def _check_exchange(params: ProtocolParams, key: SecretKey, a, b):
 
 
 def _image(params: ProtocolParams, key: SecretKey, a, b) -> int:
-    """Noise-free response image for a checked key and the uint8 payloads of
-    A and B (None when unblinded), as the int of its d bits
+    """Noise-free response image for a checked key and the payloads of A and
+    B (None when unblinded), as the int of its d bits
     (:func:`gf2core._bits_int`): the key's payload masks multiply them."""
     n, spec = params.n, params.spec
     masks = key._payload_masks(n)
@@ -280,9 +280,8 @@ def _image(params: ProtocolParams, key: SecretKey, a, b) -> int:
 
 
 def _payloads(a, b):
-    """The uint8 payloads of checked bit matrices A and B (None when
-    unblinded), the bytes of :func:`gf2core._pack_payload`."""
-    return np.packbits(a), None if b is None else np.packbits(b)
+    """The payloads of checked bit matrices A and B (None when unblinded)."""
+    return _pack_payload(a), None if b is None else _pack_payload(b)
 
 
 def _decide(params: ProtocolParams, key: SecretKey, a, z, b) -> tuple[bool, int]:
@@ -321,9 +320,9 @@ def respond(
 
 
 def _respond(params: ProtocolParams, key: SecretKey, a, b, noise: np.ndarray) -> np.ndarray:
-    """The prover's answer as fresh d bits, for a checked key, the uint8
-    payloads of A and B (None when unblinded) and checked noise bits: the z
-    payload of :func:`_answer`, unpacked once."""
+    """The prover's answer as fresh d bits, for a checked key, the payloads
+    of A and B (None when unblinded) and checked noise bits: the z payload
+    of :func:`_answer`, unpacked once."""
     return _unpack_payload(_answer(params, key, a, b, noise)[0], (params.d,))
 
 
@@ -363,13 +362,13 @@ def run_session(
     if noise is None:
         noise = rng_prover.bernoulli_bits(params.d, params.eps)
     z, dist = _answer(params, key, a, b, noise)
-    return _record(params, b if b is None else b.tobytes(), a.tobytes(), z, dist <= params.u, dist)
+    return _record(params, b, a, z, dist <= params.u, dist)
 
 
 def _answer(params: ProtocolParams, key: SecretKey, a, b, noise: np.ndarray) -> tuple[bytes, int]:
-    """z's payload and the noise weight, for a checked key, the uint8
-    payloads of A and B (None when unblinded) and checked noise bits: every
-    exchange's prover step.  The image is an int of the payloads (:func:`_image`)."""
+    """z's payload and the noise weight, for a checked key, the payloads of
+    A and B (None when unblinded) and checked noise bits: every exchange's
+    prover step.  The image is an int of the payloads (:func:`_image`)."""
     noise = int.from_bytes(_pack_payload(noise), "big")  # the d bits, then the zero pad
     image = _image(params, key, a, b)
     return _int_payload(image ^ (noise >> (-params.d % 8)), params.d), noise.bit_count()

@@ -42,6 +42,7 @@ from .gf2core import (
     check_enumerable,
     code_rows,
     derive_seed,
+    _unpack_payload,
 )
 from .nlfunc import NonlinearFunctionSpec, key_distances
 from .protocols import (
@@ -98,7 +99,8 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
         out = np.empty((count, string_length(params)), dtype=np.uint8)
         a, z = batch_views(out, params)
         for row in range(count):
-            a[row], payload = rng._bits_and_payload(params.k, params.n)
+            payload = rng._payload(params.k, params.n)
+            a[row] = _unpack_payload(payload, (params.k, params.n))
             z[row] = _respond(params, key, payload, None, rng.bernoulli_bits(params.d, params.eps))
         return out
 

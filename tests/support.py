@@ -29,7 +29,7 @@ def operand(rng, rows, cols, layout):
 
 def counted_packs(monkeypatch) -> list:
     """The shapes of the arrays that ``_pack_payload`` packs from now on, as
-    ``gf2core`` (``dump_bits``, ``dump_matrix``, ``_pack_hex``) and
+    ``gf2core`` (``dump_bits``, ``dump_matrix``, ``_pack_hex``, ``_bits_int``) and
     ``protocols`` call it."""
     shapes = []
     pack = gf2core._pack_payload

@@ -405,9 +405,10 @@ def test_odd_size_log_parses_and_reverifies(tmp_path):
         assert verify(t.params, entry.key, t.a, t.z, b=t.b) == (t.accepted, t.distance)
 
 
-def test_handshake_packs_no_matrix(monkeypatch):
+def test_handshake_packs_z_at_the_client_and_the_verify_operands_at_the_server(monkeypatch):
     # the server sends and logs A, and the client sends B, from the payload
-    # their draw produced: the client's response is the one thing packed
+    # their draw produced: the client packs only its response, and the
+    # server's verify packs A, B (when blinded) and z again
     entries = _odd_size_entries()
     packed = counted_packs(monkeypatch)
     with svc.AuthService(("127.0.0.1", 0), entries, seed=8) as running:
@@ -415,7 +416,11 @@ def test_handshake_packs_no_matrix(monkeypatch):
             svc.authenticate(running.address, entry.identity, entry.key, entry.params,
                              rng=RandomSource(40 + j))
         assert running.logged == 2
-    assert packed == [(entry.params.d,) for entry in entries.values()]
+    want = []
+    for entry in entries.values():
+        p = entry.params
+        want += [(p.d,), (p.k, p.n)] + [(p.k, p.n)] * p.blinded + [(p.d,)]
+    assert packed == want
 
 
 def _four_entries():
@@ -440,8 +445,9 @@ def test_client_frames_are_the_bit_path():
                 sent = {tag: payload.decode("utf-8") for tag, payload in frames}
                 rng, b = RandomSource(seed), None
                 if params.blinded:
-                    b, payload = rng._bits_and_payload(params.k, params.n)
-                    assert sent[svc.BLIND] == _block_text("mat", (params.k, params.n), payload.tobytes())
+                    payload = rng._payload(params.k, params.n)
+                    b = gf2core._unpack_payload(payload, (params.k, params.n))
+                    assert sent[svc.BLIND] == _block_text("mat", (params.k, params.n), payload)
                 else:
                     assert svc.BLIND not in sent
                 z = respond(params, entry.key, load_matrix(sent[svc.CHALLENGE]), b, rng=rng)
@@ -450,7 +456,8 @@ def test_client_frames_are_the_bit_path():
 
 def test_client_unpacks_no_matrix(monkeypatch):
     # B is drawn and A read as payloads, and z answered from them; the
-    # server's own thread, which unpacks B, A and z, shows the counters work
+    # server's own thread, which draws A and unpacks B, A and z, shows the
+    # counters work
     entries, client, calls = _four_entries(), threading.get_ident(), []
 
     def counted(name, fn):
@@ -459,15 +466,14 @@ def test_client_unpacks_no_matrix(monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(RandomSource, "_bits_and_payload",
-                        counted("_bits_and_payload", RandomSource._bits_and_payload))
+    monkeypatch.setattr(RandomSource, "_payload", counted("_payload", RandomSource._payload))
     for module in (gf2core, protocols, svc):
         monkeypatch.setattr(module, "_unpack_payload", counted("_unpack_payload", module._unpack_payload))
     with svc.AuthService(("127.0.0.1", 0), {e.identity: e for e in entries}, seed=10) as running:
         for entry in entries:
             svc.authenticate(running.address, entry.identity, entry.key, entry.params, rng=RandomSource(73))
-    assert [name for mine, name in calls if mine] == []
-    assert {name for mine, name in calls if not mine} == {"_bits_and_payload", "_unpack_payload"}
+    assert [name for mine, name in calls if mine] == ["_payload"] * sum(e.params.blinded for e in entries)
+    assert {name for mine, name in calls if not mine} == {"_payload", "_unpack_payload"}
 
 
 @pytest.mark.parametrize("params, key, error", [

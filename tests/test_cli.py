@@ -772,14 +772,14 @@ def test_analyze_refuses_a_window_too_wide_to_enumerate():
     assert err.startswith("error:") and "exceeds" in err
 
 
-@pytest.mark.parametrize("p", [10, 11])
-def test_analyze_refuses_a_merge_too_large_to_hold(p):
+@pytest.mark.parametrize("p, g", [(10, "x1x2+x3x4+x5x6+x7x8+x9x10"), (11, "x1x2")], ids=["10", "11"])
+def test_analyze_refuses_a_merge_too_large_to_hold(p, g):
     # 2^(2p+2) merge states pass the enumeration range; what
     # merge_error_distribution would hold for them does not pass the size guard
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        code, out, err = run_cli(["analyze", "--spec", "p=%d; g=x1x2" % p])
+        code, out, err = run_cli(["analyze", "--spec", "p=%d; g=%s" % (p, g)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

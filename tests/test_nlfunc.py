@@ -289,7 +289,7 @@ def test_balance_width2_n12_each_output_four_times():
 
 def test_balance_refuses_large_n():
     with pytest.raises(ParameterError):
-        balance_check(DEFAULT_SPEC, 23)
+        balance_check(DEFAULT_SPEC, 24)
 
 
 @settings(max_examples=15, deadline=None)

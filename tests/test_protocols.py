@@ -226,7 +226,8 @@ def test_key_masks_follow_the_width_one_table_per_part():
     k = 13
     key = SecretKey(s1=RandomSource(5).uniform_bits(k), s2=RandomSource(6).uniform_bits(k))
     for n in (19, 24, 19):
-        a, payload = RandomSource(n)._bits_and_payload(k, n)
+        payload = RandomSource(n)._payload(k, n)
+        a = gf2core._unpack_payload(payload, (k, n))
         masks = key._payload_masks(n)
         for s, m in zip((key.s1, key.s2), masks):
             assert m.shape == ((k + 7) // 8, n)
@@ -722,8 +723,6 @@ def test_run_session_unpacks_no_matrix(p, monkeypatch):
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
-    monkeypatch.setattr(RandomSource, "_bits_and_payload",
-                        counted("_bits_and_payload", RandomSource._bits_and_payload))
     for module in (gf2core, protocols):
         monkeypatch.setattr(module, "_unpack_payload", counted("_unpack_payload", module._unpack_payload))
     t = run_session(p, key, RandomSource(88), RandomSource(89))

@@ -1,4 +1,4 @@
-"""Seven structural rules for ``src/nlhb``, checked with ``ast``.
+"""Eight structural rules for ``src/nlhb``, checked with ``ast``.
 
 - No ``class`` statement sits inside a function body: a class built per call
   is a new type each time, which nothing can patch or subclass.
@@ -19,6 +19,9 @@
   ``protocols``.
 - An exchange has one s.A kernel: ``protocols`` multiplies payloads only, and
   imports no product of bit arrays (:data:`BIT_PRODUCTS`).
+- A payload is packed and unpacked in ``gf2core`` only: no other module
+  imports, or reads as an attribute, the numpy routines that convert one
+  (:data:`PAYLOAD_CONVERSIONS`).
 """
 
 import ast
@@ -311,3 +314,35 @@ def test_the_bit_product_check_reads_each_form(source, found):
 def test_an_exchange_has_one_product_kernel():
     found = _used_names((PACKAGE / "protocols.py").read_text(encoding="utf-8")) & BIT_PRODUCTS
     assert not found, "protocols multiplies bit arrays through %s" % sorted(found)
+
+
+PAYLOAD_CONVERSIONS = {"packbits", "unpackbits", "frombuffer"}
+
+
+def _payload_conversions(package: dict[str, str]) -> list[str]:
+    """``module.name`` of each :data:`PAYLOAD_CONVERSIONS` name that a module
+    of ``package`` (module name -> source) other than ``gf2core`` imports or
+    reads as an attribute."""
+    return sorted({
+        "%s.%s" % (module, name)
+        for module, source in package.items() if module != "gf2core"
+        for name in _used_names(source) & PAYLOAD_CONVERSIONS
+    })
+
+
+@pytest.mark.parametrize("package, found", [
+    ({"a": "import numpy as np\nnp.packbits(x)\n"}, ["a.packbits"]),
+    ({"a": "from numpy import (\n    unpackbits as unpack,\n)\n"}, ["a.unpackbits"]),
+    ({"a": "view = np.frombuffer\n"}, ["a.frombuffer"]),
+    ({"gf2core": "np.unpackbits(np.frombuffer(b, dtype=np.uint8))\n"}, []),
+    ({"a": "from .gf2core import _pack_payload, _unpack_payload\n_pack_payload(x)\n"}, []),
+    ({"a": "def packbits(): pass\n"}, []),
+])
+def test_the_payload_conversion_check_reads_each_form(package, found):
+    assert _payload_conversions(package) == found
+
+
+def test_payloads_are_converted_in_gf2core_only():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    found = _payload_conversions(package)
+    assert not found, "a payload converted outside gf2core: %s" % found
