@@ -428,7 +428,7 @@ def noise_free_selection_attack(
     if trials < 1:
         raise ParameterError("trials must be positive")
     rng = RandomSource(0) if rng is None else rng
-    per_trial = float((1 - Fraction(params.eps)) ** k)
+    per_trial = float((1 - params.eps) ** k)
 
     if params.spec.monomials:
         stats = {

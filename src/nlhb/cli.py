@@ -30,6 +30,7 @@ from .gf2core import (
     read_entries,
     read_text,
     _pack_hex,
+    _rate,
 )
 from .nlfunc import (
     DEFAULT_SPEC,
@@ -38,7 +39,6 @@ from .nlfunc import (
     max_entropy_functions,
     merge_error_distribution,
     parse_spec,
-    _check_balance,
 )
 from .params import MAX_D, check_rates, false_accept, false_reject, find_min_D, threshold_u
 from .protocols import (
@@ -147,14 +147,11 @@ class Report:
 
 
 def _fraction(text: str) -> Fraction:
-    """A typed rate such as ``1/4`` or ``0.25``.  The exponent form is refused:
-    ``Fraction`` computes its power of ten in full (``1e10000000`` takes 9 s)."""
-    if "e" not in text.lower():
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise argparse.ArgumentTypeError("expected a fraction like 1/4 or 0.25, got %r" % text)
+    """A typed rate such as ``1/4`` or ``0.25``, read by :func:`gf2core._rate`."""
+    try:
+        return _rate(text)
+    except ParameterError:
+        raise argparse.ArgumentTypeError("expected a fraction like 1/4 or 0.25, got %r" % text) from None
 
 
 def _positive(text: str) -> int:
@@ -303,17 +300,16 @@ def _cmd_analyze(args, report) -> None:
     if args.spec is None:
         raise ParameterError("analyze needs --enumerate or --spec")
     spec = parse_spec(args.spec)
-    if args.balance_n is not None:  # sized first, so the merge does not run if it is refused
-        _check_balance(spec, args.balance_n)
+    # first, so that a refused balance stops the merge; only its verdict is held
+    balanced = None if args.balance_n is None else balance_check(spec, args.balance_n).is_uniform
     dist = merge_error_distribution(spec)
     report.row("g", format_spec(spec))
     report.row("entropy_bits", "%g" % dist.entropy_bits())
     report.row("support", len(dist.probabilities))
     for outcome, prob in sorted(dist.probabilities.items()):
         report.row("P[%s]" % "".join(map(str, outcome)), prob)
-    if args.balance_n is not None:
-        check = balance_check(spec, args.balance_n)
-        report.row("balanced_at_n_%d" % args.balance_n, check.is_uniform)
+    if balanced is not None:
+        report.row("balanced_at_n_%d" % args.balance_n, balanced)
 
 
 def _cmd_simulate(args, report) -> None:

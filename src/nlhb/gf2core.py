@@ -38,6 +38,7 @@ from __future__ import annotations
 import binascii
 import hashlib
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -70,6 +71,27 @@ class SingularSystemError(ValueError):
             raise ValueError("unknown singularity reason %r" % reason)
         self.reason = reason
         super().__init__("singular system: %s" % reason)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int: an int-like (``operator.index``), but not a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError("%s must be an integer, got %r" % (name, value))
+
+
+def _rate(value) -> Fraction:
+    """A rate as a Fraction: a number, or text like ``1/4`` or ``0.25`` but not
+    ``1e-2``, whose power of ten ``Fraction`` computes in full (9 s for ``1e10000000``)."""
+    if not (isinstance(value, str) and "e" in value.lower()):
+        try:
+            return Fraction(value)
+        except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+            pass
+    raise ParameterError("expected a rate like 1/4 or 0.25, got %r" % (value,))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +592,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
+        seed = _integer(seed, "seed")
         if not 0 <= seed < (1 << 64):
             raise ParameterError("seed must be a 64-bit unsigned integer")
         self.seed = seed
@@ -607,7 +629,7 @@ class RandomSource:
     def bernoulli_bits(self, length: int, eps) -> np.ndarray:
         """Draw ``length`` i.i.d. Bernoulli(eps) bits for rational 0 < eps < 1/2."""
         if type(eps) is not Fraction:
-            eps = Fraction(eps)
+            eps = _rate(eps)
         threshold, residual = _bernoulli_threshold(eps.numerator, eps.denominator)
         if length < 0:
             raise ParameterError("length must be nonnegative")

@@ -212,20 +212,14 @@ class UniformityReport:
     is_uniform: bool
 
 
-def _check_balance(spec: NonlinearFunctionSpec, n: int) -> None:
-    """Size :func:`balance_check`'s 2**n inputs: each input's uint32 code,
-    and at the peak of :func:`_apply_f_int` a shift per offset the spec
-    reads, the output so far, a monomial's AND and the next output."""
-    check_enumerable(n, 4 * (len(spec._offsets) + 4))
-
-
 def balance_check(spec: NonlinearFunctionSpec, n: int) -> UniformityReport:
     """Exhaustively verify that every output value occurs exactly 2**p times.
 
     Refuses n when its 2**n inputs do not fit (n > 23 at p = 3).
     """
     d = spec.output_length(n)
-    _check_balance(spec, n)
+    # per input: its uint32 code, a shift per offset read, the output, an AND, the next output
+    check_enumerable(n, 4 * (len(spec._offsets) + 4))
     codes = _apply_f_int(spec, np.arange(1 << n, dtype=np.uint32), n)
     counts = np.bincount(codes, minlength=1 << d)
     expected = 1 << spec.p

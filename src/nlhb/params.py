@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf2core import ParameterError
+from .gf2core import ParameterError, _rate
 
 
 def exact_log2(x: Fraction) -> float:
@@ -48,13 +48,13 @@ class TailProbability:
 
 def threshold_u(eps_prime, d: int) -> int:
     """Acceptance threshold u = floor(eps' * D)."""
-    return int(Fraction(eps_prime) * d)
+    return int(_rate(eps_prime) * d)
 
 
 def check_rates(eps, eps_prime) -> tuple[Fraction, Fraction]:
     """The noise rate eps and threshold rate eps' as Fractions, refused unless
     0 < eps < eps' < 1/2."""
-    eps, eps_prime = Fraction(eps), Fraction(eps_prime)
+    eps, eps_prime = _rate(eps), _rate(eps_prime)
     if not 0 < eps < eps_prime < Fraction(1, 2):
         raise ParameterError("need 0 < eps < eps' < 1/2")
     return eps, eps_prime
@@ -86,7 +86,7 @@ def false_accept(d: int, u: int) -> TailProbability:
 def false_reject(d: int, eps, u: int) -> TailProbability:
     """Probability that honest Bernoulli(eps) noise exceeds the threshold."""
     _check_d_u(d, u)
-    eps = Fraction(eps)
+    eps = _rate(eps)
     if not Fraction(0) < eps < Fraction(1, 2):
         raise ParameterError("eps must satisfy 0 < eps < 1/2")
     num, den = eps.numerator, eps.denominator  # 1 - eps is (den - num) / den

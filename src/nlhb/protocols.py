@@ -37,6 +37,7 @@ from .gf2core import (
     _bits_int,
     _decimal,
     _int_bits,
+    _integer,
     _int_payload,
     _pack_payload,
     _payload_mat_vec_mul,
@@ -83,11 +84,14 @@ class ProtocolParams:
     def __post_init__(self):
         if self.proto not in PROTOCOLS:
             raise ParameterError("unknown protocol %r" % self.proto)
-        if self.k < 1 or self.n < 1:
+        k, n = _integer(self.k, "k"), _integer(self.n, "n")
+        if k < 1 or n < 1:
             raise ParameterError("k and n must be positive")
+        if not isinstance(self.spec, NonlinearFunctionSpec):
+            raise ParameterError("spec must be a NonlinearFunctionSpec, got %r" % (self.spec,))
         eps, eps_prime = check_rates(self.eps, self.eps_prime)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "eps_prime", eps_prime)
+        for name, value in zip(("k", "n", "eps", "eps_prime"), (k, n, eps, eps_prime)):
+            object.__setattr__(self, name, value)
         response_map(self.proto, self.spec)
         self.spec.output_length(self.n)  # raises if the window leaves no output
 
@@ -377,6 +381,8 @@ def _answer(params: ProtocolParams, key: SecretKey, a, b, noise: np.ndarray) -> 
 def transcript_sampler(params, key, rng: RandomSource, count: int):
     """``count`` honest sessions driven by one stream (prover and verifier
     roles interleaved deterministically: B, A, noise per session)."""
+    if count < 0:
+        raise ParameterError("count must be nonnegative, got %d" % count)
     return [run_session(params, key, rng, rng) for _ in range(count)]
 
 
@@ -403,8 +409,8 @@ def _param_fields(params: ProtocolParams) -> dict[str, str]:
 
 
 def _params_from_fields(fields: dict[str, str]) -> ProtocolParams:
-    """The params whose :func:`_param_fields` ``fields`` holds; a field
-    missing, a bad value or any other spelling is a :class:`FormatError`."""
+    """The params whose :func:`_param_fields` ``fields`` holds; a field missing or a
+    bad value is a :class:`FormatError` (the callers compare the written form)."""
     try:
         params = ProtocolParams(
             fields["proto"], *(_decoded(fields, name) for name in ("k", "n", "eps", "epsp", "spec")))
@@ -412,9 +418,6 @@ def _params_from_fields(fields: dict[str, str]) -> ProtocolParams:
         raise FormatError("missing %s" % exc) from None
     except ValueError as exc:  # a field's own FormatError, or params outside their domain
         raise FormatError(str(exc)) from None
-    for name, text in _param_fields(params).items():
-        if fields[name] != text:
-            raise FormatError("%s=%s is written %s=%s" % (name, fields[name], name, text))
     return params
 
 

@@ -42,6 +42,7 @@ from .gf2core import (
     check_enumerable,
     code_rows,
     derive_seed,
+    _rate,
     _unpack_payload,
 )
 from .nlfunc import NonlinearFunctionSpec, key_distances
@@ -96,6 +97,8 @@ def honest_transcript_source(params: ProtocolParams, key: SecretKey, rng: Random
     key = _check_key(params, key)
 
     def draw(count: int) -> np.ndarray:
+        if count < 0:
+            raise ParameterError("count must be nonnegative, got %d" % count)
         out = np.empty((count, string_length(params)), dtype=np.uint8)
         a, z = batch_views(out, params)
         for row in range(count):
@@ -319,7 +322,7 @@ def _threshold(params: ProtocolParams, rate, interval):
     open ``interval`` (its midpoint when ``rate`` is None), and the advantage
     declared for it: one minus the fair-coin false-accept tail there."""
     low, high = interval
-    rate = (low + high) / 2 if rate is None else Fraction(rate)
+    rate = (low + high) / 2 if rate is None else _rate(rate)
     if not low < rate < high:
         raise ParameterError(
             "threshold rate %s outside the open interval (%s, %s)" % (rate, low, high)

@@ -789,6 +789,15 @@ def test_analyze_refuses_a_merge_too_large_to_hold(p, g):
     assert err.startswith("error:") and "exceeds" in err
 
 
+def test_analyze_sizes_the_balance_before_the_merge():
+    # a --balance-n too large to enumerate ends the command before the merge runs
+    with mock.patch.object(cli, "merge_error_distribution", wraps=nlfunc.merge_error_distribution) as merge:
+        code, out, err = run_cli(["analyze", "--spec", "p=3; g=x1x2+x1x3+x2x3", "--balance-n", "24"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "exceeds" in err
+    merge.assert_not_called()
+
+
 def test_merge_size_guard_admits_p9_and_covers_the_measured_peak():
     check_enumerable(20, nlfunc.merge_state_bytes(nlfunc.NonlinearFunctionSpec(  # p = 9 still runs
         9, tuple((o, o + 1) for o in range(1, 9)))))

@@ -716,6 +716,14 @@ def test_random_source_seed_domain():
         RandomSource(1 << 64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 7.0, True, "7", "x", None], ids=repr)
+def test_random_source_seed_must_be_an_integer(seed):
+    # an int-like counts and is kept as an int; a bool, float or text does not
+    assert RandomSource(np.uint64(7)).seed == 7 and type(RandomSource(np.uint64(7)).seed) is int
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        RandomSource(seed)
+
+
 def test_uniform_bits_frozen_snapshot():
     # Regression pin on the PCG64-derived stream: computed once from this
     # implementation, must never drift.

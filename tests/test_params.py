@@ -1,19 +1,23 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlhb.gf2core import ParameterError
+from nlhb import reductions
+from nlhb.gf2core import ParameterError, RandomSource
 from nlhb.params import (
     TailProbability,
     ThresholdSearch,
+    check_rates,
     exact_log2,
     false_accept,
     false_reject,
     find_min_D,
     threshold_u,
 )
+from nlhb.protocols import hb_params
 
 
 # --- independent oracle: direct Fraction sums over math.comb -------------------
@@ -164,3 +168,31 @@ def test_tails_stay_above_the_find_min_d_floors(eps):
 def test_find_min_d_rejects_bad_rates():
     with pytest.raises(ParameterError):
         find_min_D(Fraction(348, 1000), Fraction(1, 4), -10, -10)
+
+
+# Each entry that reads a caller's rate, applied to it; the forger wrapper's
+# threshold rate must lie in its interval, (23/256, 1/2) at these params.
+_RATE_READERS = {
+    "hb_params": lambda rate: hb_params(8, 20, rate, "1/4").eps,
+    "check_rates": lambda rate: check_rates(rate, "1/4"),
+    "false_reject": lambda rate: false_reject(10, rate, 2),
+    "threshold_u": lambda rate: threshold_u(rate, 40),
+    "bernoulli_bits": lambda rate: RandomSource(3).bernoulli_bits(64, rate).tolist(),
+    "epsilon_dd": lambda rate: reductions.forger_to_distinguisher(
+        reductions.RandomPassiveForger(hb_params(8, 64, "1/32", "1/16"), q=1), 1, rate).advantage,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_RATE_READERS))
+@pytest.mark.parametrize("rate", ["1e-2000000", "1E3", "x", float("nan"), float("inf"), None], ids=repr)
+def test_rate_readers_refuse_what_is_not_a_written_rate(reader, rate):
+    # the exponent form is refused before Fraction computes its power of ten
+    read = _RATE_READERS[reader]
+    if rate is None and reader == "epsilon_dd":
+        assert read(None) == read(Fraction(151, 512))  # the interval's midpoint
+        return
+    start = time.perf_counter()
+    with pytest.raises(ParameterError):
+        read(rate)
+    assert time.perf_counter() - start < 0.1
+    assert [read(same) for same in ("1/8", "0.125", 0.125)] == [read(Fraction(1, 8))] * 3

@@ -71,6 +71,25 @@ def test_params_validation():
         ProtocolParams("hb", 0, 16, EPS, EPSP, IDENTITY_SPEC)
 
 
+@pytest.mark.parametrize("k, n, spec", [
+    (1.5, 19, DEFAULT_SPEC),
+    (8.0, 19, DEFAULT_SPEC),
+    (True, 19, DEFAULT_SPEC),
+    ("8", 19, DEFAULT_SPEC),
+    (8, 19.0, DEFAULT_SPEC),
+    (8, False, DEFAULT_SPEC),
+    (8, None, DEFAULT_SPEC),
+    (8, 19, None),
+    (8, 19, "p=3; g=x1x2+x1x3+x2x3"),
+], ids=repr)
+def test_params_refuse_what_is_not_an_integer_or_a_spec(k, n, spec):
+    # an int-like k or n counts and is stored as an int
+    params = ProtocolParams("nlhb", np.int64(8), np.uint16(19), EPS, EPSP, DEFAULT_SPEC)
+    assert (type(params.k), type(params.n)) == (int, int) and params == small_nlhb()
+    with pytest.raises(ParameterError):
+        ProtocolParams("nlhb", k, n, EPS, EPSP, spec)
+
+
 def test_generate_key_shapes():
     p = small_nlhb()
     key = generate_key(p, RandomSource(1))

@@ -231,6 +231,17 @@ def test_distinguisher_batch_size_enforced():
         oracle(src(3))
 
 
+def test_honest_and_uniform_draws_refuse_a_negative_count():
+    params = hb_params(4, 32, Fraction(1, 8), Fraction(1, 4))
+    key = generate_key(params, RandomSource(165))
+    for draw in (red.honest_transcript_source(params, key, RandomSource(166)),
+                 red.uniform_string_source(params, RandomSource(167)),
+                 lambda count: transcript_sampler(params, key, RandomSource(168), count)):
+        assert len(draw(0)) == 0
+        with pytest.raises(ParameterError, match="nonnegative"):
+            draw(-1)
+
+
 @pytest.mark.parametrize("other", [
     hb_params(4, 33, Fraction(1, 8), Fraction(1, 4)),  # another shape
     hb_params(4, 32, Fraction(1, 16), Fraction(1, 4)),  # the same shape, another eps

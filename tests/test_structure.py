@@ -4,7 +4,8 @@
   is a new type each time, which nothing can patch or subclass.
 - Every top-level ``def`` and ``class`` has a caller: its name appears in the
   package outside its own definition, or in the benchmark (``perfbench/*.py``),
-  which wraps some functions by their dotted names.
+  which wraps some functions by their dotted names.  The names only the
+  benchmark keeps alive are listed (:data:`BENCH_HELD`).
 - Every attribute the package stores on ``self`` is read somewhere: some
   ``.name`` in the package, the tests or the benchmark loads it.  Storing it
   is not a read.
@@ -38,6 +39,15 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 # Names with no caller in the package or the benchmark; only tests and the
 # README call these.
 NO_CALLER = {"authsvc.write_keystore"}
+# Names whose only caller outside the tests is the benchmark, which wraps or
+# calls them: a benchmark change that drops one frees it to go, and a package
+# change that calls one takes it off this list.
+BENCH_HELD = {
+    "gf2core.all_bit_vectors", "gf2core.dump_bits", "gf2core.dump_matrix", "gf2core.hamming",
+    "gf2core.load_bits", "gf2core.load_matrix",
+    "nlfunc.apply_f", "nlfunc.apply_f_batch",
+    "protocols.expected_response", "protocols.hb_params", "protocols.nlhb_params",
+}
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DOTTED = re.compile(r"[A-Za-z_][\w.]*\Z")
 
@@ -150,6 +160,18 @@ def test_every_top_level_name_has_a_caller():
     assert not found - NO_CALLER, "no caller in src/nlhb or perfbench: %s" % sorted(found - NO_CALLER)
     assert not NO_CALLER - found, "these now have a caller; drop them from NO_CALLER: %s" % sorted(
         NO_CALLER - found
+    )
+
+
+def test_the_names_only_the_benchmark_holds_are_listed():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    bench = [p.read_text(encoding="utf-8") for p in BENCH]
+    held = set(_unreferenced(package, [])) - set(_unreferenced(package, bench))
+    assert not held - BENCH_HELD, "only the benchmark calls these; add them to BENCH_HELD: %s" % sorted(
+        held - BENCH_HELD
+    )
+    assert not BENCH_HELD - held, "no longer held by the benchmark alone; drop them from BENCH_HELD: %s" % sorted(
+        BENCH_HELD - held
     )
 
 
